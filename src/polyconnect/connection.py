@@ -25,6 +25,7 @@ validated by hand only for n <= 1; oracle sweeps show it fails from n = 2
 on, so its report, not the closed form, is authoritative there.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -126,12 +127,27 @@ class ConnectionResult:
     provenance: str
 
     def reconstruct(self) -> Poly:
-        """Sum of coefficients[k] * target member k."""
-        total = Poly()
+        """Sum of coefficients[k] * target member k.
+
+        Each term c_k M_k is an integer vector over the denominator of c_k
+        times that of the lifted member; the sum is one integer vector over
+        the lcm of those denominators, reduced once per output coefficient.
+        """
+        total, den = [], 1
         for k, c in enumerate(self.coefficients):
             if c:
-                total = total + c * basis_poly(self.target, k)
-        return total
+                member, member_den = _lift(basis_poly(self.target, k))
+                num, term_den = c.as_integer_ratio()
+                term_den *= member_den
+                common = math.lcm(den, term_den)
+                if common != den:
+                    total = [t * (common // den) for t in total]
+                    den = common
+                total += [0] * (len(member) - len(total))
+                scale = num * (common // term_den)
+                for i, m in enumerate(member):
+                    total[i] += scale * m
+        return Poly(Fraction(t, den) for t in total)
 
     def to_json(self) -> dict:
         return {
@@ -150,28 +166,50 @@ class ConnectionResult:
         ]
 
 
-def connection_oracle(p: Poly, target: BasisId) -> ConnectionResult:
-    """Brute-force basis conversion by triangular back-substitution.
+def _lift(p: Poly) -> tuple[list[int], int]:
+    """Integer coefficients over one positive common denominator: p = vector / den."""
+    ratios = [c.as_integer_ratio() for c in p.coefficients]
+    den = math.lcm(*(d for _, d in ratios))
+    return [n * (den // d) for n, d in ratios], den
 
-    Works down from degree(p): divides the current x^k coefficient by the
-    leading coefficient of the target's degree-k member, then subtracts that
-    multiple.  The final residual is exactly zero by construction.
+
+def connection_oracle(p: Poly, target: BasisId) -> ConnectionResult:
+    """Brute-force basis conversion by fraction-free triangular back-substitution.
+
+    The residual is an integer vector R over one common denominator d, so
+    p = R/d at the start.  Working down from degree(p), with the target's
+    degree-k member lifted to M = m/e, the coefficient is
+    c_k = R[k] e / (d m[k]), the one Fraction built per coefficient.  The
+    update R/d - c_k M stays in integers (after Bareiss, Math. Comp. 22, 1968):
+
+        R <- m[k] R - R[k] m,    d <- m[k] d,
+
+    followed by one multi-argument gcd reduction of (d, R).  The final
+    residual is exactly zero by construction, and checked to be.
     """
     degree = 0 if p.is_zero else p.degree
+    residual, den = _lift(p)
+    residual = residual or [0]
     coefficients = [Fraction(0)] * (degree + 1)
-    residual = p
     for k in range(degree, -1, -1):
         member = basis_poly(target, k)
-        lead = member.coeff(k)
-        if lead == 0:
+        if len(member.coefficients) != k + 1:
             raise InvalidInputError(
                 f"target family {target.family} is not graded at degree {k}"
             )
-        c = residual.coeff(k) / lead
-        coefficients[k] = c
-        if c:
-            residual = residual - c * member
-    assert residual.is_zero
+        top = residual[k]
+        if not top:
+            continue
+        m, e = _lift(member)
+        lead = m[k]
+        coefficients[k] = Fraction(top * e, den * lead)
+        residual = [r * lead - top * mi for r, mi in zip(residual, m)]
+        den *= lead
+        g = math.gcd(den, *residual)
+        residual = [r // g for r in residual]
+        den //= g
+    if any(residual):
+        raise PolyConnectError("oracle back-substitution left a nonzero residual")
     return ConnectionResult(
         source=MONOMIAL,
         target=target,
@@ -260,11 +298,16 @@ def coeff_shifted_jacobi_in_hermite(n: int, jp: JacobiParams, j: int) -> Fractio
             Fraction(1),
         )
     )
+    beta_rise = pochhammer(jp.beta + 1, j)
+    if beta_rise == 0:
+        raise InvalidInputError(
+            "degenerate Jacobi parameters: a prefactor denominator vanishes"
+        )
     prefactor = (
         Fraction((-1) ** (n + j))
         * pochhammer(jp.beta + 1, n)
         * pochhammer(n + lam, j)
-        / (factorial(n - j) * Fraction(2) ** j * factorial(j) * pochhammer(jp.beta + 1, j))
+        / (factorial(n - j) * Fraction(2) ** j * factorial(j) * beta_rise)
     )
     return prefactor * f
 
@@ -450,6 +493,10 @@ def verify_theorem(
             try:
                 source, target = _theorem_bases(theorem, jp)
                 source_poly = basis_poly(source, n)
+                if source_poly.degree != n:
+                    raise InvalidInputError(
+                        f"source family {source.family} is not graded at degree {n}"
+                    )
                 closed = closed_form_connection(source, target, n)
                 oracle = connection_oracle(source_poly, target)
                 entry.residual = closed.reconstruct() - source_poly

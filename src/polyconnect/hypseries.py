@@ -13,8 +13,15 @@ tolerated as long as its pole lies strictly past K.  Several closed-form
 connection coefficients (the ones with denominator parameters -N/2 and
 -(N-1)/2) rely on exactly this allowance, with the pole sitting one index
 past the truncation.
+
+The kernels work on integers: a term ratio is a ratio of two integers once
+every parameter is written p/q, and a sum is carried as an integer over one
+common denominator.  A Fraction, and so a gcd reduction, is built only for
+each value returned: one per coefficient in series_coefficients, one per
+series in evaluate_terminating.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -91,6 +98,14 @@ def series_coefficients(
     reuse the same list with substituted arguments.  Raises NonTerminating if
     no numerator parameter is a nonpositive integer, DenominatorPole if some
     denominator parameter b has -b < K.
+
+    With every parameter written p/q, the term ratio
+    prod(a + k) / (prod(b + k) (k + 1)) is the integer ratio
+
+        prod(p_a + k q_a) prod(q_b)  /  (prod(p_b + k q_b) prod(q_a) (k + 1)),
+
+    so each coefficient is the previous numerator and denominator times two
+    integers, reduced once, into its Fraction.
     """
     nums = _coerce_params(numerators)
     dens = _coerce_params(denominators)
@@ -106,29 +121,42 @@ def series_coefficients(
                 f"denominator parameter {rational_to_str(b)} vanishes at index "
                 f"{-int(b) + 1} <= truncation index {k_max}"
             )
+    num_pq = [a.as_integer_ratio() for a in nums]
+    den_pq = [b.as_integer_ratio() for b in dens]
+    num_scale = math.prod(q for _, q in den_pq)
+    den_scale = math.prod(q for _, q in num_pq)
     coeffs = [Fraction(1)]
-    term = Fraction(1)
+    num = den = 1
     # Ratio recurrence, hard-capped at k_max so a 0/0 ratio is never formed.
     for k in range(k_max):
-        for a in nums:
-            term *= a + k
-        for b in dens:
-            term /= b + k
-        term /= k + 1
+        u, v = num_scale, den_scale * (k + 1)
+        for p, q in num_pq:
+            u *= p + k * q
+        for p, q in den_pq:
+            v *= p + k * q
+        term = Fraction(num * u, den * v)
+        num, den = term.as_integer_ratio()
         coeffs.append(term)
     return tuple(coeffs)
 
 
 def evaluate_terminating(series: HypSeries) -> Fraction:
-    """Exact value of a terminating series under the first-zero truncation policy."""
+    """Exact value of a terminating series under the first-zero truncation policy.
+
+    The coefficients c_k come from series_coefficients; the sum of c_k x^k is
+    taken by backward Horner in integers, over the lcm d of the coefficient
+    denominators times x's denominator to the power K, and reduced once, into
+    the returned Fraction.
+    """
     coeffs = series_coefficients(series.numerators, series.denominators)
-    x = series.argument
-    total = Fraction(0)
-    power = Fraction(1)
-    for c in coeffs:
-        total += c * power
-        power *= x
-    return total
+    x_num, x_den = series.argument.as_integer_ratio()
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    den = math.lcm(*(d for _, d in ratios))
+    total, power = 0, 1
+    for n, d in reversed(ratios):
+        total = total * x_num + n * (den // d) * power
+        power *= x_den
+    return Fraction(total, den * x_den ** (len(coeffs) - 1))
 
 
 def split_even_odd(series: HypSeries) -> EvenOddSplit:

@@ -71,16 +71,19 @@ def pochhammer(a: RationalLike, n: int) -> Fraction:
     """Rising factorial a*(a+1)*...*(a+n-1), with the empty product equal to 1.
 
     Computed literally, so a nonpositive integer ``a`` yields 0 as soon as the
-    zero factor is reached (the gamma-ratio form is undefined there).
+    zero factor is reached (the gamma-ratio form is undefined there).  With
+    a = p/q the product is the integer prod(p + i*q) over q**n, reduced once.
     """
     _check_index(n)
     a = as_rational(a)
-    result = Fraction(1)
+    p, q = a.numerator, a.denominator
+    product = 1
     for i in range(n):
-        result *= a + i
-        if result == 0:
-            break
-    return result
+        factor = p + i * q
+        if factor == 0:
+            return Fraction(0)
+        product *= factor
+    return Fraction(product, q**n)
 
 
 def pochhammer_list(params: Iterable[RationalLike], k: int) -> Fraction:

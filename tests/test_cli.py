@@ -145,6 +145,22 @@ class TestContract:
         assert proc.stdout == ""
         assert len(proc.stderr.strip().splitlines()) == 1
 
+    def test_vanishing_prefactor_exit_two(self):
+        proc = run_cli(
+            "connect", "--source", "shifted-jacobi", "--target", "hermite",
+            "--alpha=-6", "--beta=-1", "--n", "1", "--method", "closed",
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+
+    def test_ungraded_source_is_a_report_entry_error(self):
+        proc = run_cli("verify", "--theorem", "3.4", "--n-max", "3", "--alpha=-6", "--beta=0")
+        assert proc.returncode == 1  # an errored entry fails the verdict
+        assert "Traceback" not in proc.stderr
+        entries = json.loads(proc.stdout)["entries"]
+        assert "not graded at degree 3" in entries[3]["error"]
+
     def test_negative_degree_exit_two(self):
         proc = run_cli("poly", "--family", "hermite", "--n", "-1")
         assert proc.returncode == 2

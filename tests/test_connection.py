@@ -12,6 +12,7 @@ from polyconnect import (
     LAGUERRE,
     MONOMIAL,
     Poly,
+    PolyConnectError,
     UnsupportedPairError,
     basis_poly,
     closed_form_connection,
@@ -99,6 +100,12 @@ class TestOracle:
         assert result.coefficients == (0,)
         assert result.reconstruct().is_zero
 
+    def test_short_target_member_is_invalid_input(self):
+        # at alpha = -6, beta = 0 the degree-3 shifted Jacobi member has degree 2
+        target = shifted_jacobi_basis(JacobiParams(-6, 0))
+        with pytest.raises(InvalidInputError, match="not graded at degree 3"):
+            connection_oracle(Poly.monomial(3), target)
+
 
 class TestLaguerreInHermite:
     def test_frozen_examples(self):
@@ -145,6 +152,11 @@ class TestShiftedJacobiInHermite:
             shifted_jacobi(1, JacobiParams(1, 0)), HERMITE
         )
         assert coeff_shifted_jacobi_in_hermite(1, JacobiParams(1, 0), 1) == oracle.coefficients[1]
+
+    def test_vanishing_prefactor_denominator_is_invalid_input(self):
+        # (beta + 1)_j vanishes for beta = -1 and j >= 1
+        with pytest.raises(InvalidInputError, match="prefactor denominator vanishes"):
+            coeff_shifted_jacobi_in_hermite(1, JacobiParams(-6, -1), 1)
 
     @pytest.mark.parametrize("jp", DEFAULT_JACOBI_SWEEP, ids=str)
     @pytest.mark.parametrize("n", range(0, 9))
@@ -264,6 +276,34 @@ class TestVerifyTheorem:
         assert report.entries[0].match  # degree 0 is fine
         assert report.entries[1].error is not None
         assert report.verdict == "fail"
+
+    def test_ungraded_source_member_recorded_as_error(self):
+        # at alpha = -6, beta = 0 the degree-3 shifted Jacobi member has degree 2
+        report = verify_theorem("3.4", 3, (JacobiParams(-6, 0),))
+        assert [e.error is None for e in report.entries] == [True, True, True, False]
+        assert "not graded at degree 3" in report.entries[3].error
+        assert report.verdict == "fail"
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from(["3.3", "3.4"]),
+        st.fractions(min_value=-6, max_value=4, max_denominator=3),
+        st.fractions(min_value=-6, max_value=4, max_denominator=3),
+    )
+    def test_degenerate_parameters_raise_or_record_library_errors(self, theorem, alpha, beta):
+        jp = JacobiParams(alpha, beta)
+        report = verify_theorem(theorem, 4, (jp,))
+        assert len(report.entries) == 5
+        source, target = (
+            (shifted_jacobi_basis(jp), HERMITE)
+            if theorem == "3.4"
+            else (HERMITE, jacobi_at_one_minus_x_basis(jp))
+        )
+        for n in range(5):
+            try:
+                closed_form_connection(source, target, n)
+            except PolyConnectError:
+                pass
 
     def test_report_json_schema(self):
         data = verify_theorem("3.2", 2).to_json()

@@ -13,7 +13,11 @@ import sys
 from typing import Optional
 
 from .connection import (
+    FAMILIES,
+    JACOBI_FAMILIES,
+    THEOREMS,
     BasisId,
+    basis,
     basis_poly,
     closed_form_connection,
     connection_oracle,
@@ -24,9 +28,7 @@ from .polybases import JacobiParams
 from .rationals import parse_rational, rational_to_str
 from .sweeps import LEMMA_SWEEPS
 
-_POLY_FAMILIES = ("hermite", "laguerre", "shifted-jacobi", "jacobi-1mx", "monomial")
-_JACOBI_FAMILIES = ("shifted-jacobi", "jacobi-1mx")
-_VERIFY_IDS = ("3.1", "3.2", "3.3", "3.4", "2.1", "2.2", "2.3")
+_VERIFY_IDS = (*THEOREMS, *LEMMA_SWEEPS)
 
 
 class _UsageError(Exception):
@@ -43,15 +45,15 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     poly = sub.add_parser("poly", help="construct a polynomial family member")
-    poly.add_argument("--family", required=True, choices=_POLY_FAMILIES)
+    poly.add_argument("--family", required=True, choices=FAMILIES)
     poly.add_argument("--n", required=True, type=int)
     poly.add_argument("--alpha")
     poly.add_argument("--beta")
     poly.add_argument("--format", choices=("json", "csv"), default="json")
 
     connect = sub.add_parser("connect", help="connection coefficients for one degree")
-    connect.add_argument("--source", required=True, choices=_POLY_FAMILIES)
-    connect.add_argument("--target", required=True, choices=_POLY_FAMILIES)
+    connect.add_argument("--source", required=True, choices=FAMILIES)
+    connect.add_argument("--target", required=True, choices=FAMILIES)
     connect.add_argument("--n", required=True, type=int)
     connect.add_argument("--alpha")
     connect.add_argument("--beta")
@@ -68,8 +70,8 @@ def _build_parser() -> _Parser:
     verify.add_argument("--format", choices=("json", "csv"), default="json")
 
     table = sub.add_parser("table", help="full lower-triangular connection matrix")
-    table.add_argument("--source", required=True, choices=_POLY_FAMILIES)
-    table.add_argument("--target", required=True, choices=_POLY_FAMILIES)
+    table.add_argument("--source", required=True, choices=FAMILIES)
+    table.add_argument("--target", required=True, choices=FAMILIES)
     table.add_argument("--n-max", required=True, type=int)
     table.add_argument("--alpha")
     table.add_argument("--beta")
@@ -87,14 +89,6 @@ def _jacobi_params(ns) -> Optional[JacobiParams]:
     return JacobiParams(parse_rational(ns.alpha), parse_rational(ns.beta))
 
 
-def _basis(family: str, jp: Optional[JacobiParams]) -> BasisId:
-    if family in _JACOBI_FAMILIES:
-        if jp is None:
-            raise _UsageError(f"--alpha/--beta are required for family {family}")
-        return BasisId(family, jp)
-    return BasisId(family)
-
-
 def _emit_csv(rows, header) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
@@ -103,9 +97,9 @@ def _emit_csv(rows, header) -> None:
 
 def _cmd_poly(ns) -> int:
     jp = _jacobi_params(ns)
-    if jp is not None and ns.family not in _JACOBI_FAMILIES:
+    if jp is not None and ns.family not in JACOBI_FAMILIES:
         raise _UsageError(f"--alpha/--beta do not apply to family {ns.family}")
-    p = basis_poly(_basis(ns.family, jp), ns.n)
+    p = basis_poly(basis(ns.family, jp), ns.n)
     if ns.format == "json":
         print(json.dumps(p.to_json()))
     else:
@@ -127,8 +121,8 @@ def _connection_results(source: BasisId, target: BasisId, n: int, method: str):
 
 def _cmd_connect(ns) -> int:
     jp = _jacobi_params(ns)
-    source = _basis(ns.source, jp)
-    target = _basis(ns.target, jp)
+    source = basis(ns.source, jp)
+    target = basis(ns.target, jp)
     closed, oracle = _connection_results(source, target, ns.n, ns.method)
     if ns.format == "csv":
         rows = []
@@ -155,6 +149,9 @@ def _cmd_connect(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
+    jp, record = _jacobi_params(ns), THEOREMS.get(ns.theorem)
+    if jp is not None and (record is None or not record.needs_params):
+        raise _UsageError(f"--alpha/--beta do not apply to theorem {ns.theorem}")
     if ns.theorem in LEMMA_SWEEPS:
         if ns.cases < 1:
             raise _UsageError("--cases must be >= 1")
@@ -181,11 +178,7 @@ def _cmd_verify(ns) -> int:
             print(json.dumps(payload, indent=2))
         return 0 if verdict == "pass" else 1
 
-    jp = _jacobi_params(ns)
-    param_sets = None if jp is None else (jp,)
-    if ns.theorem in ("3.1", "3.2") and jp is not None:
-        raise _UsageError(f"--alpha/--beta do not apply to theorem {ns.theorem}")
-    report = verify_theorem(ns.theorem, ns.n_max, param_sets)
+    report = verify_theorem(ns.theorem, ns.n_max, None if jp is None else (jp,))
     if ns.format == "csv":
         rows = [
             (
@@ -207,8 +200,8 @@ def _cmd_verify(ns) -> int:
 
 def _cmd_table(ns) -> int:
     jp = _jacobi_params(ns)
-    source = _basis(ns.source, jp)
-    target = _basis(ns.target, jp)
+    source = basis(ns.source, jp)
+    target = basis(ns.target, jp)
     if ns.n_max < 0:
         raise _UsageError("--n-max must be >= 0")
     rows = []

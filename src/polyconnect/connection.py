@@ -5,19 +5,13 @@ member of one graded polynomial family in another family:
 
     P_n(x) = sum_{k=0}^{n} c_nk Q_k(x).
 
-Four directed pairs have closed-form coefficients here, each tagged with a
-formula identifier:
-
-    Thm3.1             Laguerre        -> Hermite
-    Thm3.2             Hermite         -> Laguerre
-    Thm3.3-interpreted Hermite         -> Jacobi at 1-x   (see below)
-    Thm3.4             ShiftedJacobi   -> Hermite
-
-Every closed form is shadowed by ``connection_oracle``, an independent
-brute-force conversion through the monomial basis.  ``verify_theorem``
-reconstructs the source polynomial from each closed form, records exact
-residuals, and reports entrywise disagreements with the oracle instead of
-silently preferring either side.
+Four directed pairs have closed-form coefficients here, one ``THEOREMS``
+record each, tagged with a formula identifier (Thm3.1, Thm3.2,
+Thm3.3-interpreted, Thm3.4).  Every closed form is shadowed by
+``connection_oracle``, an independent brute-force conversion through the
+monomial basis.  ``verify_theorem`` reconstructs the source polynomial from
+each closed form, records exact residuals, and reports entrywise
+disagreements with the oracle instead of silently preferring either side.
 
 The Thm3.3 coefficient formula is a repaired reading of a typographically
 defective display (its expansion sum is restored over m = 0..n).  It is
@@ -28,7 +22,7 @@ on, so its report, not the closed form, is authoritative there.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import InvalidInputError, PolyConnectError, UnsupportedPairError
 from .hypseries import HypSeries, evaluate_terminating
@@ -43,13 +37,23 @@ from .polybases import (
 from .rationals import (
     RationalLike,
     as_rational,
+    check_index,
     factorial,
     pochhammer,
     rational_to_str,
 )
 
-_JACOBI_FAMILIES = ("shifted-jacobi", "jacobi-1mx")
-_FAMILIES = ("monomial", "hermite", "laguerre") + _JACOBI_FAMILIES
+#: Family name -> its degree-k member for Jacobi parameters jp (None for the
+#: families without parameters).  The lambdas look each constructor up when
+#: called, not when the table is built.
+FAMILIES = {
+    "hermite": lambda k, jp: hermite(k),
+    "laguerre": lambda k, jp: laguerre(k),
+    "shifted-jacobi": lambda k, jp: shifted_jacobi(k, jp),
+    "jacobi-1mx": lambda k, jp: jacobi_at_one_minus_x(k, jp),
+    "monomial": lambda k, jp: Poly.monomial(k),
+}
+JACOBI_FAMILIES = ("shifted-jacobi", "jacobi-1mx")
 
 PROVENANCE_ORACLE = "Oracle"
 
@@ -71,11 +75,11 @@ class BasisId:
     params: Optional[JacobiParams] = None
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILIES:
             raise InvalidInputError(f"unknown basis family {self.family!r}")
-        if self.family in _JACOBI_FAMILIES and self.params is None:
+        if self.family in JACOBI_FAMILIES and self.params is None:
             raise InvalidInputError(f"{self.family} basis requires Jacobi parameters")
-        if self.family not in _JACOBI_FAMILIES and self.params is not None:
+        if self.family not in JACOBI_FAMILIES and self.params is not None:
             raise InvalidInputError(f"{self.family} basis takes no parameters")
 
     def to_json(self) -> dict:
@@ -99,17 +103,17 @@ def jacobi_at_one_minus_x_basis(jp: JacobiParams) -> BasisId:
     return BasisId("jacobi-1mx", jp)
 
 
+def basis(family: str, jp: Optional[JacobiParams]) -> BasisId:
+    """The basis of a family, with jp attached only if the family takes it."""
+    return BasisId(family, jp if family in JACOBI_FAMILIES else None)
+
+
 def basis_poly(basis: BasisId, k: int) -> Poly:
-    """The degree-k member of a basis family."""
-    if basis.family == "monomial":
-        return Poly.monomial(k)
-    if basis.family == "hermite":
-        return hermite(k)
-    if basis.family == "laguerre":
-        return laguerre(k)
-    if basis.family == "shifted-jacobi":
-        return shifted_jacobi(k, basis.params)
-    return jacobi_at_one_minus_x(k, basis.params)
+    """The degree-k member of a basis family; it must have degree exactly k."""
+    member = FAMILIES[basis.family](k, basis.params)
+    if len(member.coefficients) != k + 1:
+        raise InvalidInputError(f"{basis.family} family is not graded at degree {k}")
+    return member
 
 
 @dataclass(frozen=True)
@@ -193,10 +197,6 @@ def connection_oracle(p: Poly, target: BasisId) -> ConnectionResult:
     coefficients = [Fraction(0)] * (degree + 1)
     for k in range(degree, -1, -1):
         member = basis_poly(target, k)
-        if len(member.coefficients) != k + 1:
-            raise InvalidInputError(
-                f"target family {target.family} is not graded at degree {k}"
-            )
         top = residual[k]
         if not top:
             continue
@@ -221,16 +221,15 @@ def connection_oracle(p: Poly, target: BasisId) -> ConnectionResult:
 
 def delta_params(r: int, phi: RationalLike) -> tuple[Fraction, ...]:
     """The parameter list [phi/r, (phi+1)/r, ..., (phi+r-1)/r]."""
-    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
+    if check_index(r, "r") < 1:
         raise InvalidInputError(f"r must be a positive integer, got {r!r}")
     phi = as_rational(phi)
     return tuple((phi + j) / r for j in range(r))
 
 
 def _check_pair(n: int, k: int, n_name: str, k_name: str) -> None:
-    for name, value in ((n_name, n), (k_name, k)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise InvalidInputError(f"{name} must be a nonnegative integer, got {value!r}")
+    check_index(n, n_name)
+    check_index(k, k_name)
     if k > n:
         raise InvalidInputError(f"{k_name} must not exceed {n_name}, got {k} > {n}")
 
@@ -346,35 +345,53 @@ def coeff_hermite_in_shifted_jacobi(n: int, jp: JacobiParams, m: int) -> Fractio
     return prefactor * f
 
 
-_CLOSED_FORMS = {
-    ("laguerre", "hermite"): "Thm3.1",
-    ("hermite", "laguerre"): "Thm3.2",
-    ("hermite", "jacobi-1mx"): "Thm3.3-interpreted",
-    ("shifted-jacobi", "hermite"): "Thm3.4",
+@dataclass(frozen=True)
+class Theorem:
+    """One closed form: source family -> target family, coefficient(n, k, jp)
+    of the degree-k target member, and the provenance tag of its results."""
+
+    id: str
+    source: str
+    target: str
+    coefficient: Callable[[int, int, Optional[JacobiParams]], Fraction]
+    provenance: str
+
+    @property
+    def needs_params(self) -> bool:
+        return self.source in JACOBI_FAMILIES or self.target in JACOBI_FAMILIES
+
+
+#: Theorem id -> record.  The lambdas look each coefficient function up when
+#: called, not when the table is built.
+THEOREMS = {
+    t.id: t
+    for t in (
+        Theorem("3.1", "laguerre", "hermite",
+                lambda n, k, jp: coeff_laguerre_in_hermite(n, k), "Thm3.1"),
+        Theorem("3.2", "hermite", "laguerre",
+                lambda n, k, jp: coeff_hermite_in_laguerre(n, k), "Thm3.2"),
+        Theorem("3.3", "hermite", "jacobi-1mx",
+                lambda n, k, jp: coeff_hermite_in_shifted_jacobi(n, jp, k), "Thm3.3-interpreted"),
+        Theorem("3.4", "shifted-jacobi", "hermite",
+                lambda n, k, jp: coeff_shifted_jacobi_in_hermite(n, jp, k), "Thm3.4"),
+    )
 }
 
 
 def closed_form_connection(source: BasisId, target: BasisId, n: int) -> ConnectionResult:
-    """Full closed-form coefficient list for one of the four supported pairs."""
-    provenance = _CLOSED_FORMS.get((source.family, target.family))
-    if provenance is None:
-        raise UnsupportedPairError(
-            f"no closed form for {source.family} -> {target.family}"
-        )
-    if provenance == "Thm3.1":
-        coeffs = [coeff_laguerre_in_hermite(n, k) for k in range(n + 1)]
-    elif provenance == "Thm3.2":
-        coeffs = [coeff_hermite_in_laguerre(n, m) for m in range(n + 1)]
-    elif provenance == "Thm3.3-interpreted":
-        coeffs = [coeff_hermite_in_shifted_jacobi(n, target.params, m) for m in range(n + 1)]
+    """Full closed-form coefficient list for one of the THEOREMS pairs."""
+    for theorem in THEOREMS.values():
+        if (theorem.source, theorem.target) == (source.family, target.family):
+            break
     else:
-        coeffs = [coeff_shifted_jacobi_in_hermite(n, source.params, j) for j in range(n + 1)]
+        raise UnsupportedPairError(f"no closed form for {source.family} -> {target.family}")
+    jp = source.params or target.params
     return ConnectionResult(
         source=source,
         target=target,
         degree=n,
-        coefficients=tuple(coeffs),
-        provenance=provenance,
+        coefficients=tuple(theorem.coefficient(n, k, jp) for k in range(n + 1)),
+        provenance=theorem.provenance,
     )
 
 
@@ -437,21 +454,6 @@ class VerificationReport:
         }
 
 
-_THEOREM_PAIRS = {
-    "3.1": ("laguerre", "hermite"),
-    "3.2": ("hermite", "laguerre"),
-    "3.3": ("hermite", "jacobi-1mx"),
-    "3.4": ("shifted-jacobi", "hermite"),
-}
-
-
-def _theorem_bases(theorem: str, jp: Optional[JacobiParams]):
-    src_family, tgt_family = _THEOREM_PAIRS[theorem]
-    source = BasisId(src_family, jp if src_family in _JACOBI_FAMILIES else None)
-    target = BasisId(tgt_family, jp if tgt_family in _JACOBI_FAMILIES else None)
-    return source, target
-
-
 def verify_theorem(
     theorem: str,
     n_max: int,
@@ -466,20 +468,16 @@ def verify_theorem(
     recorded per entry without aborting the sweep.  Entries are ordered by
     (n, parameter-set index).
     """
-    if theorem not in _THEOREM_PAIRS:
+    record = THEOREMS.get(theorem)
+    if record is None:
         raise InvalidInputError(f"unknown theorem id {theorem!r}")
-    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 0:
-        raise InvalidInputError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    needs_params = theorem in ("3.3", "3.4")
-    if needs_params:
-        sets: tuple[Optional[JacobiParams], ...] = tuple(
-            param_sets if param_sets is not None else DEFAULT_JACOBI_SWEEP
-        )
-    else:
-        sets = (None,)
+    check_index(n_max, "n_max")
+    sets: tuple[Optional[JacobiParams], ...] = (None,)
+    if record.needs_params:
+        sets = tuple(param_sets if param_sets is not None else DEFAULT_JACOBI_SWEEP)
     report = VerificationReport(
-        theorem=theorem if theorem != "3.3" else "3.3-interpreted",
-        params=tuple(s for s in sets if s is not None) if needs_params else None,
+        theorem=record.provenance.removeprefix("Thm"),
+        params=tuple(s for s in sets if s is not None) if record.needs_params else None,
     )
     for n in range(n_max + 1):
         for jp in sets:
@@ -491,12 +489,8 @@ def verify_theorem(
                 beta=None if jp is None else jp.beta,
             )
             try:
-                source, target = _theorem_bases(theorem, jp)
+                source, target = basis(record.source, jp), basis(record.target, jp)
                 source_poly = basis_poly(source, n)
-                if source_poly.degree != n:
-                    raise InvalidInputError(
-                        f"source family {source.family} is not graded at degree {n}"
-                    )
                 closed = closed_form_connection(source, target, n)
                 oracle = connection_oracle(source_poly, target)
                 entry.residual = closed.reconstruct() - source_poly

@@ -33,7 +33,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DenominatorPoleError,
-    InvalidInputError,
     NonTerminatingError,
     PoleInParamsError,
 )
@@ -42,6 +41,7 @@ from .rationals import (
     RationalLike,
     as_rational,
     binomial,
+    check_index,
     factorial,
     pochhammer,
     pochhammer_list,
@@ -57,8 +57,7 @@ def coeff_seq(data: Mapping[int, RationalLike]) -> dict[int, Fraction]:
     """Normalize a finite-support sequence: coerce values, drop zeros."""
     out = {}
     for index, value in data.items():
-        if isinstance(index, bool) or not isinstance(index, int) or index < 0:
-            raise InvalidInputError(f"sequence index must be a nonnegative integer, got {index!r}")
+        check_index(index, "sequence index")
         v = as_rational(value)
         if v:
             out[index] = v
@@ -237,8 +236,7 @@ def fields_wimp_terminating(
     [k+b], [k+be]; z) times F(-k, [c], [be]; [d], [al]; w).  The free lists
     [al], [be] may be anything pole-free; both sides are returned.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise InvalidInputError(f"n must be a nonnegative integer, got {n!r}")
+    check_index(n, "n")
     a = tuple(as_rational(v) for v in a_list)
     b = tuple(as_rational(v) for v in b_list)
     c = tuple(as_rational(v) for v in c_list)
@@ -312,8 +310,7 @@ def hermite_bm_sequence(p: int, with_index_factorial: bool = False) -> dict[int,
     with_index_factorial an extra m! divides each value, the variant paired
     with a_m = m! in the weighted form.
     """
-    if isinstance(p, bool) or not isinstance(p, int) or p < 0:
-        raise InvalidInputError(f"p must be a nonnegative integer, got {p!r}")
+    check_index(p, "p")
     out = {}
     for k in range(p + 1):
         m = 2 * p - 2 * k

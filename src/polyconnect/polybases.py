@@ -20,6 +20,7 @@ from .hypseries import series_coefficients
 from .rationals import (
     RationalLike,
     as_rational,
+    check_index,
     factorial,
     pochhammer,
     rational_to_str,
@@ -44,8 +45,7 @@ class Poly:
 
     @staticmethod
     def monomial(degree: int, coefficient: RationalLike = 1) -> "Poly":
-        if degree < 0:
-            raise InvalidInputError(f"monomial degree must be >= 0, got {degree}")
+        check_index(degree, "monomial degree")
         return Poly([Fraction(0)] * degree + [as_rational(coefficient)])
 
     @property
@@ -159,16 +159,10 @@ class JacobiParams:
         return self.alpha + self.beta + 1
 
 
-def _check_degree(n: int) -> int:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise InvalidInputError(f"degree must be a nonnegative integer, got {n!r}")
-    return n
-
-
 @lru_cache(maxsize=None)
 def laguerre(n: int) -> Poly:
     """Laguerre polynomial, the terminating sum of (-n)_k x^k / (k! k!)."""
-    _check_degree(n)
+    check_index(n, "degree")
     return Poly(series_coefficients((Fraction(-n),), (Fraction(1),)))
 
 
@@ -176,7 +170,7 @@ def laguerre(n: int) -> Poly:
 def hermite(n: int) -> Poly:
     """Hermite polynomial from the explicit sum
     n! * sum_k (-1)^k (2x)^(n-2k) / (k!(n-2k)!)."""
-    _check_degree(n)
+    check_index(n, "degree")
     coeffs = [Fraction(0)] * (n + 1)
     nfact = math.factorial(n)
     for k in range(n // 2 + 1):
@@ -194,7 +188,7 @@ def hermite_via_1f1(n: int) -> Poly:
     2m+1 use (-1)^m 2^(2m+1) (3/2)_m x 1F1(-m; 3/2; x^2).  Must agree with
     hermite(n) coefficient for coefficient.
     """
-    _check_degree(n)
+    check_index(n, "degree")
     m, odd = divmod(n, 2)
     den = Fraction(3, 2) if odd else Fraction(1, 2)
     body = Poly(series_coefficients((Fraction(-m),), (den,))).stretch(2)
@@ -207,7 +201,7 @@ def hermite_via_1f1(n: int) -> Poly:
 @lru_cache(maxsize=None)
 def shifted_jacobi(n: int, jp: JacobiParams) -> Poly:
     """Shifted Jacobi polynomial ((-1)^n (beta+1)_n / n!) 2F1(-n, n+lam; beta+1; x)."""
-    _check_degree(n)
+    check_index(n, "degree")
     prefactor = Fraction((-1) ** n) * pochhammer(jp.beta + 1, n) / factorial(n)
     coeffs = series_coefficients((Fraction(-n), n + jp.lam), (jp.beta + 1,))
     return prefactor * Poly(coeffs)
@@ -216,7 +210,7 @@ def shifted_jacobi(n: int, jp: JacobiParams) -> Poly:
 @lru_cache(maxsize=None)
 def jacobi_at_one_minus_x(m: int, jp: JacobiParams) -> Poly:
     """The standard Jacobi polynomial evaluated at 1-x, as a polynomial in x."""
-    _check_degree(m)
+    check_index(m, "degree")
     prefactor = pochhammer(jp.alpha + 1, m) / factorial(m)
     coeffs = series_coefficients((Fraction(-m), m + jp.lam), (jp.alpha + 1,))
     half = Fraction(1, 2)

@@ -61,10 +61,11 @@ def rational_to_str(value: RationalLike) -> str:
     return str(as_rational(value))
 
 
-def _check_index(n: int, name: str = "n") -> int:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise InvalidInputError(f"{name} must be a nonnegative integer, got {n!r}")
-    return n
+def check_index(value: int, name: str) -> int:
+    """Return value if it is a nonnegative int (bool excluded), else raise."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise InvalidInputError(f"{name} must be a nonnegative integer, got {value!r}")
+    return value
 
 
 def pochhammer(a: RationalLike, n: int) -> Fraction:
@@ -74,7 +75,7 @@ def pochhammer(a: RationalLike, n: int) -> Fraction:
     zero factor is reached (the gamma-ratio form is undefined there).  With
     a = p/q the product is the integer prod(p + i*q) over q**n, reduced once.
     """
-    _check_index(n)
+    check_index(n, "n")
     a = as_rational(a)
     p, q = a.numerator, a.denominator
     product = 1
@@ -88,7 +89,7 @@ def pochhammer(a: RationalLike, n: int) -> Fraction:
 
 def pochhammer_list(params: Iterable[RationalLike], k: int) -> Fraction:
     """Product of pochhammer(a, k) over a parameter list; 1 for the empty list."""
-    _check_index(k)
+    check_index(k, "k")
     result = Fraction(1)
     for a in params:
         result *= pochhammer(a, k)
@@ -98,14 +99,14 @@ def pochhammer_list(params: Iterable[RationalLike], k: int) -> Fraction:
 
 
 def factorial(n: int) -> Fraction:
-    _check_index(n)
+    check_index(n, "n")
     return Fraction(math.factorial(n))
 
 
 def binomial(n: int, k: int) -> Fraction:
     """n!/(k!(n-k)!) for nonnegative integers with k <= n."""
-    _check_index(n)
-    _check_index(k, "k")
+    check_index(n, "n")
+    check_index(k, "k")
     if k > n:
         raise InvalidInputError(f"binomial requires k <= n, got n={n}, k={k}")
     return Fraction(math.comb(n, k))

@@ -22,7 +22,7 @@ from .expansions import (
     fields_wimp_terminating,
 )
 from .hypseries import HypSeries, evaluate_terminating, series_to_json, split_even_odd
-from .rationals import rational_to_str
+from .rationals import check_index, rational_to_str
 
 _F = Fraction
 
@@ -45,43 +45,59 @@ _WIMP_DEN_POOL = (_F(1, 2), _F(1), _F(3, 2), _F(2), _F(5, 2), _F(7, 3), _F(3))
 _WIMP_ARG_POOL = (_F(1), _F(-1), _F(1, 2), _F(-1, 2), _F(1, 4), _F(-1, 4))
 
 
-def _entry(index: int, lhs: Fraction, rhs: Fraction, case: dict) -> dict:
-    # both the {lhs, rhs, equal} triple and the report-style
-    # {n, match, residual} keys are emitted
-    return {
-        "n": index,
-        "lhs": rational_to_str(lhs),
-        "rhs": rational_to_str(rhs),
-        "equal": lhs == rhs,
-        "match": lhs == rhs,
-        "residual": rational_to_str(lhs - rhs),
-        "case": case,
-    }
+#: Draws allowed per requested case before a sweep gives up.
+MAX_DRAWS_PER_CASE = 100
+
+
+def _sweep(cases: int, seed: int, draw) -> list[dict]:
+    """Entries for ``cases`` draws of ``draw(rng, index) -> (lhs, rhs, case)``
+    from one seeded rng, skipping draws that raise PolyConnectError; raises
+    PolyConnectError after cases * MAX_DRAWS_PER_CASE draws."""
+    rng = random.Random(seed)
+    entries = []
+    for _ in range(check_index(cases, "cases") * MAX_DRAWS_PER_CASE):
+        if len(entries) == cases:
+            break
+        try:
+            lhs, rhs, case = draw(rng, len(entries))
+        except PolyConnectError:
+            continue
+        # both the {lhs, rhs, equal} triple and the report-style
+        # {n, match, residual} keys are emitted
+        entries.append({
+            "n": len(entries),
+            "lhs": rational_to_str(lhs),
+            "rhs": rational_to_str(rhs),
+            "equal": lhs == rhs,
+            "match": lhs == rhs,
+            "residual": rational_to_str(lhs - rhs),
+            "case": case,
+        })
+    if len(entries) < cases:
+        raise PolyConnectError(
+            f"sweep kept {len(entries)} of {cases} cases in {cases * MAX_DRAWS_PER_CASE} draws"
+        )
+    return entries
+
+
+def _draw_even_odd_split(rng: random.Random, index: int):
+    p = rng.randint(1, 3)
+    q = rng.randint(0, 3)
+    nums = [_F(-rng.randint(0, 4))] + [rng.choice(_SPLIT_NUMERATORS) for _ in range(p - 1)]
+    rng.shuffle(nums)
+    dens = [rng.choice(_SPLIT_DENOMINATORS) for _ in range(q)]
+    series = HypSeries(tuple(nums), tuple(dens), rng.choice(_SPLIT_ARGS))
+    lhs = evaluate_terminating(series)
+    even, prefactor, odd = split_even_odd(series)
+    rhs = evaluate_terminating(even)
+    if prefactor and series.argument:
+        rhs += prefactor * series.argument * evaluate_terminating(odd)
+    return lhs, rhs, series_to_json(series)
 
 
 def sweep_even_odd_split(cases: int = 200, seed: int = 0) -> list[dict]:
     """Terminating series vs the sum of its even/odd parts, exact equality."""
-    rng = random.Random(seed)
-    entries = []
-    while len(entries) < cases:
-        p = rng.randint(1, 3)
-        q = rng.randint(0, 3)
-        nums = [_F(-rng.randint(0, 4))] + [
-            rng.choice(_SPLIT_NUMERATORS) for _ in range(p - 1)
-        ]
-        rng.shuffle(nums)
-        dens = [rng.choice(_SPLIT_DENOMINATORS) for _ in range(q)]
-        series = HypSeries(tuple(nums), tuple(dens), rng.choice(_SPLIT_ARGS))
-        try:
-            lhs = evaluate_terminating(series)
-            even, prefactor, odd = split_even_odd(series)
-            rhs = evaluate_terminating(even)
-            if prefactor and series.argument:
-                rhs += prefactor * series.argument * evaluate_terminating(odd)
-        except PolyConnectError:
-            continue
-        entries.append(_entry(len(entries), lhs, rhs, series_to_json(series)))
-    return entries
+    return _sweep(cases, seed, _draw_even_odd_split)
 
 
 def _random_seq(rng: random.Random) -> dict[int, Fraction]:
@@ -89,122 +105,122 @@ def _random_seq(rng: random.Random) -> dict[int, Fraction]:
     return {i: rng.choice(_SEQ_VALUES) for i in support}
 
 
-def _seq_cases(rng: random.Random, cases: int):
-    """Degenerate sequence pairs first, then random draws."""
-    fixed = [({}, {}), (delta_seq(0), delta_seq(0)), (delta_seq(1), delta_seq(1)),
-             ({}, delta_seq(3)), (delta_seq(2), {})]
-    for pair in fixed[: min(cases, len(fixed))]:
-        yield pair
-    for _ in range(cases - len(fixed)):
-        yield _random_seq(rng), _random_seq(rng)
+#: Degenerate sequence pairs checked first by the bilinear sweeps; they
+#: consume no draws from the rng.
+_FIXED_SEQ_PAIRS = (
+    ({}, {}), (delta_seq(0), delta_seq(0)), (delta_seq(1), delta_seq(1)),
+    ({}, delta_seq(3)), (delta_seq(2), {}),
+)
+
+
+def _seq_pair(rng: random.Random, index: int):
+    if index < len(_FIXED_SEQ_PAIRS):
+        return _FIXED_SEQ_PAIRS[index]
+    return _random_seq(rng), _random_seq(rng)
+
+
+def _draw_bilinear_plain(rng: random.Random, index: int):
+    a, b = _seq_pair(rng, index)
+    z, w = rng.choice(_ZW_POOL), rng.choice(_ZW_POOL)
+    c = rng.choice(_C_POOL)
+    lhs = bilinear_lhs(a, b, z, w, with_factorial=False)
+    rhs = fields_ismail_32_rhs(a, b, c, z, w)
+    case = {
+        "a": coeff_seq_to_json(a),
+        "b": coeff_seq_to_json(b),
+        "c": rational_to_str(c),
+        "z": rational_to_str(z),
+        "w": rational_to_str(w),
+    }
+    return lhs, rhs, case
 
 
 def sweep_bilinear_plain(cases: int = 200, seed: int = 0) -> list[dict]:
     """Plain bilinear sum vs its rearranged triple sum."""
-    rng = random.Random(seed)
-    entries = []
-    for a, b in _seq_cases(rng, cases):
-        z, w = rng.choice(_ZW_POOL), rng.choice(_ZW_POOL)
-        c = rng.choice(_C_POOL)
-        lhs = bilinear_lhs(a, b, z, w, with_factorial=False)
-        rhs = fields_ismail_32_rhs(a, b, c, z, w)
-        case = {
-            "a": coeff_seq_to_json(a),
-            "b": coeff_seq_to_json(b),
-            "c": rational_to_str(c),
-            "z": rational_to_str(z),
-            "w": rational_to_str(w),
-        }
-        entries.append(_entry(len(entries), lhs, rhs, case))
-    return entries
+    return _sweep(cases, seed, _draw_bilinear_plain)
+
+
+def _draw_bilinear_weighted(rng: random.Random, index: int):
+    a, b = _seq_pair(rng, index)
+    z, w = rng.choice(_ZW_POOL), rng.choice(_ZW_POOL)
+    ep = ExpansionParams(
+        gamma=rng.choice(_GMT_POOL), mu=rng.choice(_GMT_POOL), theta=rng.choice(_GMT_POOL)
+    )
+    lhs = bilinear_lhs(a, b, z, w, with_factorial=True)
+    rhs = fields_ismail_13_rhs(a, b, ep, z, w)
+    case = {
+        "a": coeff_seq_to_json(a),
+        "b": coeff_seq_to_json(b),
+        "gamma": rational_to_str(ep.gamma),
+        "mu": rational_to_str(ep.mu),
+        "theta": rational_to_str(ep.theta),
+        "z": rational_to_str(z),
+        "w": rational_to_str(w),
+    }
+    return lhs, rhs, case
 
 
 def sweep_bilinear_weighted(cases: int = 200, seed: int = 0) -> list[dict]:
     """m!-weighted bilinear sum vs its rearranged triple sum."""
-    rng = random.Random(seed)
-    entries = []
-    for a, b in _seq_cases(rng, cases):
-        z, w = rng.choice(_ZW_POOL), rng.choice(_ZW_POOL)
-        ep = ExpansionParams(
-            gamma=rng.choice(_GMT_POOL), mu=rng.choice(_GMT_POOL), theta=rng.choice(_GMT_POOL)
-        )
-        lhs = bilinear_lhs(a, b, z, w, with_factorial=True)
-        rhs = fields_ismail_13_rhs(a, b, ep, z, w)
-        case = {
-            "a": coeff_seq_to_json(a),
-            "b": coeff_seq_to_json(b),
-            "gamma": rational_to_str(ep.gamma),
-            "mu": rational_to_str(ep.mu),
-            "theta": rational_to_str(ep.theta),
-            "z": rational_to_str(z),
-            "w": rational_to_str(w),
-        }
-        entries.append(_entry(len(entries), lhs, rhs, case))
-    return entries
+    return _sweep(cases, seed, _draw_bilinear_weighted)
 
 
 def _random_list(rng: random.Random, pool, max_len: int = 2):
     return tuple(rng.choice(pool) for _ in range(rng.randint(0, max_len)))
 
 
+def _draw_wimp_terminating(rng: random.Random, index: int):
+    n = rng.randint(0, 4)
+    a = _random_list(rng, _WIMP_NUM_POOL)
+    c = _random_list(rng, _WIMP_NUM_POOL)
+    b = _random_list(rng, _WIMP_DEN_POOL)
+    d = _random_list(rng, _WIMP_DEN_POOL)
+    al = _random_list(rng, _WIMP_DEN_POOL)
+    be = _random_list(rng, _WIMP_DEN_POOL)
+    z, w = rng.choice(_WIMP_ARG_POOL), rng.choice(_WIMP_ARG_POOL)
+    lhs, rhs = fields_wimp_terminating(n, a, b, c, d, al, be, z, w)
+    case = {
+        "n": n,
+        "a": [rational_to_str(v) for v in a],
+        "b": [rational_to_str(v) for v in b],
+        "c": [rational_to_str(v) for v in c],
+        "d": [rational_to_str(v) for v in d],
+        "alpha": [rational_to_str(v) for v in al],
+        "beta": [rational_to_str(v) for v in be],
+        "z": rational_to_str(z),
+        "w": rational_to_str(w),
+    }
+    return lhs, rhs, case
+
+
 def sweep_wimp_terminating(cases: int = 200, seed: int = 0) -> list[dict]:
     """Terminating product-argument expansion, both sides exact."""
-    rng = random.Random(seed)
-    entries = []
-    while len(entries) < cases:
-        n = rng.randint(0, 4)
-        a = _random_list(rng, _WIMP_NUM_POOL)
-        c = _random_list(rng, _WIMP_NUM_POOL)
-        b = _random_list(rng, _WIMP_DEN_POOL)
-        d = _random_list(rng, _WIMP_DEN_POOL)
-        al = _random_list(rng, _WIMP_DEN_POOL)
-        be = _random_list(rng, _WIMP_DEN_POOL)
-        z, w = rng.choice(_WIMP_ARG_POOL), rng.choice(_WIMP_ARG_POOL)
-        try:
-            lhs, rhs = fields_wimp_terminating(n, a, b, c, d, al, be, z, w)
-        except PolyConnectError:
-            continue
-        case = {
-            "n": n,
-            "a": [rational_to_str(v) for v in a],
-            "b": [rational_to_str(v) for v in b],
-            "c": [rational_to_str(v) for v in c],
-            "d": [rational_to_str(v) for v in d],
-            "alpha": [rational_to_str(v) for v in al],
-            "beta": [rational_to_str(v) for v in be],
-            "z": rational_to_str(z),
-            "w": rational_to_str(w),
-        }
-        entries.append(_entry(len(entries), lhs, rhs, case))
-    return entries
+    return _sweep(cases, seed, _draw_wimp_terminating)
+
+
+def _draw_luke_terminating(rng: random.Random, index: int):
+    a = (_F(-rng.randint(0, 4)),) + _random_list(rng, _WIMP_NUM_POOL, 1)
+    b = _random_list(rng, _WIMP_DEN_POOL, 1)
+    cr = _random_list(rng, _WIMP_NUM_POOL, 1)
+    d = _random_list(rng, _WIMP_DEN_POOL, 1)
+    c = rng.choice(_WIMP_DEN_POOL)
+    z, w = rng.choice(_WIMP_ARG_POOL), rng.choice(_WIMP_ARG_POOL)
+    lhs, rhs = fields_wimp_luke_terminating(a, b, cr, d, c, z, w)
+    case = {
+        "a": [rational_to_str(v) for v in a],
+        "b": [rational_to_str(v) for v in b],
+        "c_list": [rational_to_str(v) for v in cr],
+        "d": [rational_to_str(v) for v in d],
+        "c": rational_to_str(c),
+        "z": rational_to_str(z),
+        "w": rational_to_str(w),
+    }
+    return lhs, rhs, case
 
 
 def sweep_luke_terminating(cases: int = 100, seed: int = 0) -> list[dict]:
     """Nonpositive-integer-keyed product-argument expansion, both sides exact."""
-    rng = random.Random(seed)
-    entries = []
-    while len(entries) < cases:
-        a = (_F(-rng.randint(0, 4)),) + _random_list(rng, _WIMP_NUM_POOL, 1)
-        b = _random_list(rng, _WIMP_DEN_POOL, 1)
-        cr = _random_list(rng, _WIMP_NUM_POOL, 1)
-        d = _random_list(rng, _WIMP_DEN_POOL, 1)
-        c = rng.choice(_WIMP_DEN_POOL)
-        z, w = rng.choice(_WIMP_ARG_POOL), rng.choice(_WIMP_ARG_POOL)
-        try:
-            lhs, rhs = fields_wimp_luke_terminating(a, b, cr, d, c, z, w)
-        except PolyConnectError:
-            continue
-        case = {
-            "a": [rational_to_str(v) for v in a],
-            "b": [rational_to_str(v) for v in b],
-            "c_list": [rational_to_str(v) for v in cr],
-            "d": [rational_to_str(v) for v in d],
-            "c": rational_to_str(c),
-            "z": rational_to_str(z),
-            "w": rational_to_str(w),
-        }
-        entries.append(_entry(len(entries), lhs, rhs, case))
-    return entries
+    return _sweep(cases, seed, _draw_luke_terminating)
 
 
 #: Lemma id -> sweep callable, as exposed by the command-line verify command.

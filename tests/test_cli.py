@@ -112,11 +112,23 @@ class TestVerify:
         assert data["verdict"] == "pass"
         assert len(data["entries"]) == 30
 
-    def test_alpha_rejected_for_parameterless_theorem(self):
-        proc = run_cli(
-            "verify", "--theorem", "3.1", "--n-max", "2", "--alpha", "0", "--beta", "0"
-        )
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("3.1", "--n-max", "2"),
+            ("3.2", "--n-max", "2"),
+            ("2.1", "--cases", "2"),
+            ("2.2", "--cases", "2"),
+            ("2.3", "--cases", "2"),
+        ],
+        ids=lambda a: a[0],
+    )
+    def test_alpha_rejected_for_parameterless_theorem(self, args):
+        theorem, *rest = args
+        proc = run_cli("verify", "--theorem", theorem, *rest, "--alpha", "1", "--beta", "1")
         assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "do not apply to theorem" in proc.stderr
 
 
 class TestTable:
@@ -160,6 +172,21 @@ class TestContract:
         assert "Traceback" not in proc.stderr
         entries = json.loads(proc.stdout)["entries"]
         assert "not graded at degree 3" in entries[3]["error"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("poly", "--family", "shifted-jacobi", "--n", "3", "--alpha=-6", "--beta=0"),
+            ("connect", "--source", "shifted-jacobi", "--target", "hermite",
+             "--alpha=-6", "--beta=0", "--n", "3", "--method", "both"),
+        ],
+        ids=lambda a: a[0],
+    )
+    def test_ungraded_member_exit_two(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "shifted-jacobi family is not graded at degree 3" in proc.stderr
 
     def test_negative_degree_exit_two(self):
         proc = run_cli("poly", "--family", "hermite", "--n", "-1")

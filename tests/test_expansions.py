@@ -8,6 +8,7 @@ from polyconnect import (
     LAGUERRE,
     NonTerminatingError,
     PoleInParamsError,
+    PolyConnectError,
     bilinear_lhs,
     coeff_seq,
     coeff_seq_from_json,
@@ -22,6 +23,7 @@ from polyconnect import (
     hermite_bm_sequence,
     hermite_in_laguerre_via_bilinear,
 )
+from polyconnect import sweeps
 from polyconnect.sweeps import (
     sweep_bilinear_plain,
     sweep_bilinear_weighted,
@@ -197,3 +199,21 @@ def test_sweeps_pass_and_are_deterministic(sweep):
     for entry in first:
         assert {"lhs", "rhs", "equal"} <= set(entry)
         assert entry["equal"] == (entry["lhs"] == entry["rhs"])
+
+
+def test_sweep_caps_draws_and_validates_cases():
+    draws = []
+
+    def failing(rng, index):
+        draws.append(index)
+        raise PolyConnectError("precondition violated")
+
+    with pytest.raises(PolyConnectError, match="kept 0 of 3 cases"):
+        sweeps._sweep(3, 0, failing)
+    assert len(draws) == 3 * sweeps.MAX_DRAWS_PER_CASE
+    for cases in (2.5, -1, True):
+        with pytest.raises(InvalidInputError):
+            sweeps._sweep(cases, 0, failing)
+    assert len(draws) == 3 * sweeps.MAX_DRAWS_PER_CASE
+    with pytest.raises(InvalidInputError):
+        sweep_bilinear_plain(2.5)

@@ -7,7 +7,9 @@ from polyconnect import (
     DenominatorPoleError,
     InvalidInputError,
     JacobiParams,
+    MONOMIAL,
     Poly,
+    basis_poly,
     factorial,
     hermite,
     hermite_via_1f1,
@@ -59,8 +61,11 @@ class TestPoly:
 
     def test_monomial(self):
         assert Poly.monomial(3, F(1, 2)).coefficients == (F(0), F(0), F(0), F(1, 2))
+        for degree in (-1, 2.5, True):
+            with pytest.raises(InvalidInputError):
+                Poly.monomial(degree)
         with pytest.raises(InvalidInputError):
-            Poly.monomial(-1)
+            basis_poly(MONOMIAL, 2.5)
 
 
 def test_laguerre_small():

@@ -13,6 +13,12 @@ monomial basis.  ``verify_theorem`` reconstructs the source polynomial from
 each closed form, records exact residuals, and reports entrywise
 disagreements with the oracle instead of silently preferring either side.
 
+The certify path computes on integers and builds one Fraction per value it
+returns: each closed-form coefficient is one integer prefactor numerator and
+denominator times the series value's ratio; the oracle and reconstruction
+work on the members' integer forms (Poly.integer_form), which the cached
+family members compute once per process.
+
 The Thm3.3 coefficient formula is a repaired reading of a typographically
 defective display (its expansion sum is restored over m = 0..n).  It is
 validated by hand only for n <= 1; oracle sweeps show it fails from n = 2
@@ -38,8 +44,6 @@ from .rationals import (
     RationalLike,
     as_rational,
     check_index,
-    factorial,
-    pochhammer,
     rational_to_str,
 )
 
@@ -134,13 +138,13 @@ class ConnectionResult:
         """Sum of coefficients[k] * target member k.
 
         Each term c_k M_k is an integer vector over the denominator of c_k
-        times that of the lifted member; the sum is one integer vector over
-        the lcm of those denominators, reduced once per output coefficient.
+        times that of the member's integer form; the sum is one integer vector
+        over the lcm of those denominators, reduced once per output coefficient.
         """
         total, den = [], 1
         for k, c in enumerate(self.coefficients):
             if c:
-                member, member_den = _lift(basis_poly(self.target, k))
+                member, member_den = basis_poly(self.target, k).integer_form
                 num, term_den = c.as_integer_ratio()
                 term_den *= member_den
                 common = math.lcm(den, term_den)
@@ -170,19 +174,12 @@ class ConnectionResult:
         ]
 
 
-def _lift(p: Poly) -> tuple[list[int], int]:
-    """Integer coefficients over one positive common denominator: p = vector / den."""
-    ratios = [c.as_integer_ratio() for c in p.coefficients]
-    den = math.lcm(*(d for _, d in ratios))
-    return [n * (den // d) for n, d in ratios], den
-
-
 def connection_oracle(p: Poly, target: BasisId) -> ConnectionResult:
     """Brute-force basis conversion by fraction-free triangular back-substitution.
 
     The residual is an integer vector R over one common denominator d, so
     p = R/d at the start.  Working down from degree(p), with the target's
-    degree-k member lifted to M = m/e, the coefficient is
+    degree-k member in integer form M = m/e, the coefficient is
     c_k = R[k] e / (d m[k]), the one Fraction built per coefficient.  The
     update R/d - c_k M stays in integers (after Bareiss, Math. Comp. 22, 1968):
 
@@ -192,15 +189,15 @@ def connection_oracle(p: Poly, target: BasisId) -> ConnectionResult:
     residual is exactly zero by construction, and checked to be.
     """
     degree = 0 if p.is_zero else p.degree
-    residual, den = _lift(p)
-    residual = residual or [0]
+    residual, den = p.integer_form
+    residual = residual or (0,)
     coefficients = [Fraction(0)] * (degree + 1)
     for k in range(degree, -1, -1):
         member = basis_poly(target, k)
         top = residual[k]
         if not top:
             continue
-        m, e = _lift(member)
+        m, e = member.integer_form
         lead = m[k]
         coefficients[k] = Fraction(top * e, den * lead)
         residual = [r * lead - top * mi for r, mi in zip(residual, m)]
@@ -223,8 +220,8 @@ def delta_params(r: int, phi: RationalLike) -> tuple[Fraction, ...]:
     """The parameter list [phi/r, (phi+1)/r, ..., (phi+r-1)/r]."""
     if check_index(r, "r") < 1:
         raise InvalidInputError(f"r must be a positive integer, got {r!r}")
-    phi = as_rational(phi)
-    return tuple((phi + j) / r for j in range(r))
+    p, q = as_rational(phi).as_integer_ratio()
+    return tuple(Fraction(p + j * q, r * q) for j in range(r))
 
 
 def _check_pair(n: int, k: int, n_name: str, k_name: str) -> None:
@@ -234,24 +231,39 @@ def _check_pair(n: int, k: int, n_name: str, k_name: str) -> None:
         raise InvalidInputError(f"{k_name} must not exceed {n_name}, got {k} > {n}")
 
 
+def _rising(p: int, q: int, start: int, stop: int) -> int:
+    """prod(p + i*q for start <= i < stop): the integer numerator of
+    (p/q + start)_(stop - start) over q**(stop - start)."""
+    return math.prod(p + i * q for i in range(start, stop))
+
+
+def _check_prefactor_denominator(den: int) -> None:
+    if den == 0:
+        raise InvalidInputError(
+            "degenerate Jacobi parameters: a prefactor denominator vanishes"
+        )
+
+
 def coeff_laguerre_in_hermite(n: int, k: int) -> Fraction:
     """Coefficient of the degree-k Hermite member in the Laguerre expansion:
 
         (-n)_k / (2^k k! k!) * 2F2((k-n)/2, (k+1-n)/2; (k+1)/2, (k+2)/2; 1/4).
 
     The 2F2 terminates because exactly one of (k-n)/2, (k+1-n)/2 is a
-    nonpositive integer.
+    nonpositive integer.  The prefactor is (-1)^k n!/(n-k)! over
+    2^k k! k!, in integers.
     """
     _check_pair(n, k, "n", "k")
-    half = Fraction(1, 2)
     f = evaluate_terminating(
         HypSeries(
-            ((k - n) * half, (k + 1 - n) * half),
-            ((k + 1) * half, (k + 2) * half),
+            (Fraction(k - n, 2), Fraction(k + 1 - n, 2)),
+            (Fraction(k + 1, 2), Fraction(k + 2, 2)),
             Fraction(1, 4),
         )
     )
-    return pochhammer(Fraction(-n), k) / (Fraction(2) ** k * factorial(k) ** 2) * f
+    num = (-1) ** k * math.perm(n, k) * f.numerator
+    den = (math.factorial(k) ** 2 << k) * f.denominator
+    return Fraction(num, den)
 
 
 def coeff_hermite_in_laguerre(n: int, m: int) -> Fraction:
@@ -260,18 +272,19 @@ def coeff_hermite_in_laguerre(n: int, m: int) -> Fraction:
         n! 2^n * 2F2(-(n-m)/2, -(n-m-1)/2; -n/2, -(n-1)/2; -1/4) * (-n)_m / m!.
 
     The 2F2's integer denominator parameter pole sits strictly past the
-    truncation index, which the evaluator's policy tolerates.
+    truncation index, which the evaluator's policy tolerates.  The prefactor
+    is the integer (-1)^m 2^n n! C(n, m).
     """
     _check_pair(n, m, "n", "m")
-    half = Fraction(1, 2)
     f = evaluate_terminating(
         HypSeries(
-            (-(n - m) * half, -(n - m - 1) * half),
-            (-n * half, -(n - 1) * half),
+            (Fraction(m - n, 2), Fraction(m + 1 - n, 2)),
+            (Fraction(-n, 2), Fraction(1 - n, 2)),
             Fraction(-1, 4),
         )
     )
-    return factorial(n) * Fraction(2) ** n * f * pochhammer(Fraction(-n), m) / factorial(m)
+    num = (-1) ** m * (math.factorial(n) * math.comb(n, m) << n) * f.numerator
+    return Fraction(num, f.denominator)
 
 
 def coeff_shifted_jacobi_in_hermite(n: int, jp: JacobiParams, j: int) -> Fraction:
@@ -280,35 +293,30 @@ def coeff_shifted_jacobi_in_hermite(n: int, jp: JacobiParams, j: int) -> Fractio
         (-1)^n (-1)^j (b+1)_n (n+l)_j / ((n-j)! 2^j j! (b+1)_j)
         * 4F2((j-n)/2, (j+1-n)/2, (j+n+l)/2, (j+n+l+1)/2; (j+b+1)/2, (j+b+2)/2; 1)
 
-    with b = jp.beta and l = jp.lam.
+    with b = jp.beta and l = jp.lam.  With b + 1 = bp/bq and l = lp/lq, the
+    ratio (b+1)_n / (b+1)_j is the integer product of bp + i bq over j <= i < n,
+    over bq^(n-j), and (n+l)_j is the product of n lq + lp + i lq over lq^j.
     """
     _check_pair(n, j, "n", "j")
-    half = Fraction(1, 2)
-    lam = jp.lam
+    lp, lq = jp.lam.as_integer_ratio()
+    bp, bq = jp.beta.as_integer_ratio()
+    bp += bq
     f = evaluate_terminating(
         HypSeries(
             (
-                (j - n) * half,
-                (j + 1 - n) * half,
-                (j + n + lam) * half,
-                (j + n + lam + 1) * half,
+                Fraction(j - n, 2),
+                Fraction(j + 1 - n, 2),
+                Fraction((j + n) * lq + lp, 2 * lq),
+                Fraction((j + n + 1) * lq + lp, 2 * lq),
             ),
-            ((j + jp.beta + 1) * half, (j + jp.beta + 2) * half),
+            (Fraction(j * bq + bp, 2 * bq), Fraction((j + 1) * bq + bp, 2 * bq)),
             Fraction(1),
         )
     )
-    beta_rise = pochhammer(jp.beta + 1, j)
-    if beta_rise == 0:
-        raise InvalidInputError(
-            "degenerate Jacobi parameters: a prefactor denominator vanishes"
-        )
-    prefactor = (
-        Fraction((-1) ** (n + j))
-        * pochhammer(jp.beta + 1, n)
-        * pochhammer(n + lam, j)
-        / (factorial(n - j) * Fraction(2) ** j * factorial(j) * beta_rise)
-    )
-    return prefactor * f
+    _check_prefactor_denominator(_rising(bp, bq, 0, j))
+    num = (-1) ** (n + j) * _rising(bp, bq, j, n) * _rising(n * lq + lp, lq, 0, j)
+    den = bq ** (n - j) * lq**j * (math.factorial(n - j) * math.factorial(j) << j)
+    return Fraction(num * f.numerator, den * f.denominator)
 
 
 def coeff_hermite_in_shifted_jacobi(n: int, jp: JacobiParams, m: int) -> Fraction:
@@ -319,30 +327,27 @@ def coeff_hermite_in_shifted_jacobi(n: int, jp: JacobiParams, m: int) -> Fractio
 
     with a = jp.alpha, l = jp.lam and D = delta_params.  The target member is
     jacobi_at_one_minus_x(m, jp).  Only validated against the oracle for
-    n <= 1; verify_theorem("3.3", ...) reports where the two disagree.
+    n <= 1; verify_theorem("3.3", ...) reports where the two disagree.  With
+    a + 1 = ap/aq and l = lp/lq, the prefactor is (-1)^m n!/(n-m)! 4^n
+    (2m lq + lp) lq^n times the product of ap + i aq over m <= i < n, over
+    aq^(n-m) times the product of lp + (m + i) lq over 0 <= i <= n.
     """
     _check_pair(n, m, "n", "m")
-    lam = jp.lam
+    lp, lq = jp.lam.as_integer_ratio()
+    ap, aq = jp.alpha.as_integer_ratio()
     f = evaluate_terminating(
         HypSeries(
-            delta_params(2, m - n) + delta_params(2, -lam - n - m),
-            delta_params(2, -jp.alpha - n),
+            delta_params(2, m - n) + delta_params(2, Fraction(-lp - (n + m) * lq, lq)),
+            delta_params(2, Fraction(-ap - n * aq, aq)),
             Fraction(1, 4),
         )
     )
-    denominator = pochhammer(jp.alpha + 1, m) * pochhammer(lam + m, n + 1)
-    if denominator == 0:
-        raise InvalidInputError(
-            "degenerate Jacobi parameters: a prefactor denominator vanishes"
-        )
-    prefactor = (
-        pochhammer(Fraction(-n), m)
-        * Fraction(4) ** n
-        * (2 * m + lam)
-        * pochhammer(jp.alpha + 1, n)
-        / denominator
-    )
-    return prefactor * f
+    ap += aq
+    rise = _rising(lp + m * lq, lq, 0, n + 1)
+    _check_prefactor_denominator(_rising(ap, aq, 0, m) * rise)
+    num = (-1) ** m * math.perm(n, m) * (2 * m * lq + lp) * lq**n * _rising(ap, aq, m, n)
+    den = aq ** (n - m) * rise
+    return Fraction((num << 2 * n) * f.numerator, den * f.denominator)
 
 
 @dataclass(frozen=True)
@@ -379,12 +384,19 @@ THEOREMS = {
 
 
 def closed_form_connection(source: BasisId, target: BasisId, n: int) -> ConnectionResult:
-    """Full closed-form coefficient list for one of the THEOREMS pairs."""
+    """Full closed-form coefficient list for one of the THEOREMS pairs.
+
+    A parameterised source family is checked to be graded at degree n; the
+    families without parameters always are.
+    """
+    check_index(n, "n")
     for theorem in THEOREMS.values():
         if (theorem.source, theorem.target) == (source.family, target.family):
             break
     else:
         raise UnsupportedPairError(f"no closed form for {source.family} -> {target.family}")
+    if source.params is not None:
+        basis_poly(source, n)
     jp = source.params or target.params
     return ConnectionResult(
         source=source,
@@ -493,8 +505,10 @@ def verify_theorem(
                 source_poly = basis_poly(source, n)
                 closed = closed_form_connection(source, target, n)
                 oracle = connection_oracle(source_poly, target)
-                entry.residual = closed.reconstruct() - source_poly
-                entry.match = entry.residual.is_zero
+                rebuilt = closed.reconstruct()
+                entry.match = rebuilt == source_poly
+                if not entry.match:
+                    entry.residual = rebuilt - source_poly
                 for k in range(n + 1):
                     if closed.coefficients[k] != oracle.coefficients[k]:
                         entry.first_mismatch = k

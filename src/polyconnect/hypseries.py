@@ -18,7 +18,8 @@ The kernels work on integers: a term ratio is a ratio of two integers once
 every parameter is written p/q, and a sum is carried as an integer over one
 common denominator.  A Fraction, and so a gcd reduction, is built only for
 each value returned: one per coefficient in series_coefficients, one per
-series in evaluate_terminating.
+series in evaluate_terminating.  series_coefficients also checks termination
+and poles on those integer pairs, once per parameter.
 """
 
 import math
@@ -105,24 +106,26 @@ def series_coefficients(
         prod(p_a + k q_a) prod(q_b)  /  (prod(p_b + k q_b) prod(q_a) (k + 1)),
 
     so each coefficient is the previous numerator and denominator times two
-    integers, reduced once, into its Fraction.
+    integers, reduced once, into its Fraction.  Termination and poles are
+    read off the same (p, q) pairs: a parameter is a nonpositive integer
+    exactly when q == 1 and p <= 0.
     """
     nums = _coerce_params(numerators)
-    dens = _coerce_params(denominators)
-    k_max = termination_index(nums)
-    if k_max is None:
+    num_pq = [a.as_integer_ratio() for a in nums]
+    den_pq = [b.as_integer_ratio() for b in _coerce_params(denominators)]
+    cuts = [-p for p, q in num_pq if q == 1 and p <= 0]
+    if not cuts:
         raise NonTerminatingError(
             "no numerator parameter is a nonpositive integer: "
             + ", ".join(rational_to_str(a) for a in nums)
         )
-    for b in dens:
-        if is_nonpositive_integer(b) and -int(b) < k_max:
+    k_max = min(cuts)
+    for p, q in den_pq:
+        if q == 1 and p <= 0 and -p < k_max:
             raise DenominatorPoleError(
-                f"denominator parameter {rational_to_str(b)} vanishes at index "
-                f"{-int(b) + 1} <= truncation index {k_max}"
+                f"denominator parameter {p} vanishes at index "
+                f"{-p + 1} <= truncation index {k_max}"
             )
-    num_pq = [a.as_integer_ratio() for a in nums]
-    den_pq = [b.as_integer_ratio() for b in dens]
     num_scale = math.prod(q for _, q in den_pq)
     den_scale = math.prod(q for _, q in num_pq)
     coeffs = [Fraction(1)]

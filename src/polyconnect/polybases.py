@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from .errors import InvalidInputError
 from .hypseries import series_coefficients
@@ -32,16 +32,18 @@ class Poly:
 
     Coefficients are stored ascending by degree with trailing zeros stripped;
     the zero polynomial stores nothing and reports degree -inf.  Instances
-    are immutable and hashable.
+    are immutable and hashable; the integer form is built on first use and
+    kept, so a cached family member is lifted once per process.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_integer_form")
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()):
         coeffs = [as_rational(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self._coeffs: tuple[Fraction, ...] = tuple(coeffs)
+        self._integer_form: Optional[tuple[tuple[int, ...], int]] = None
 
     @staticmethod
     def monomial(degree: int, coefficient: RationalLike = 1) -> "Poly":
@@ -51,6 +53,16 @@ class Poly:
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
         return self._coeffs
+
+    @property
+    def integer_form(self) -> tuple[tuple[int, ...], int]:
+        """(vector, den): integer coefficients over the lcm d > 0 of the
+        coefficient denominators, so coefficients[i] == vector[i] / d."""
+        if self._integer_form is None:
+            ratios = [c.as_integer_ratio() for c in self._coeffs]
+            den = math.lcm(*(d for _, d in ratios))
+            self._integer_form = tuple(n * (den // d) for n, d in ratios), den
+        return self._integer_form
 
     @property
     def is_zero(self) -> bool:

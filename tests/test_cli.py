@@ -179,8 +179,10 @@ class TestContract:
             ("poly", "--family", "shifted-jacobi", "--n", "3", "--alpha=-6", "--beta=0"),
             ("connect", "--source", "shifted-jacobi", "--target", "hermite",
              "--alpha=-6", "--beta=0", "--n", "3", "--method", "both"),
+            ("connect", "--source", "shifted-jacobi", "--target", "hermite",
+             "--alpha=-6", "--beta=0", "--n", "3", "--method", "closed"),
         ],
-        ids=lambda a: a[0],
+        ids=["poly", "connect", "connect-closed"],
     )
     def test_ungraded_member_exit_two(self, args):
         proc = run_cli(*args)
@@ -191,6 +193,15 @@ class TestContract:
     def test_negative_degree_exit_two(self):
         proc = run_cli("poly", "--family", "hermite", "--n", "-1")
         assert proc.returncode == 2
+
+    def test_closed_form_negative_degree_exit_two(self):
+        proc = run_cli(
+            "connect", "--source", "hermite", "--target", "laguerre", "--n", "-1",
+            "--method", "closed",
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "n must be a nonnegative integer" in proc.stderr
 
     @pytest.mark.parametrize(
         "args",

@@ -16,15 +16,21 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from polyconnect import (
+    HERMITE,
     BasisId,
     ConnectionResult,
     DenominatorPoleError,
     HypSeries,
+    InvalidInputError,
     JacobiParams,
     MONOMIAL,
     Poly,
     PolyConnectError,
     basis_poly,
+    coeff_hermite_in_laguerre,
+    coeff_hermite_in_shifted_jacobi,
+    coeff_laguerre_in_hermite,
+    coeff_shifted_jacobi_in_hermite,
     connection_oracle,
     evaluate_terminating,
     pochhammer,
@@ -177,6 +183,124 @@ def test_reconstruct_matches_literal_sum(coefficients, target):
     for k, c in enumerate(coefficients):
         expected = expected + c * basis_poly(target, k)
     assert result.reconstruct() == expected
+
+
+@given(polys)
+def test_integer_form_is_the_coefficients_over_their_lcm(p):
+    vector, den = p.integer_form
+    assert den == math.lcm(*(c.denominator for c in p.coefficients)) > 0
+    assert tuple(F(v, den) for v in vector) == p.coefficients
+    assert p.integer_form is p.integer_form
+
+
+def test_family_member_integer_form_is_built_once():
+    assert basis_poly(HERMITE, 7).integer_form is basis_poly(HERMITE, 7).integer_form
+
+
+def literal_delta(phi):
+    return (F(phi) / 2, (F(phi) + 1) / 2)
+
+
+def literal_laguerre_in_hermite(n, k, jp):
+    half = F(1, 2)
+    f = evaluate_terminating(
+        HypSeries(
+            ((k - n) * half, (k + 1 - n) * half),
+            ((k + 1) * half, (k + 2) * half),
+            F(1, 4),
+        )
+    )
+    return literal_pochhammer(F(-n), k) / (F(2) ** k * math.factorial(k) ** 2) * f
+
+
+def literal_hermite_in_laguerre(n, m, jp):
+    half = F(1, 2)
+    f = evaluate_terminating(
+        HypSeries(
+            (-(n - m) * half, -(n - m - 1) * half),
+            (-n * half, -(n - 1) * half),
+            F(-1, 4),
+        )
+    )
+    return math.factorial(n) * F(2) ** n * f * literal_pochhammer(F(-n), m) / math.factorial(m)
+
+
+def literal_shifted_jacobi_in_hermite(n, j, jp):
+    half = F(1, 2)
+    lam = jp.alpha + jp.beta + 1
+    f = evaluate_terminating(
+        HypSeries(
+            ((j - n) * half, (j + 1 - n) * half, (j + n + lam) * half, (j + n + lam + 1) * half),
+            ((j + jp.beta + 1) * half, (j + jp.beta + 2) * half),
+            F(1),
+        )
+    )
+    beta_rise = literal_pochhammer(jp.beta + 1, j)
+    if beta_rise == 0:
+        raise InvalidInputError("a prefactor denominator vanishes")
+    prefactor = (
+        F((-1) ** (n + j))
+        * literal_pochhammer(jp.beta + 1, n)
+        * literal_pochhammer(n + lam, j)
+        / (math.factorial(n - j) * F(2) ** j * math.factorial(j) * beta_rise)
+    )
+    return prefactor * f
+
+
+def literal_hermite_in_shifted_jacobi(n, m, jp):
+    lam = jp.alpha + jp.beta + 1
+    f = evaluate_terminating(
+        HypSeries(
+            literal_delta(m - n) + literal_delta(-lam - n - m),
+            literal_delta(-jp.alpha - n),
+            F(1, 4),
+        )
+    )
+    denominator = literal_pochhammer(jp.alpha + 1, m) * literal_pochhammer(lam + m, n + 1)
+    if denominator == 0:
+        raise InvalidInputError("a prefactor denominator vanishes")
+    prefactor = (
+        literal_pochhammer(F(-n), m)
+        * F(4) ** n
+        * (2 * m + lam)
+        * literal_pochhammer(jp.alpha + 1, n)
+        / denominator
+    )
+    return prefactor * f
+
+
+CLOSED_FORMS = {
+    "3.1": (lambda n, k, jp: coeff_laguerre_in_hermite(n, k), literal_laguerre_in_hermite),
+    "3.2": (lambda n, k, jp: coeff_hermite_in_laguerre(n, k), literal_hermite_in_laguerre),
+    "3.3": (lambda n, k, jp: coeff_hermite_in_shifted_jacobi(n, jp, k),
+            literal_hermite_in_shifted_jacobi),
+    "3.4": (lambda n, k, jp: coeff_shifted_jacobi_in_hermite(n, jp, k),
+            literal_shifted_jacobi_in_hermite),
+}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PolyConnectError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(CLOSED_FORMS)),
+    st.integers(min_value=0, max_value=14).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=n))
+    ),
+    rationals,
+    rationals,
+)
+def test_closed_forms_match_literal_fraction_bodies(theorem, nk, alpha, beta):
+    """Equal values on regular parameters, the same error type on degenerate ones."""
+    n, k = nk
+    jp = JacobiParams(alpha, beta)
+    kernel, literal = CLOSED_FORMS[theorem]
+    assert _outcome(kernel, n, k, jp) == _outcome(literal, n, k, jp)
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFY_COMMANDS))

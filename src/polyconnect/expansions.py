@@ -33,6 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DenominatorPoleError,
+    InvalidInputError,
     NonTerminatingError,
     PoleInParamsError,
 )
@@ -74,7 +75,11 @@ def coeff_seq_to_json(seq: CoeffSeq) -> dict:
 
 
 def coeff_seq_from_json(data: Mapping[str, str]) -> dict[int, Fraction]:
-    return coeff_seq({int(i): v for i, v in data.items()})
+    try:
+        seq = {int(i): v for i, v in data.items()}
+    except (AttributeError, TypeError, ValueError):
+        raise InvalidInputError(f"malformed coefficient sequence JSON {data!r}") from None
+    return coeff_seq(seq)
 
 
 def _max_support(seq: CoeffSeq) -> int:

@@ -18,8 +18,8 @@ The kernels work on integers: a term ratio is a ratio of two integers once
 every parameter is written p/q, and a sum is carried as an integer over one
 common denominator.  A Fraction, and so a gcd reduction, is built only for
 each value returned: one per coefficient in series_coefficients, one per
-series in evaluate_terminating.  series_coefficients also checks termination
-and poles on those integer pairs, once per parameter.
+series in evaluate_terminating.  series_coefficients also checks poles on
+those integer pairs, once per parameter.
 """
 
 import math
@@ -29,10 +29,11 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     DenominatorPoleError,
+    InvalidInputError,
     NonTerminatingError,
     ZeroDenominatorParameterError,
 )
-from .rationals import RationalLike, as_rational, is_nonpositive_integer, rational_to_str
+from .rationals import RationalLike, as_rational, rational_to_str
 
 #: An ordered tuple of rational parameters.  Order is preserved as given;
 #: it matters for reporting, never for the value.
@@ -75,19 +76,27 @@ def termination_index(params: Sequence[RationalLike]) -> Optional[int]:
     by the product loses nothing when cut at K.  None means no parameter is a
     nonpositive integer (the product never vanishes).
     """
-    hits = [-int(as_rational(a)) for a in params if is_nonpositive_integer(a)]
-    return min(hits) if hits else None
+    try:
+        return _last_index([a.as_integer_ratio() for a in _coerce_params(params)])
+    except NonTerminatingError:
+        return None
 
 
 def truncation_index(series: HypSeries) -> int:
     """The index K of the last term of a terminating series."""
-    k = termination_index(series.numerators)
-    if k is None:
+    return _last_index([a.as_integer_ratio() for a in series.numerators])
+
+
+def _last_index(pairs: Sequence[tuple[int, int]]) -> int:
+    """termination_index of the parameters p/q given as (p, q) pairs in lowest
+    terms; raises NonTerminating where termination_index returns None."""
+    cuts = [-p for p, q in pairs if q == 1 and p <= 0]
+    if not cuts:
         raise NonTerminatingError(
             "no numerator parameter is a nonpositive integer: "
-            + ", ".join(rational_to_str(a) for a in series.numerators)
+            + ", ".join(rational_to_str(Fraction(p, q)) for p, q in pairs)
         )
-    return k
+    return min(cuts)
 
 
 def series_coefficients(
@@ -106,20 +115,13 @@ def series_coefficients(
         prod(p_a + k q_a) prod(q_b)  /  (prod(p_b + k q_b) prod(q_a) (k + 1)),
 
     so each coefficient is the previous numerator and denominator times two
-    integers, reduced once, into its Fraction.  Termination and poles are
-    read off the same (p, q) pairs: a parameter is a nonpositive integer
-    exactly when q == 1 and p <= 0.
+    integers, reduced once, into its Fraction.  Poles are read off the same
+    (p, q) pairs: a parameter is a nonpositive integer exactly when q == 1
+    and p <= 0.
     """
-    nums = _coerce_params(numerators)
-    num_pq = [a.as_integer_ratio() for a in nums]
+    num_pq = [a.as_integer_ratio() for a in _coerce_params(numerators)]
+    k_max = _last_index(num_pq)
     den_pq = [b.as_integer_ratio() for b in _coerce_params(denominators)]
-    cuts = [-p for p, q in num_pq if q == 1 and p <= 0]
-    if not cuts:
-        raise NonTerminatingError(
-            "no numerator parameter is a nonpositive integer: "
-            + ", ".join(rational_to_str(a) for a in nums)
-        )
-    k_max = min(cuts)
     for p, q in den_pq:
         if q == 1 and p <= 0 and -p < k_max:
             raise DenominatorPoleError(
@@ -210,4 +212,8 @@ def series_to_json(series: HypSeries) -> dict:
 
 
 def series_from_json(data: dict) -> HypSeries:
-    return HypSeries(tuple(data["num"]), tuple(data["den"]), data["arg"])
+    fields = data if isinstance(data, dict) else {}
+    num, den = fields.get("num"), fields.get("den")
+    if not (isinstance(num, (list, tuple)) and isinstance(den, (list, tuple)) and "arg" in fields):
+        raise InvalidInputError(f"series JSON needs num and den arrays and arg, got {data!r}")
+    return HypSeries(tuple(num), tuple(den), fields["arg"])

@@ -118,7 +118,7 @@ class Poly:
 
     def stretch(self, k: int) -> "Poly":
         """Substitute x -> x^k (spreads coefficient i to index k*i)."""
-        if k < 1:
+        if check_index(k, "stretch factor") < 1:
             raise InvalidInputError(f"stretch factor must be >= 1, got {k}")
         out = [Fraction(0)] * (k * max(len(self._coeffs) - 1, 0) + 1)
         for i, c in enumerate(self._coeffs):
@@ -151,7 +151,9 @@ class Poly:
         return [rational_to_str(c) for c in self._coeffs]
 
     @staticmethod
-    def from_json(data: Iterable[str]) -> "Poly":
+    def from_json(data: list[str]) -> "Poly":
+        if not isinstance(data, (list, tuple)):
+            raise InvalidInputError(f"polynomial JSON must be an array, got {data!r}")
         return Poly(data)
 
 

@@ -111,8 +111,3 @@ def binomial(n: int, k: int) -> Fraction:
         raise InvalidInputError(f"binomial requires k <= n, got n={n}, k={k}")
     return Fraction(math.comb(n, k))
 
-
-def is_nonpositive_integer(value: RationalLike) -> bool:
-    """True when the value is an integer <= 0 (the series-terminating condition)."""
-    q = as_rational(value)
-    return q.denominator == 1 and q <= 0

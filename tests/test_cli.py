@@ -81,6 +81,17 @@ class TestConnect:
         assert proc.stdout == ""
         assert "no closed form" in proc.stderr
 
+    @pytest.mark.parametrize("command, degree", [("connect", "--n"), ("table", "--n-max")])
+    @pytest.mark.parametrize("source, target", [("hermite", "laguerre"), ("monomial", "hermite")])
+    def test_alpha_rejected_for_parameterless_families(self, command, degree, source, target):
+        proc = run_cli(
+            command, "--source", source, "--target", target, degree, "2",
+            "--alpha", "1", "--beta", "1", "--method", "oracle",
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"do not apply to {source} -> {target}" in proc.stderr
+
 
 class TestVerify:
     def test_theorem_pass(self):
@@ -189,6 +200,31 @@ class TestContract:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "shifted-jacobi family is not graded at degree 3" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args, value",
+        [
+            (("poly", "--family", "shifted-jacobi", "--n", "2", "--alpha", "-3/2",
+              "--beta", "1"), ["3", "-15/2", "35/8"]),
+            (("poly", "--family", "jacobi-1mx", "--n", "1", "--alpha", "1",
+              "--beta", "-1/2"), ["2", "-5/4"]),
+            (("poly", "--family", "jacobi-1mx", "--n", "1", "--alpha=-3/2",
+              "--beta", "-1"), ["-1/2", "1/4"]),
+            (("connect", "--source", "shifted-jacobi", "--target", "hermite", "--n", "2",
+              "--alpha", "-3/2", "--beta", "-1/3", "--method", "closed"),
+             ["19/16", "-35/36", "91/288"]),
+        ],
+        ids=["poly-alpha", "poly-beta", "poly-integer-beta", "connect"],
+    )
+    def test_negative_fraction_after_space(self, args, value):
+        proc = run_cli(*args)
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(proc.stdout)
+        assert (data if args[0] == "poly" else data["coefficients"]) == value
+        joined, rest = [], iter(args)
+        for arg in rest:
+            joined.append(f"{arg}={next(rest)}" if arg in ("--alpha", "--beta") else arg)
+        assert run_cli(*joined).stdout == proc.stdout
 
     def test_negative_degree_exit_two(self):
         proc = run_cli("poly", "--family", "hermite", "--n", "-1")

@@ -54,6 +54,11 @@ class TestPoly:
         assert p.stretch(2).coefficients == (F(1), F(0), F(2), F(0), F(3))
         assert p.scale_argument(2).coefficients == (F(1), F(4), F(12))
 
+    @pytest.mark.parametrize("k", [2.5, True])
+    def test_stretch_rejects_non_integer_factor(self, k):
+        with pytest.raises(InvalidInputError):
+            Poly([1, 2]).stretch(k)
+
     def test_json(self):
         p = Poly([0, -12, 0, 8])
         assert p.to_json() == ["0", "-12", "0", "8"]

@@ -3,7 +3,9 @@ and formula/identity verification with machine-readable output.
 
 Output on stdout is always valid JSON or CSV per --format; diagnostics go to
 stderr only.  Exit codes: 0 success or verification pass, 1 verification
-mismatch (the report is still emitted), 2 invalid input.
+mismatch, 2 invalid input or a verification whose entries raised errors but
+never mismatched (for both verification outcomes the report is still
+emitted).
 """
 
 import argparse
@@ -30,6 +32,7 @@ from .sweeps import LEMMA_SWEEPS
 
 _VERIFY_IDS = (*THEOREMS, *LEMMA_SWEEPS)
 _CONNECTION_HEADER = ("n", "k", "coefficient", "provenance")
+_VERDICT_EXIT = {"pass": 0, "fail": 1, "error": 2}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -194,7 +197,9 @@ def _cmd_verify(ns) -> int:
         )
         payload = report.to_json()
     _emit(ns, header, rows, payload)
-    return 0 if verdict == "pass" else 1
+    if verdict == "error":
+        print("error: some verification entries could not be built", file=sys.stderr)
+    return _VERDICT_EXIT[verdict]
 
 
 _COMMANDS = {

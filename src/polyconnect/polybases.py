@@ -39,6 +39,10 @@ class Poly:
     __slots__ = ("_coeffs", "_integer_form")
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()):
+        if isinstance(coefficients, str):
+            raise InvalidInputError(
+                f"expected a sequence of coefficients, got the string {coefficients!r}"
+            )
         coeffs = [as_rational(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()

@@ -179,10 +179,19 @@ class TestContract:
 
     def test_ungraded_source_is_a_report_entry_error(self):
         proc = run_cli("verify", "--theorem", "3.4", "--n-max", "3", "--alpha=-6", "--beta=0")
-        assert proc.returncode == 1  # an errored entry fails the verdict
+        assert proc.returncode == 2  # errored entries and no mismatch: verdict "error"
         assert "Traceback" not in proc.stderr
-        entries = json.loads(proc.stdout)["entries"]
-        assert "not graded at degree 3" in entries[3]["error"]
+        assert proc.stderr.startswith("error:")
+        data = json.loads(proc.stdout)
+        assert data["verdict"] == "error"
+        assert "not graded at degree 3" in data["entries"][3]["error"]
+
+    def test_mismatch_beside_errors_exit_one(self):
+        proc = run_cli("verify", "--theorem", "3.3", "--n-max", "3", "--alpha=-6", "--beta=0")
+        assert proc.returncode == 1
+        data = json.loads(proc.stdout)
+        assert data["verdict"] == "fail"
+        assert "error" in data["entries"][3]
 
     @pytest.mark.parametrize(
         "args",

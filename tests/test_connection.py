@@ -275,14 +275,21 @@ class TestVerifyTheorem:
         assert len(report.entries) == 3
         assert report.entries[0].match  # degree 0 is fine
         assert report.entries[1].error is not None
-        assert report.verdict == "fail"
+        assert report.verdict == "error"  # errors only, no mismatch
 
     def test_ungraded_source_member_recorded_as_error(self):
         # at alpha = -6, beta = 0 the degree-3 shifted Jacobi member has degree 2
         report = verify_theorem("3.4", 3, (JacobiParams(-6, 0),))
         assert [e.error is None for e in report.entries] == [True, True, True, False]
         assert "not graded at degree 3" in report.entries[3].error
+        assert report.verdict == "error"
+
+    def test_mismatch_verdict_wins_over_errors(self):
+        # Thm3.3-interpreted: alpha = -1 errors at every n, alpha = 0 mismatches at n = 2
+        report = verify_theorem("3.3", 2, (JacobiParams(-1, 0), JacobiParams(0, 0)))
+        assert [e.error is None for e in report.entries] == [False, True] * 3
         assert report.verdict == "fail"
+        assert report.first_failure() is report.entries[5]
 
     @settings(deadline=None)
     @given(
@@ -312,6 +319,9 @@ class TestVerifyTheorem:
         assert data["params"] is None
         for entry in data["entries"]:
             assert {"n", "match", "residual"} <= set(entry)
+        degenerate = verify_theorem("3.4", 2, (JacobiParams(0, -1),)).to_json()
+        assert degenerate["verdict"] == "error"
+        assert "error" in degenerate["entries"][1]
 
     def test_unknown_theorem(self):
         with pytest.raises(InvalidInputError):

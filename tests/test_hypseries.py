@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from polyconnect import (
     DenominatorPoleError,
     HypSeries,
+    InvalidInputError,
     NonTerminatingError,
     ZeroDenominatorParameterError,
     evaluate_terminating,
@@ -48,6 +49,15 @@ def test_evaluate_errors():
         evaluate_terminating(HypSeries((F(1, 2),), (F(1),), F(1)))
     with pytest.raises(DenominatorPoleError):
         evaluate_terminating(HypSeries((F(-3),), (F(-1),), F(1)))
+
+
+@pytest.mark.parametrize(
+    "nums, dens", [("12", (F(3),)), ((F(-1),), "3"), ("12", "3")]
+)
+def test_string_is_not_a_parameter_list(nums, dens):
+    # a str is iterable, but "12" is not the numerator list (1, 2)
+    with pytest.raises(InvalidInputError):
+        HypSeries(nums, dens, 1)
 
 
 def test_evaluate_at_zero_argument_is_one():

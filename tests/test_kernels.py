@@ -24,6 +24,7 @@ from polyconnect import (
     InvalidInputError,
     JacobiParams,
     MONOMIAL,
+    NonTerminatingError,
     Poly,
     PolyConnectError,
     basis_poly,
@@ -37,6 +38,7 @@ from polyconnect import (
     series_coefficients,
 )
 from polyconnect.cli import run
+from polyconnect.hypseries import sum_pairs
 
 DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
 
@@ -115,10 +117,60 @@ def test_series_coefficients_match_literal_terms(params):
         assert c == expected
 
 
+def _pairs(params):
+    return [F(a).as_integer_ratio() for a in params]
+
+
+def _sum_pairs_value(nums, dens, x):
+    a, b = sum_pairs(_pairs(nums), _pairs(dens), *F(x).as_integer_ratio())
+    return F(a, b)
+
+
 def test_pole_one_past_the_cut():
     # (-3)_k cuts at K = 3; the denominator -3 vanishes only from index 4 on
-    series = HypSeries((F(-3), F(1, 2)), (F(-3),), F(2, 3))
-    assert evaluate_terminating(series) == literal_sum((F(-3), F(1, 2)), (F(-3),), F(2, 3))
+    nums, dens, x = (F(-3), F(1, 2)), (F(-3),), F(2, 3)
+    expected = literal_sum(nums, dens, x)
+    assert evaluate_terminating(HypSeries(nums, dens, x)) == expected
+    assert _sum_pairs_value(nums, dens, x) == expected
+
+
+@given(terminating_params(), rationals)
+def test_sum_pairs_matches_literal_sum(params, x):
+    nums, dens = params
+    if _pole_inside(nums, dens):
+        with pytest.raises(DenominatorPoleError):
+            _sum_pairs_value(nums, dens, x)
+        return
+    assert _sum_pairs_value(nums, dens, x) == literal_sum(nums, dens, x)
+
+
+@pytest.mark.parametrize(
+    "nums, dens",
+    [
+        ((F(1, 2), F(3)), (F(1),)),  # no nonpositive integer numerator
+        ((), ()),
+        ((F(-3),), (F(-1),)),  # pole at index 2 <= cut 3
+        ((F(-4), F(1, 3)), (F(5, 2), F(0))),  # pole at index 1
+    ],
+)
+def test_sum_pairs_raises_as_evaluate_terminating(nums, dens):
+    with pytest.raises((NonTerminatingError, DenominatorPoleError)) as expected:
+        evaluate_terminating(HypSeries(nums, dens, F(1, 3)))
+    with pytest.raises(PolyConnectError) as got:
+        _sum_pairs_value(nums, dens, F(1, 3))
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("n, k", [(4, 0), (6, 2), (9, 3), (5, 5)])
+def test_sum_pairs_reduces_unreduced_pairs(n, k):
+    # (k - n)/2 and (k + 1 - n)/2 as written in the Thm3.1 coefficient: one of
+    # (k - n, 2), (k + 1 - n, 2) is an even numerator over 2, a nonpositive
+    # integer only once reduced, and without it the series has no cut.
+    unreduced = sum_pairs(((k - n, 2), (k + 1 - n, 2)), ((k + 1, 2), (k + 2, 2)), 1, 4)
+    nums = (F(k - n, 2), F(k + 1 - n, 2))
+    dens = (F(k + 1, 2), F(k + 2, 2))
+    assert F(*unreduced) == evaluate_terminating(HypSeries(nums, dens, F(1, 4)))
 
 
 @given(

@@ -59,6 +59,11 @@ class TestPoly:
         with pytest.raises(InvalidInputError):
             Poly([1, 2]).stretch(k)
 
+    def test_string_is_not_a_coefficient_list(self):
+        # a str is iterable, but "12" is not the list [1, 2]
+        with pytest.raises(InvalidInputError):
+            Poly("12")
+
     def test_json(self):
         p = Poly([0, -12, 0, 8])
         assert p.to_json() == ["0", "-12", "0", "8"]

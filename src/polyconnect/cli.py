@@ -10,6 +10,7 @@ emitted).
 
 import argparse
 import csv
+import functools
 import json
 import re
 import sys
@@ -23,6 +24,7 @@ from .connection import (
     basis_poly,
     closed_form_connection,
     connection_oracle,
+    connection_table,
     verify_theorem,
 )
 from .errors import InvalidInputError, PolyConnectError
@@ -47,7 +49,10 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInputError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first request and reused by later ones; a
+    parse keeps its state in the namespace it returns, not in the parser."""
     parser = _Parser(prog="polyconnect", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     poly = sub.add_parser("poly", help="construct a polynomial family member")
@@ -111,20 +116,28 @@ def _cmd_poly(ns) -> int:
 
 def _connections(ns) -> list:
     """The closed-form and/or oracle results (--method) for the degree --n of
-    connect, or for each degree up to --n-max of table."""
+    connect, or for each degree up to --n-max of table, whose oracle rows come
+    from connection_table.  Rows are drawn degree by degree, after each
+    degree's closed form, so the first error raised is the one converting
+    each degree on its own would raise."""
     families = (ns.source, ns.target)
     jp = _jacobi_params(ns, families, f"{ns.source} -> {ns.target}")
     source, target = (basis(family, jp) for family in families)
     if ns.command == "connect":
         degrees = (ns.n,)
+        rows = (connection_oracle(basis_poly(source, n), target) for n in degrees)
     else:
         degrees = range(check_index(ns.n_max, "--n-max") + 1)
+        rows = connection_table(source, target, degrees[-1])
     results = []
     for n in degrees:
         if ns.method != "oracle":
             results.append(closed_form_connection(source, target, n))
         if ns.method != "closed":
-            results.append(connection_oracle(basis_poly(source, n), target))
+            row = next(rows)
+            if isinstance(row, PolyConnectError):
+                raise row
+            results.append(row)
     return results
 
 

@@ -7,11 +7,32 @@ member of one graded polynomial family in another family:
 
 Four directed pairs have closed-form coefficients here, one ``THEOREMS``
 record each, tagged with a formula identifier (Thm3.1, Thm3.2,
-Thm3.3-interpreted, Thm3.4).  Every closed form is shadowed by
-``connection_oracle``, an independent brute-force conversion through the
-monomial basis.  ``verify_theorem`` reconstructs the source polynomial from
-each closed form, records exact residuals, and reports entrywise
-disagreements with the oracle instead of silently preferring either side.
+Thm3.3-interpreted, Thm3.4).  Every closed form is shadowed by two exact
+conversions that use no closed form:
+
+* ``connection_oracle(p, target)``, the brute-force conversion of one
+  polynomial through the monomial basis, O(n^2) per degree;
+* ``connection_table(source, target, n_max)``, the rows of every degree at
+  once for any pair of ``FAMILIES``, by the recurrence scheme of H. E.
+  Salzer (Comm. ACM 16, 1973).  Each family entry carries its three-term
+  recurrence x p_k = a_k p_{k+1} + b_k p_k + c_k p_{k-1}, exact in k and
+  the Jacobi parameters, so row n+1 is an O(n) combination of rows n and
+  n-1 and a whole table costs O(N^2) instead of O(N^3).  Rows are integer
+  vectors over one denominator, reduced by one gcd per row.  Where a
+  coefficient is singular or a_k vanishes (only possible when alpha, beta
+  or alpha + beta + 1 is a negative integer) that row is built from the
+  members by ``connection_oracle`` and the recurrence resumes after it; a
+  member that cannot be built gives its row the same error
+  ``connection_oracle`` would.
+
+``verify_theorem`` compares each closed-form row with its table row.  Equal
+rows match with a zero residual, and verify builds no member for them
+(``closed_form_connection`` still checks a Jacobi source member's degree).
+Only a row that differs runs ``connection_oracle`` on the source member,
+which must agree with the table, and then ``ConnectionResult.reconstruct``
+for the exact residual, so a "fail" verdict rests on two independent
+methods.  The CLI's ``table --method oracle|both`` reads the table too;
+``connect`` and ``connection_oracle`` convert one degree as before.
 
 The certify path computes on integers and builds one Fraction per value it
 returns.  A closed-form coefficient c_nk is an integer prefactor numerator
@@ -21,7 +42,8 @@ hypseries.sum_pairs returns the series value as an unreduced integer pair
 (a, b); the coefficient is Fraction(prefactor numerator * a, prefactor
 denominator * b), one gcd in all.  The oracle and reconstruction work on the
 members' integer forms (Poly.integer_form), which the cached family members
-compute once per process.
+compute once per process; verify compares closed forms with the table's
+integer rows by cross-multiplication.
 
 The Thm3.3 coefficient formula is a repaired reading of a typographically
 defective display (its expansion sum is restored over m = 0..n).  It is
@@ -32,7 +54,7 @@ on, so its report, not the closed form, is authoritative there.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidInputError, PolyConnectError, UnsupportedPairError
 from .hypseries import sum_pairs
@@ -51,15 +73,76 @@ from .rationals import (
     rational_to_str,
 )
 
-#: Family name -> its degree-k member for Jacobi parameters jp (None for the
-#: families without parameters).  The lambdas look each constructor up when
+
+def _jacobi_recurrence(k: int, jp: JacobiParams):
+    """(A, B, C) with y P_k(y) = A P_{k+1} + B P_k + C P_{k-1} for the standard
+    Jacobi polynomials P_k = P_k^(a,b), or None where a denominator vanishes.
+
+    With l = a + b + 1 and s = 2k + l (DLMF 18.9.2, solved for y P_k):
+
+        A = 2(k+1)(k+l) / (s(s+1)),  B = (b^2-a^2) / ((s-1)(s+1)),
+        C = 2(k+a)(k+b) / ((s-1)s);
+
+    at k = 0 these reduce to A = 2/(l+1), B = (b-a)/(l+1), C = 0.  Computed
+    on integers: the variables a, b, lam and s below hold q times a, b, l and
+    s, with q the common denominator of a and b.
+    """
+    q = math.lcm(jp.alpha.denominator, jp.beta.denominator)
+    a = jp.alpha.numerator * (q // jp.alpha.denominator)
+    b = jp.beta.numerator * (q // jp.beta.denominator)
+    lam = a + b + q
+    if k == 0:
+        if lam + q == 0:
+            return None
+        return Fraction(2 * q, lam + q), Fraction(b - a, lam + q), Fraction(0)
+    s = 2 * k * q + lam
+    if (s - q) * s * (s + q) == 0:
+        return None
+    return (
+        Fraction(2 * (k + 1) * (k * q + lam) * q, s * (s + q)),
+        Fraction(b * b - a * a, (s - q) * (s + q)),
+        Fraction(2 * (k * q + a) * (k * q + b), (s - q) * s),
+    )
+
+
+def _shifted_jacobi_recurrence(k: int, jp: JacobiParams):
+    """shifted_jacobi(k) is P_k(2x - 1), so x = (y + 1)/2."""
+    abc = _jacobi_recurrence(k, jp)
+    return None if abc is None else (abc[0] / 2, (abc[1] + 1) / 2, abc[2] / 2)
+
+
+def _jacobi_at_one_minus_x_recurrence(k: int, jp: JacobiParams):
+    """jacobi_at_one_minus_x(k) is P_k(1 - x), so x = 1 - y."""
+    abc = _jacobi_recurrence(k, jp)
+    return None if abc is None else (-abc[0], 1 - abc[1], -abc[2])
+
+
+class Family(NamedTuple):
+    """A graded polynomial family.
+
+    member(k, jp) is its degree-k member for Jacobi parameters jp (None for
+    the families without parameters).  recurrence(k, jp) is the triple
+    (a, b, c) of exact rationals with
+
+        x p_k = a p_{k+1} + b p_k + c p_{k-1},
+
+    or None where a coefficient is singular (a vanishing denominator).
+    """
+
+    member: Callable[[int, Optional[JacobiParams]], Poly]
+    recurrence: Callable[[int, Optional[JacobiParams]], Optional[tuple]]
+
+
+#: Family name -> record.  The member lambdas look each constructor up when
 #: called, not when the table is built.
 FAMILIES = {
-    "hermite": lambda k, jp: hermite(k),
-    "laguerre": lambda k, jp: laguerre(k),
-    "shifted-jacobi": lambda k, jp: shifted_jacobi(k, jp),
-    "jacobi-1mx": lambda k, jp: jacobi_at_one_minus_x(k, jp),
-    "monomial": lambda k, jp: Poly.monomial(k),
+    "hermite": Family(lambda k, jp: hermite(k), lambda k, jp: (Fraction(1, 2), 0, k)),
+    "laguerre": Family(lambda k, jp: laguerre(k), lambda k, jp: (-k - 1, 2 * k + 1, -k)),
+    "shifted-jacobi": Family(lambda k, jp: shifted_jacobi(k, jp), _shifted_jacobi_recurrence),
+    "jacobi-1mx": Family(
+        lambda k, jp: jacobi_at_one_minus_x(k, jp), _jacobi_at_one_minus_x_recurrence
+    ),
+    "monomial": Family(lambda k, jp: Poly.monomial(k), lambda k, jp: (1, 0, 0)),
 }
 JACOBI_FAMILIES = ("shifted-jacobi", "jacobi-1mx")
 
@@ -118,7 +201,7 @@ def basis(family: str, jp: Optional[JacobiParams]) -> BasisId:
 
 def basis_poly(basis: BasisId, k: int) -> Poly:
     """The degree-k member of a basis family; it must have degree exactly k."""
-    member = FAMILIES[basis.family](k, basis.params)
+    member = FAMILIES[basis.family].member(k, basis.params)
     if len(member.coefficients) != k + 1:
         raise InvalidInputError(f"{basis.family} family is not graded at degree {k}")
     return member
@@ -218,6 +301,179 @@ def connection_oracle(p: Poly, target: BasisId) -> ConnectionResult:
         coefficients=tuple(coefficients),
         provenance=PROVENANCE_ORACLE,
     )
+
+
+def _member_error(b: BasisId, k: int) -> Optional[PolyConnectError]:
+    """The error basis_poly(b, k) raises, or None."""
+    try:
+        basis_poly(b, k)
+    except PolyConnectError as exc:
+        return exc
+    return None
+
+
+def _always_graded(b: BasisId) -> bool:
+    """Whether every member of b exists and has full degree: true for the
+    families without parameters, and for the Jacobi families unless alpha,
+    beta or lam is a negative integer.  Only then can a member's series meet
+    a denominator pole or its leading coefficient (k + lam)_k / k! vanish,
+    and only then can a recurrence coefficient be singular or a vanishing
+    a_k (see _jacobi_recurrence)."""
+    jp = b.params
+    return jp is None or not any(
+        v < 0 and v.denominator == 1 for v in (jp.alpha, jp.beta, jp.lam)
+    )
+
+
+def connection_table(
+    source: BasisId, target: BasisId, n_max: int
+) -> Iterator[Union[ConnectionResult, PolyConnectError]]:
+    """Connection rows of source degrees 0..n_max in the target family, built
+    one after another from three-term recurrences (Salzer, Comm. ACM 16, 1973).
+
+    Yields, for each degree n in order, the ConnectionResult that
+    connection_oracle(basis_poly(source, n), target) returns (with this
+    source and the "Oracle" provenance), or the PolyConnectError that call
+    raises: the source member's error first, else that of the highest
+    target member of degree <= n that cannot be built.  A degree's error
+    does not end the table.  Rows are computed only as they are asked for.
+    """
+    check_index(n_max, "n_max")
+
+    def results():
+        for n, row in enumerate(_table_rows(source, target, n_max)):
+            if isinstance(row, PolyConnectError):
+                yield row
+                continue
+            num, den = row
+            yield ConnectionResult(
+                source=source,
+                target=target,
+                degree=n,
+                coefficients=tuple(Fraction(r, den) for r in num),
+                provenance=PROVENANCE_ORACLE,
+            )
+
+    return results()
+
+
+def _row_equals(coefficients: Sequence[Fraction], row: tuple[list[int], int]) -> bool:
+    """Whether coefficients equal the integer row (R, d), entry for entry."""
+    num, den = row
+    return len(coefficients) == len(num) and all(
+        c.numerator * den == r * c.denominator for c, r in zip(coefficients, num)
+    )
+
+
+def _table_rows(source: BasisId, target: BasisId, n_max: int):
+    """The rows behind connection_table, each an integer vector R over one
+    denominator d > 0 (the row is R/d), or the error of that degree.
+
+    With x p_n = a p_{n+1} + b p_n + c p_{n-1} for the source and X the
+    multiplication by x written in the target basis (x Q_k = A_k Q_{k+1} +
+    B_k Q_k + C_k Q_{k-1}, an O(n) map), row n+1 is
+
+        (X row_n - b row_n - c row_{n-1}) / a,
+
+    so a table costs O(N^2) operations instead of the O(N^3) of converting
+    every member.  Row 0 is [1]: every family's degree-0 member is 1.
+    Where the recurrence does not apply (a singular coefficient, a vanishing
+    a, or a previous row that could not be built) the row comes from the
+    members through connection_oracle, and the recurrence resumes from
+    there.  Members are built to find their errors only where some may have
+    one (see _always_graded); the same condition covers every singular or
+    vanishing coefficient, so the fallback never raises.
+    """
+    source_rec = FAMILIES[source.family].recurrence
+    target_rec = FAMILIES[target.family].recurrence
+    check_source, check_target = not _always_graded(source), not _always_graded(target)
+    x_rec, x_den = [], 1  # X as integer triples over x_den; None past a singular one
+    target_error = row = prev = None
+    for n in range(n_max + 1):
+        if n and x_rec is not None:  # X must reach the target member of degree n - 1
+            triple = target_rec(n - 1, target.params)
+            x_rec, x_den = (None, None) if triple is None else _extend_x(x_rec, x_den, triple)
+        error = _member_error(source, n) if check_source else None
+        if check_target:
+            target_error = _member_error(target, n) or target_error
+        error = error or target_error
+        if error is not None:
+            yield error
+            row, prev = None, row
+            continue
+        abc = source_rec(n - 1, source.params) if n else None
+        if n == 0:
+            row, prev = ([1], 1), None
+        elif (
+            x_rec is not None
+            and abc is not None
+            and abc[0] != 0
+            and row is not None
+            and (n == 1 or prev is not None)
+        ):
+            row, prev = _next_row(x_rec, x_den, abc, row, prev or ([], 1)), row
+        else:
+            oracle = connection_oracle(basis_poly(source, n), target)
+            num, den = Poly(oracle.coefficients).integer_form
+            row, prev = (list(num), den), row
+        yield row
+
+
+def _integer_triple(abc: tuple) -> tuple[int, int, int, int]:
+    """(a', b', c', g) with (a, b, c) == (a', b', c')/g and g > 0 the lcm of
+    their denominators."""
+    ratios = [v.as_integer_ratio() for v in abc]
+    g = math.lcm(*(q for _, q in ratios))
+    return (*(p * (g // q) for p, q in ratios), g)
+
+
+def _extend_x(x_rec: list, x_den: int, abc: tuple) -> tuple[list, int]:
+    """Append the triple abc to X = x_rec / x_den; the common denominator
+    grows to the lcm, and the earlier triples are rescaled when it does."""
+    *ints, g = _integer_triple(abc)
+    common = math.lcm(x_den, g)
+    if common != x_den:
+        f = common // x_den
+        x_rec = [tuple(t * f for t in triple) for triple in x_rec]
+    x_rec.append(tuple(t * (common // g) for t in ints))
+    return x_rec, common
+
+
+def _next_row(x_rec, x_den, abc, row, prev):
+    """Row n+1 = (X row_n - b row_n - c row_{n-1}) / a in integers.
+
+    With row_n = R/d, row_{n-1} = S/e, m = lcm(d, e), X = X'/L and
+    (a, b, c) = (a', b', c')/g over integers, row n+1 is
+
+        (g (m/d) X'R - L b' (m/d) R - L c' (m/e) S) / (L m a'),
+
+    reduced by one gcd.  The row denominators mostly divide one another, so
+    the multipliers stay small.
+    """
+    (r_num, d), (s_num, e) = row, prev
+    a, b, c, g = _integer_triple(abc)
+    m = math.lcm(d, e)
+    xr = [0] * (len(r_num) + 1)
+    for j, r in enumerate(r_num):
+        if r:
+            up, diag, down = x_rec[j]
+            xr[j + 1] += up * r
+            xr[j] += diag * r
+            if j:
+                xr[j - 1] += down * r
+    u, v, w = g * (m // d), x_den * b * (m // d), x_den * c * (m // e)
+    num = [u * t for t in xr] if u != 1 else xr
+    if v:
+        for j, r in enumerate(r_num):
+            num[j] -= v * r
+    if w:
+        for j, t in enumerate(s_num):
+            num[j] -= w * t
+    den = x_den * m * a
+    if den < 0:
+        den, num = -den, [-t for t in num]
+    k = math.gcd(den, *num)
+    return [t // k for t in num], den // k
 
 
 def _delta_pairs(r: int, p: int, q: int) -> list[tuple[int, int]]:
@@ -469,14 +725,18 @@ def verify_theorem(
     n_max: int,
     param_sets: Optional[Sequence[JacobiParams]] = None,
 ) -> VerificationReport:
-    """Certify a closed-form connection against reconstruction and the oracle.
+    """Certify a closed-form connection against the connection table.
 
     For each degree n <= n_max (and each parameter set for the Jacobi
-    formulas) the closed-form coefficients are used to rebuild the source
-    polynomial; the entry records the exact residual and the first index at
-    which the closed form disagrees with the oracle.  Construction errors are
-    recorded per entry without aborting the sweep.  Entries are ordered by
-    (n, parameter-set index).
+    formulas) the closed-form row is compared with row n of the connection
+    table.  Equal rows match with a zero residual: the table row rebuilds the
+    source member exactly, so the closed form does too.  Otherwise the entry
+    records the exact residual of the closed form's reconstruction and the
+    first index at which it disagrees with connection_oracle, which must
+    agree with the table first (two independent conversions behind every
+    mismatch).  Construction errors are recorded per entry without aborting
+    the sweep: the source member's, then the closed form's, then the table
+    row's.  Entries are ordered by (n, parameter-set index).
     """
     record = THEOREMS.get(theorem)
     if record is None:
@@ -489,8 +749,9 @@ def verify_theorem(
         theorem=record.provenance.removeprefix("Thm"),
         params=tuple(s for s in sets if s is not None) if record.needs_params else None,
     )
+    tables = {}
     for n in range(n_max + 1):
-        for jp in sets:
+        for i, jp in enumerate(sets):
             entry = VerificationEntry(
                 n=n,
                 match=False,
@@ -500,18 +761,47 @@ def verify_theorem(
             )
             try:
                 source, target = basis(record.source, jp), basis(record.target, jp)
-                source_poly = basis_poly(source, n)
+                if i not in tables:
+                    tables[i] = _table_rows(source, target, n_max)
+                # drawn first so the table keeps step with n, but a row's
+                # error is raised only after the closed form's own errors
+                row = next(tables[i])
                 closed = closed_form_connection(source, target, n)
-                oracle = connection_oracle(source_poly, target)
-                rebuilt = closed.reconstruct()
-                entry.match = rebuilt == source_poly
-                if not entry.match:
-                    entry.residual = rebuilt - source_poly
-                for k in range(n + 1):
-                    if closed.coefficients[k] != oracle.coefficients[k]:
-                        entry.first_mismatch = k
-                        break
+                if isinstance(row, PolyConnectError):
+                    raise row
+                if _row_equals(closed.coefficients, row):
+                    entry.match = True
+                else:
+                    _check_mismatch(entry, closed, row, source, target)
             except PolyConnectError as exc:
                 entry.error = str(exc)
             report.entries.append(entry)
     return report
+
+
+def _check_mismatch(
+    entry: VerificationEntry,
+    closed: ConnectionResult,
+    row: tuple[list[int], int],
+    source: BasisId,
+    target: BasisId,
+) -> None:
+    """Fill in an entry whose closed form differs from its table row.
+
+    The oracle converts the source member again, independently of the
+    table; the two must agree before the closed form is blamed.  The
+    residual is the closed form's reconstruction minus the source member.
+    """
+    source_poly = basis_poly(source, entry.n)
+    oracle = connection_oracle(source_poly, target)
+    if not _row_equals(oracle.coefficients, row):
+        raise PolyConnectError(
+            f"connection table and oracle disagree at degree {entry.n}"
+        )
+    rebuilt = closed.reconstruct()
+    entry.match = rebuilt == source_poly
+    if not entry.match:
+        entry.residual = rebuilt - source_poly
+    entry.first_mismatch = next(
+        k for k, (c, o) in enumerate(zip(closed.coefficients, oracle.coefficients)) if c != o
+    )

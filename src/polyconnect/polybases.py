@@ -12,7 +12,7 @@ with a = jp.alpha, b = jp.beta, l = a + b + 1 throughout.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Union
 
 from .errors import InvalidInputError
@@ -172,7 +172,7 @@ class JacobiParams:
         object.__setattr__(self, "alpha", as_rational(self.alpha))
         object.__setattr__(self, "beta", as_rational(self.beta))
 
-    @property
+    @cached_property
     def lam(self) -> Fraction:
         return self.alpha + self.beta + 1
 

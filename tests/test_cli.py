@@ -271,3 +271,39 @@ class TestContract:
         b = run_cli("verify", "--theorem", "2.3", "--cases", "10", "--seed", "1")
         assert a.returncode == b.returncode == 0
         assert a.stdout != b.stdout
+
+
+def test_reused_parser_matches_fresh_parsers(capsys):
+    """One process serves invalid requests, then every command, on one parser;
+    each outcome equals that of a parser built for the request alone."""
+    from polyconnect import cli
+
+    requests = [
+        ["table", "--source", "laguerre", "--n-max", "2", "--method", "both"],
+        ["connect", "--source", "hermite", "--target", "laguerre", "--n", "x"],
+        ["poly", "--family", "shifted-jacobi", "--n", "2", "--alpha", "-3/2"],
+        ["poly", "--family", "shifted-jacobi", "--n", "2", "--alpha", "-3/2", "--beta", "1"],
+        ["connect", "--source", "hermite", "--target", "laguerre", "--n", "3"],
+        ["verify", "--theorem", "3.3", "--n-max", "2", "--format", "csv"],
+        ["verify", "--theorem", "2.1", "--cases", "3", "--seed", "2"],
+        ["table", "--source", "laguerre", "--target", "hermite", "--n-max", "3",
+         "--method", "oracle", "--format", "json"],
+        ["table", "--source", "laguerre", "--target", "hermite", "--n-max", "3"],
+        ["poly", "--family", "hermite", "--n", "3"],
+    ]
+
+    def outcomes(fresh):
+        seen = []
+        for argv in requests:
+            if fresh:
+                cli._build_parser.cache_clear()
+            rc = cli.run(argv)
+            captured = capsys.readouterr()
+            seen.append((rc, captured.out, captured.err))
+        return seen
+
+    cli._build_parser.cache_clear()
+    shared = outcomes(fresh=False)
+    assert cli._build_parser.cache_info().misses == 1
+    assert [rc for rc, _, _ in shared] == [2, 2, 2, 0, 0, 1, 0, 0, 0, 0]
+    assert shared == outcomes(fresh=True)

@@ -1,0 +1,163 @@
+"""Connection tables from three-term recurrences, checked against the oracle,
+and the path verify_theorem takes through them."""
+
+from collections import Counter
+from fractions import Fraction as F
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from polyconnect import (
+    InvalidInputError,
+    JacobiParams,
+    Poly,
+    PolyConnectError,
+    basis_poly,
+    coeff_hermite_in_shifted_jacobi,
+    connection_oracle,
+    connection_table,
+    hermite,
+    jacobi_at_one_minus_x_basis,
+    verify_theorem,
+)
+from polyconnect import connection
+from polyconnect.connection import FAMILIES, basis
+
+PAIRS = list(product(FAMILIES, FAMILIES))
+JP00 = JacobiParams(0, 0)
+
+#: Small rationals, weighted towards the integers where Jacobi members lose
+#: their degree or meet a series pole and recurrence coefficients turn singular.
+jacobi_values = st.one_of(
+    st.integers(min_value=-6, max_value=4).map(F),
+    st.fractions(min_value=-6, max_value=4, max_denominator=3),
+)
+
+
+def _outcome(call):
+    try:
+        result = call()
+    except PolyConnectError as exc:
+        return type(exc), str(exc)
+    return result.degree, result.coefficients
+
+
+def _row_outcome(row):
+    if isinstance(row, PolyConnectError):
+        return type(row), str(row)
+    return row.degree, row.coefficients
+
+
+@pytest.mark.parametrize("source_family, target_family", PAIRS, ids="->".join)
+@settings(deadline=None, max_examples=25)
+@given(alpha=jacobi_values, beta=jacobi_values, n_max=st.integers(min_value=0, max_value=12))
+def test_table_rows_equal_oracle_rows(source_family, target_family, alpha, beta, n_max):
+    jp = JacobiParams(alpha, beta)
+    source, target = basis(source_family, jp), basis(target_family, jp)
+    rows = list(connection_table(source, target, n_max))
+    assert len(rows) == n_max + 1
+    for n, row in enumerate(rows):
+        expected = _outcome(lambda: connection_oracle(basis_poly(source, n), target))
+        assert _row_outcome(row) == expected, n
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("jp", [JP00, JacobiParams(F(-1, 2), F(1, 3)), JacobiParams(F(5, 2), -3)])
+def test_family_recurrences_hold_on_members(family, jp):
+    """x p_k = a p_{k+1} + b p_k + c p_{k-1} on the members themselves."""
+    b = basis(family, jp)
+    x = Poly.monomial(1)
+    for k in range(8):
+        abc = FAMILIES[family].recurrence(k, b.params)
+        if abc is None:
+            continue
+        a, diag, c = abc
+        try:
+            lower = basis_poly(b, k - 1) if k else Poly()
+            rhs = a * basis_poly(b, k + 1) + diag * basis_poly(b, k) + c * lower
+        except PolyConnectError:
+            continue
+        assert x * basis_poly(b, k) == rhs, k
+
+
+def test_rows_after_ungraded_members_resume_through_the_oracle(monkeypatch):
+    # alpha = -6, beta = 0: the shifted Jacobi members of degree 3, 4 and 5
+    # lose their top coefficient; rows 6 and 7 have no two good rows below
+    # them and come from the oracle, row 8 on from the recurrence again
+    jp = JacobiParams(-6, 0)
+    source, target = basis("shifted-jacobi", jp), basis("laguerre", None)
+    calls = Counter()
+    oracle = connection.connection_oracle
+
+    def counting(p, t):
+        calls[p.degree] += 1
+        return oracle(p, t)
+
+    monkeypatch.setattr(connection, "connection_oracle", counting)
+    rows = list(connection_table(source, target, 10))
+    errors = [isinstance(row, PolyConnectError) for row in rows]
+    assert errors == [False] * 3 + [True] * 3 + [False] * 5
+    assert str(rows[3]) == "shifted-jacobi family is not graded at degree 3"
+    assert calls == {6: 1, 7: 1}
+    for n in (6, 7, 8, 9, 10):
+        assert rows[n].coefficients == oracle(basis_poly(source, n), target).coefficients
+
+
+def test_table_checks_n_max_and_is_lazy():
+    with pytest.raises(InvalidInputError):
+        connection_table(connection.LAGUERRE, connection.HERMITE, -1)
+    rows = connection_table(connection.LAGUERRE, connection.HERMITE, 10**9)
+    assert next(rows).coefficients == (1,)
+    assert next(rows).coefficients == (1, F(-1, 2))
+
+
+def _count_calls(monkeypatch):
+    calls = Counter()
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(connection, "connection_oracle")
+    counting(connection.ConnectionResult, "reconstruct")
+    return calls
+
+
+def test_verify_runs_oracle_and_reconstruct_only_on_mismatch(monkeypatch):
+    calls = _count_calls(monkeypatch)
+    report = verify_theorem("3.1", 20)
+    assert report.verdict == "pass" and len(report.entries) == 21
+    assert all(e.residual.is_zero and e.first_mismatch is None for e in report.entries)
+    assert calls == {}
+
+    report = verify_theorem("3.3", 3)
+    mismatches = [e for e in report.entries if e.error is None and not e.match]
+    assert len(mismatches) == 8  # n = 2 and 3, every default parameter set
+    assert calls == {"connection_oracle": 8, "reconstruct": 8}
+    failure = report.first_failure()
+    assert (failure.n, failure.alpha, failure.beta, failure.first_mismatch) == (2, 0, 0, 0)
+    assert coeff_hermite_in_shifted_jacobi(2, JP00, 0) == F(22, 3)
+    oracle = connection_oracle(hermite(2), jacobi_at_one_minus_x_basis(JP00))
+    assert oracle.coefficients[0] == F(10, 3)
+
+
+def test_verify_records_table_oracle_disagreement_as_entry_error(monkeypatch):
+    # a table row that the oracle does not confirm is an error, never a verdict
+    rows = connection._table_rows
+
+    def skewed(source, target, n_max):
+        for num, den in rows(source, target, n_max):
+            yield [2 * r for r in num], den
+
+    monkeypatch.setattr(connection, "_table_rows", skewed)
+    report = verify_theorem("3.2", 2)
+    assert [e.error for e in report.entries] == [
+        f"connection table and oracle disagree at degree {n}" for n in range(3)
+    ]
+    assert report.verdict == "error"

@@ -3,15 +3,17 @@ and formula/identity verification with machine-readable output.
 
 Output on stdout is always valid JSON or CSV per --format; diagnostics go to
 stderr only.  Exit codes: 0 success or verification pass, 1 verification
-mismatch, 2 invalid input or a verification whose entries raised errors but
+mismatch, 2 invalid input, a verification whose entries raised errors but
 never mismatched (for both verification outcomes the report is still
-emitted).
+emitted), or stdout closed before the output was written.
 """
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
+import os
 import re
 import sys
 from typing import Optional
@@ -117,9 +119,9 @@ def _cmd_poly(ns) -> int:
 def _connections(ns) -> list:
     """The closed-form and/or oracle results (--method) for the degree --n of
     connect, or for each degree up to --n-max of table, whose oracle rows come
-    from connection_table.  Rows are drawn degree by degree, after each
-    degree's closed form, so the first error raised is the one converting
-    each degree on its own would raise."""
+    from connection_table; both name --source as their source.  Rows are
+    drawn degree by degree, after each degree's closed form, so the first
+    error raised is the one converting each degree on its own would raise."""
     families = (ns.source, ns.target)
     jp = _jacobi_params(ns, families, f"{ns.source} -> {ns.target}")
     source, target = (basis(family, jp) for family in families)
@@ -137,7 +139,7 @@ def _connections(ns) -> list:
             row = next(rows)
             if isinstance(row, PolyConnectError):
                 raise row
-            results.append(row)
+            results.append(dataclasses.replace(row, source=source))
     return results
 
 
@@ -234,4 +236,10 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout closed early; devnull keeps the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    sys.exit(code)

@@ -18,12 +18,11 @@ conversions that use no closed form:
   recurrence x p_k = a_k p_{k+1} + b_k p_k + c_k p_{k-1}, exact in k and
   the Jacobi parameters, so row n+1 is an O(n) combination of rows n and
   n-1 and a whole table costs O(N^2) instead of O(N^3).  Rows are integer
-  vectors over one denominator, reduced by one gcd per row.  Where a
-  coefficient is singular or a_k vanishes (only possible when alpha, beta
-  or alpha + beta + 1 is a negative integer) that row is built from the
-  members by ``connection_oracle`` and the recurrence resumes after it; a
-  member that cannot be built gives its row the same error
-  ``connection_oracle`` would.
+  vectors over one denominator, reduced by one gcd per row.  When alpha,
+  beta or alpha + beta + 1 is a negative integer (the only case in which a
+  member can fail to be built, a coefficient be singular or a_k vanish),
+  every row is ``connection_oracle`` on its member instead, or the error
+  that call raises.
 
 ``verify_theorem`` compares each closed-form row with its table row.  Equal
 rows match with a zero residual, and verify builds no member for them
@@ -303,15 +302,6 @@ def connection_oracle(p: Poly, target: BasisId) -> ConnectionResult:
     )
 
 
-def _member_error(b: BasisId, k: int) -> Optional[PolyConnectError]:
-    """The error basis_poly(b, k) raises, or None."""
-    try:
-        basis_poly(b, k)
-    except PolyConnectError as exc:
-        return exc
-    return None
-
-
 def _always_graded(b: BasisId) -> bool:
     """Whether every member of b exists and has full degree: true for the
     families without parameters, and for the Jacobi families unless alpha,
@@ -329,7 +319,8 @@ def connection_table(
     source: BasisId, target: BasisId, n_max: int
 ) -> Iterator[Union[ConnectionResult, PolyConnectError]]:
     """Connection rows of source degrees 0..n_max in the target family, built
-    one after another from three-term recurrences (Salzer, Comm. ACM 16, 1973).
+    one after another from three-term recurrences (Salzer, Comm. ACM 16, 1973)
+    unless the Jacobi parameters are degenerate (see _table_rows).
 
     Yields, for each degree n in order, the ConnectionResult that
     connection_oracle(basis_poly(source, n), target) returns (with this
@@ -369,53 +360,38 @@ def _table_rows(source: BasisId, target: BasisId, n_max: int):
     """The rows behind connection_table, each an integer vector R over one
     denominator d > 0 (the row is R/d), or the error of that degree.
 
-    With x p_n = a p_{n+1} + b p_n + c p_{n-1} for the source and X the
-    multiplication by x written in the target basis (x Q_k = A_k Q_{k+1} +
-    B_k Q_k + C_k Q_{k-1}, an O(n) map), row n+1 is
+    Where either family may have a member that cannot be built (see
+    _always_graded), each row is connection_oracle(basis_poly(source, n),
+    target) or the error that call raises.  Otherwise, with x p_n = a p_{n+1}
+    + b p_n + c p_{n-1} for the source and X the multiplication by x written
+    in the target basis (x Q_k = A_k Q_{k+1} + B_k Q_k + C_k Q_{k-1}, an O(n)
+    map), row n+1 is
 
         (X row_n - b row_n - c row_{n-1}) / a,
 
     so a table costs O(N^2) operations instead of the O(N^3) of converting
-    every member.  Row 0 is [1]: every family's degree-0 member is 1.
-    Where the recurrence does not apply (a singular coefficient, a vanishing
-    a, or a previous row that could not be built) the row comes from the
-    members through connection_oracle, and the recurrence resumes from
-    there.  Members are built to find their errors only where some may have
-    one (see _always_graded); the same condition covers every singular or
-    vanishing coefficient, so the fallback never raises.
+    every member.  Row 0 is [1]: every family's degree-0 member is 1.  In
+    this branch every recurrence coefficient is regular and every a != 0:
+    by DLMF 18.9.2 either fault needs lam to be a negative integer.
     """
+    if not (_always_graded(source) and _always_graded(target)):
+        for n in range(n_max + 1):
+            try:
+                oracle = connection_oracle(basis_poly(source, n), target)
+            except PolyConnectError as exc:
+                yield exc
+            else:
+                num, den = Poly(oracle.coefficients).integer_form
+                yield list(num), den
+        return
     source_rec = FAMILIES[source.family].recurrence
     target_rec = FAMILIES[target.family].recurrence
-    check_source, check_target = not _always_graded(source), not _always_graded(target)
-    x_rec, x_den = [], 1  # X as integer triples over x_den; None past a singular one
-    target_error = row = prev = None
-    for n in range(n_max + 1):
-        if n and x_rec is not None:  # X must reach the target member of degree n - 1
-            triple = target_rec(n - 1, target.params)
-            x_rec, x_den = (None, None) if triple is None else _extend_x(x_rec, x_den, triple)
-        error = _member_error(source, n) if check_source else None
-        if check_target:
-            target_error = _member_error(target, n) or target_error
-        error = error or target_error
-        if error is not None:
-            yield error
-            row, prev = None, row
-            continue
-        abc = source_rec(n - 1, source.params) if n else None
-        if n == 0:
-            row, prev = ([1], 1), None
-        elif (
-            x_rec is not None
-            and abc is not None
-            and abc[0] != 0
-            and row is not None
-            and (n == 1 or prev is not None)
-        ):
-            row, prev = _next_row(x_rec, x_den, abc, row, prev or ([], 1)), row
-        else:
-            oracle = connection_oracle(basis_poly(source, n), target)
-            num, den = Poly(oracle.coefficients).integer_form
-            row, prev = (list(num), den), row
+    x_rec, x_den = [], 1  # X as integer triples over x_den
+    row, prev = ([1], 1), ([], 1)
+    yield row
+    for n in range(1, n_max + 1):  # X reaches the target member of degree n - 1
+        x_rec, x_den = _extend_x(x_rec, x_den, target_rec(n - 1, target.params))
+        row, prev = _next_row(x_rec, x_den, source_rec(n - 1, source.params), row, prev), row
         yield row
 
 

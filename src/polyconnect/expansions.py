@@ -31,13 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (
-    DenominatorPoleError,
-    InvalidInputError,
-    NonTerminatingError,
-    PoleInParamsError,
-)
-from .hypseries import HypSeries, evaluate_terminating, termination_index
+from .errors import DenominatorPoleError, InvalidInputError, PoleInParamsError
+from .hypseries import HypSeries, evaluate_terminating, truncation_index
 from .rationals import (
     RationalLike,
     as_rational,
@@ -90,17 +85,16 @@ def _max_support(seq: CoeffSeq) -> int:
 
 @dataclass(frozen=True)
 class ExpansionParams:
-    """Free parameters of the bilinear expansions; each formula reads only the
-    fields it names (gamma/mu/theta for the weighted form, c for the plain
-    one).  Pole freedom over the touched index ranges is checked lazily."""
+    """Free parameters gamma, mu, theta of the m!-weighted bilinear expansion
+    (the plain one takes its c as an argument).  Pole freedom over the
+    touched index ranges is checked lazily."""
 
     gamma: Fraction = Fraction(1)
     mu: Fraction = Fraction(1)
     theta: Fraction = Fraction(1)
-    c: Fraction = Fraction(1)
 
     def __post_init__(self):
-        for name in ("gamma", "mu", "theta", "c"):
+        for name in ("gamma", "mu", "theta"):
             object.__setattr__(self, name, as_rational(getattr(self, name)))
 
 
@@ -289,9 +283,7 @@ def fields_wimp_luke_terminating(
     c = as_rational(c)
     z, w = as_rational(z), as_rational(w)
 
-    n_max = termination_index(a)
-    if n_max is None:
-        raise NonTerminatingError("no element of the a-list is a nonpositive integer")
+    n_max = truncation_index(a)
     lhs = evaluate_terminating(HypSeries(a + cr, b + d, z * w))
     rhs = Fraction(0)
     for n in range(n_max + 1):

@@ -36,7 +36,7 @@ at series_coefficients, through this module's global.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DenominatorPoleError,
@@ -77,35 +77,16 @@ class EvenOddSplit(NamedTuple):
     odd: HypSeries
 
 
-def termination_index(params: Sequence[RationalLike]) -> Optional[int]:
-    """Last index K whose Pochhammer product over the list is nonzero, or None.
+def truncation_index(numerators: Iterable[RationalLike]) -> int:
+    """Last index K whose Pochhammer product over the numerator parameters
+    is nonzero: the index of the last term of a terminating series.
 
     For a nonpositive integer a the factor (a)_k vanishes from k = -a + 1 on,
     so K = min(-a_i) over the nonpositive integer parameters; a sum weighted
-    by the product loses nothing when cut at K.  None means no parameter is a
-    nonpositive integer (the product never vanishes).
+    by the product loses nothing when cut at K.  Raises NonTerminating if no
+    parameter is a nonpositive integer (the product never vanishes).
     """
-    try:
-        return _last_index([a.as_integer_ratio() for a in _coerce_params(params)])
-    except NonTerminatingError:
-        return None
-
-
-def truncation_index(series: HypSeries) -> int:
-    """The index K of the last term of a terminating series."""
-    return _last_index([a.as_integer_ratio() for a in series.numerators])
-
-
-def _last_index(pairs: Sequence[tuple[int, int]]) -> int:
-    """termination_index of the parameters p/q given as (p, q) pairs in lowest
-    terms; raises NonTerminating where termination_index returns None."""
-    cuts = [-p for p, q in pairs if q == 1 and p <= 0]
-    if not cuts:
-        raise NonTerminatingError(
-            "no numerator parameter is a nonpositive integer: "
-            + ", ".join(rational_to_str(Fraction(p, q)) for p, q in pairs)
-        )
-    return min(cuts)
+    return _cut([a.as_integer_ratio() for a in _coerce_params(numerators)], ())
 
 
 def _cut(num_pq: Sequence[tuple[int, int]], den_pq: Sequence[tuple[int, int]]) -> int:
@@ -114,7 +95,13 @@ def _cut(num_pq: Sequence[tuple[int, int]], den_pq: Sequence[tuple[int, int]]) -
     integer, DenominatorPole if some denominator b has -b < K.  Pairs are in
     lowest terms with q > 0, so p/q is a nonpositive integer exactly when
     q == 1 and p <= 0."""
-    k_max = _last_index(num_pq)
+    cuts = [-p for p, q in num_pq if q == 1 and p <= 0]
+    if not cuts:
+        raise NonTerminatingError(
+            "no numerator parameter is a nonpositive integer: "
+            + ", ".join(rational_to_str(Fraction(p, q)) for p, q in num_pq)
+        )
+    k_max = min(cuts)
     for p, q in den_pq:
         if q == 1 and p <= 0 and -p < k_max:
             raise DenominatorPoleError(

@@ -120,25 +120,6 @@ class Poly:
     def __rmul__(self, other: RationalLike) -> "Poly":
         return self * other
 
-    def stretch(self, k: int) -> "Poly":
-        """Substitute x -> x^k (spreads coefficient i to index k*i)."""
-        if check_index(k, "stretch factor") < 1:
-            raise InvalidInputError(f"stretch factor must be >= 1, got {k}")
-        out = [Fraction(0)] * (k * max(len(self._coeffs) - 1, 0) + 1)
-        for i, c in enumerate(self._coeffs):
-            out[k * i] = c
-        return Poly(out)
-
-    def scale_argument(self, c: RationalLike) -> "Poly":
-        """Substitute x -> c*x."""
-        c = as_rational(c)
-        power = Fraction(1)
-        out = []
-        for coeff in self._coeffs:
-            out.append(coeff * power)
-            power *= c
-        return Poly(out)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
@@ -197,23 +178,6 @@ def hermite(n: int) -> Poly:
             (-1) ** k * nfact * 2**m, math.factorial(k) * math.factorial(m)
         )
     return Poly(coeffs)
-
-
-def hermite_via_1f1(n: int) -> Poly:
-    """Hermite polynomial rebuilt from its confluent hypergeometric form.
-
-    Even degrees 2m use (-1)^m 2^(2m) (1/2)_m 1F1(-m; 1/2; x^2); odd degrees
-    2m+1 use (-1)^m 2^(2m+1) (3/2)_m x 1F1(-m; 3/2; x^2).  Must agree with
-    hermite(n) coefficient for coefficient.
-    """
-    check_index(n, "degree")
-    m, odd = divmod(n, 2)
-    den = Fraction(3, 2) if odd else Fraction(1, 2)
-    body = Poly(series_coefficients((Fraction(-m),), (den,))).stretch(2)
-    if odd:
-        body = Poly.monomial(1) * body
-    prefactor = Fraction((-1) ** m * 2**n) * pochhammer(den, m)
-    return prefactor * body
 
 
 @lru_cache(maxsize=None)

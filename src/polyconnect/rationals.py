@@ -12,9 +12,6 @@ from typing import Iterable, Union
 
 from .errors import InvalidInputError
 
-#: The scalar type used throughout the library.
-Rational = Fraction
-
 RationalLike = Union[Fraction, int, str]
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
@@ -48,12 +45,6 @@ def parse_rational(text: str) -> Fraction:
             raise InvalidInputError(f"zero denominator in {text!r}")
         return Fraction(int(p), int(q))
     return Fraction(int(s))
-
-
-def format_rational(value: RationalLike) -> str:
-    """Render a rational in the canonical "p/q" form, e.g. "3/1", "-5/2"."""
-    q = as_rational(value)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def rational_to_str(value: RationalLike) -> str:

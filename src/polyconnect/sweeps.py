@@ -62,13 +62,8 @@ def _sweep(cases: int, seed: int, draw) -> list[dict]:
             lhs, rhs, case = draw(rng, len(entries))
         except PolyConnectError:
             continue
-        # both the {lhs, rhs, equal} triple and the report-style
-        # {n, match, residual} keys are emitted
         entries.append({
             "n": len(entries),
-            "lhs": rational_to_str(lhs),
-            "rhs": rational_to_str(rhs),
-            "equal": lhs == rhs,
             "match": lhs == rhs,
             "residual": rational_to_str(lhs - rhs),
             "case": case,

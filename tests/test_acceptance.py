@@ -19,7 +19,6 @@ from polyconnect import (
     connection_oracle,
     hermite,
     hermite_in_laguerre_via_bilinear,
-    hermite_via_1f1,
     jacobi_at_one_minus_x_basis,
     verify_theorem,
 )
@@ -30,6 +29,7 @@ from polyconnect.sweeps import (
     sweep_luke_terminating,
     sweep_wimp_terminating,
 )
+from test_polybases import hermite_via_1f1
 
 
 def _report(number, description, passed, note=""):

@@ -72,6 +72,22 @@ class TestConnect:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["coefficients"] == ["1", "-2", "1/2"]
 
+    @pytest.mark.parametrize(
+        "params, source",
+        [
+            ((), {"family": "hermite"}),
+            (("--alpha", "1/2", "--beta", "-1/3"),
+             {"family": "shifted-jacobi", "alpha": "1/2", "beta": "-1/3"}),
+        ],
+    )
+    def test_oracle_names_the_requested_source(self, params, source):
+        proc = run_cli(
+            "connect", "--source", source["family"], "--target", "laguerre", "--n", "2",
+            "--method", "oracle", *params,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["source"] == source
+
     def test_unsupported_pair_is_invalid_input(self):
         proc = run_cli(
             "connect", "--source", "laguerre", "--target", "shifted-jacobi", "--n", "2",
@@ -234,6 +250,22 @@ class TestContract:
         for arg in rest:
             joined.append(f"{arg}={next(rest)}" if arg in ("--alpha", "--beta") else arg)
         assert run_cli(*joined).stdout == proc.stdout
+
+    def test_closed_stdout_exit_two_without_traceback(self):
+        # the table is far larger than a pipe buffer, so the writer meets the
+        # closed pipe mid-table, not only in the flush at exit
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "polyconnect", "table", "--source", "laguerre",
+             "--target", "hermite", "--n-max", "150", "--method", "oracle"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(100).startswith(b"n,k,coefficient,provenance")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err == b""
 
     def test_negative_degree_exit_two(self):
         proc = run_cli("poly", "--family", "hermite", "--n", "-1")

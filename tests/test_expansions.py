@@ -195,10 +195,8 @@ def test_sweeps_pass_and_are_deterministic(sweep):
     assert len(first) == 40
     assert all(e["match"] for e in first), next(e for e in first if not e["match"])
     assert sweep(40, seed=11) == first
-    # every identity check carries the {lhs, rhs, equal} triple
-    for entry in first:
-        assert {"lhs", "rhs", "equal"} <= set(entry)
-        assert entry["equal"] == (entry["lhs"] == entry["rhs"])
+    # the keys the CLI reads, and the drawn case
+    assert all(set(entry) == {"n", "match", "residual", "case"} for entry in first)
 
 
 def test_sweep_caps_draws_and_validates_cases():

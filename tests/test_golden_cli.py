@@ -2,7 +2,10 @@
 command.
 
 The digests in golden_cli.json were recorded before the family/theorem
-registry refactor, which had to leave every one of them unchanged.  Every
+registry refactor, which had to leave every one of them unchanged; the 60
+``connect --method oracle --format json`` digests whose source is not the
+monomial basis were recorded again when that output began to name the
+requested source instead of "monomial".  Every
 Jacobi parameter pair used here is regular for the degrees asked, so no
 command reaches the ungraded-member path.  Regenerate the file with
 ``PYTHONPATH=src python tests/test_golden_cli.py`` only for a deliberate

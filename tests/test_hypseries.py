@@ -20,11 +20,11 @@ SAMPLE_ARGS = (F(0), F(1, 2), F(-1, 2), F(1), F(-1), F(1, 4), F(-1, 4))
 
 
 def test_truncation_index():
-    assert truncation_index(HypSeries((F(-3), F(1, 2)), (), F(1))) == 3
-    assert truncation_index(HypSeries((F(-1), F(-1, 2)), (), F(1))) == 1
-    assert truncation_index(HypSeries((F(0), F(5)), (), F(1))) == 0
+    assert truncation_index((F(-3), F(1, 2))) == 3
+    assert truncation_index((F(-1), F(-1, 2))) == 1
+    assert truncation_index((F(0), F(5))) == 0
     with pytest.raises(NonTerminatingError):
-        truncation_index(HypSeries((F(1, 2),), (F(1),), F(1)))
+        truncation_index((F(1, 2),))
 
 
 def test_evaluate_basic():

@@ -12,10 +12,10 @@ from polyconnect import (
     basis_poly,
     factorial,
     hermite,
-    hermite_via_1f1,
     jacobi_at_one_minus_x,
     laguerre,
     pochhammer,
+    series_coefficients,
     shifted_jacobi,
 )
 
@@ -29,6 +29,19 @@ def hermite_by_recurrence(n):
     for k in range(1, n):
         prev, cur = cur, two_x * cur - (2 * k) * prev
     return cur
+
+
+def hermite_via_1f1(n):
+    """Independent construction from the confluent hypergeometric form: even
+    degrees 2m are (-1)^m 2^(2m) (1/2)_m 1F1(-m; 1/2; x^2), odd degrees 2m+1
+    are (-1)^m 2^(2m+1) (3/2)_m x 1F1(-m; 3/2; x^2)."""
+    m, odd = divmod(n, 2)
+    den = F(3, 2) if odd else F(1, 2)
+    prefactor = (-1) ** m * 2**n * pochhammer(den, m)
+    coeffs = [F(0)] * (n + 1)
+    for k, c in enumerate(series_coefficients((F(-m),), (den,))):
+        coeffs[2 * k + odd] = prefactor * c
+    return Poly(coeffs)
 
 
 class TestPoly:
@@ -48,16 +61,6 @@ class TestPoly:
         assert (p * q).coefficients == (F(0), F(-2), F(-1), F(6))
         assert (F(1, 2) * p).coefficients == (F(1, 2), F(1))
         assert p(F(1, 2)) == 2
-
-    def test_stretch_and_scale(self):
-        p = Poly([1, 2, 3])
-        assert p.stretch(2).coefficients == (F(1), F(0), F(2), F(0), F(3))
-        assert p.scale_argument(2).coefficients == (F(1), F(4), F(12))
-
-    @pytest.mark.parametrize("k", [2.5, True])
-    def test_stretch_rejects_non_integer_factor(self, k):
-        with pytest.raises(InvalidInputError):
-            Poly([1, 2]).stretch(k)
 
     def test_string_is_not_a_coefficient_list(self):
         # a str is iterable, but "12" is not the list [1, 2]
@@ -165,7 +168,8 @@ def test_shifted_jacobi_lead_is_last_series_term(n, jp):
 def test_shifted_jacobi_matches_rescaled_symmetric_jacobi(n):
     # at alpha = beta = 0: R_n(x) = (-1)^n * P_n(1-x) with x replaced by 2x
     jp = JacobiParams(0, 0)
-    rescaled = jacobi_at_one_minus_x(n, jp).scale_argument(2)
+    p = jacobi_at_one_minus_x(n, jp)
+    rescaled = Poly(c * 2**k for k, c in enumerate(p.coefficients))
     assert shifted_jacobi(n, jp) == (-1) ** n * rescaled
 
 

@@ -125,7 +125,7 @@ class TestLukeTerminating:
         assert lhs == rhs == 0
 
     def test_requires_nonpositive_integer(self):
-        with pytest.raises(NonTerminatingError):
+        with pytest.raises(NonTerminatingError, match="^no numerator parameter is a nonpositive integer: 1/2$"):
             fields_wimp_luke_terminating([F(1, 2)], [], [], [], 1, 1, 1)
 
 

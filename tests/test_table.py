@@ -105,6 +105,26 @@ def test_rows_of_ungraded_families_come_from_the_oracle(monkeypatch):
         assert rows[n].coefficients == oracle(basis_poly(source, n), target).coefficients
 
 
+@pytest.mark.parametrize(
+    "jp", [JP00, JacobiParams(F(-1, 2), F(1, 3)), JacobiParams(F(-13, 3), F(5, 2))]
+)
+def test_rows_of_graded_families_come_from_the_recurrence(monkeypatch, jp):
+    # no parameter is a negative integer, so every pair takes the recurrence
+    # branch and the oracle is never called; the rows still equal its rows
+    oracle = connection.connection_oracle
+
+    def refuse(p, t):
+        raise AssertionError("oracle called for a graded pair")
+
+    monkeypatch.setattr(connection, "connection_oracle", refuse)
+    for source_family, target_family in PAIRS:
+        source, target = basis(source_family, jp), basis(target_family, jp)
+        rows = list(connection_table(source, target, 8))
+        for n, row in enumerate(rows):
+            expected = oracle(basis_poly(source, n), target)
+            assert row.coefficients == expected.coefficients, (source_family, target_family, n)
+
+
 def test_table_checks_n_max_and_is_lazy():
     with pytest.raises(InvalidInputError):
         connection_table(connection.LAGUERRE, connection.HERMITE, -1)

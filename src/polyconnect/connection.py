@@ -15,14 +15,14 @@ conversions that use no closed form:
 * ``connection_table(source, target, n_max)``, the rows of every degree at
   once for any pair of ``FAMILIES``, by the recurrence scheme of H. E.
   Salzer (Comm. ACM 16, 1973).  Each family entry carries its three-term
-  recurrence x p_k = a_k p_{k+1} + b_k p_k + c_k p_{k-1}, exact in k and
-  the Jacobi parameters, so row n+1 is an O(n) combination of rows n and
-  n-1 and a whole table costs O(N^2) instead of O(N^3).  Rows are integer
-  vectors over one denominator, reduced by one gcd per row.  When alpha,
-  beta or alpha + beta + 1 is a negative integer (the only case in which a
-  member can fail to be built, a coefficient be singular or a_k vanish),
-  every row is ``connection_oracle`` on its member instead, or the error
-  that call raises.
+  recurrence d_k x p_k = a_k p_{k+1} + b_k p_k + c_k p_{k-1} as integers,
+  polynomial in k and the Jacobi parameters' numerators, so row n+1 is an
+  O(n) combination of rows n and n-1 and a whole table costs O(N^2)
+  instead of O(N^3).  Rows are integer vectors over one denominator,
+  reduced by one gcd per row.  When alpha, beta or alpha + beta + 1 is a
+  negative integer (the only case in which a member can fail to be built
+  or a_k or d_k vanish), every row is ``connection_oracle`` on its member
+  instead, or the error that call raises.
 
 ``verify_theorem`` compares each closed-form row with its table row.  Equal
 rows match with a zero residual, and verify builds no member for them
@@ -30,8 +30,9 @@ rows match with a zero residual, and verify builds no member for them
 Only a row that differs runs ``connection_oracle`` on the source member,
 which must agree with the table, and then ``ConnectionResult.reconstruct``
 for the exact residual, so a "fail" verdict rests on two independent
-methods.  The CLI's ``table --method oracle|both`` reads the table too;
-``connect`` and ``connection_oracle`` convert one degree as before.
+methods wherever the recurrence built the row (a degenerate row already is
+the oracle's).  The CLI's ``table --method oracle|both`` reads the table
+too; ``connect`` and ``connection_oracle`` convert one degree as before.
 
 The certify path computes on integers and builds one Fraction per value it
 returns.  A closed-form coefficient c_nk is an integer prefactor numerator
@@ -40,7 +41,7 @@ written as integer pairs (p, q), such as (k - n, 2) for (k - n)/2, and
 hypseries.sum_pairs returns the series value as an unreduced integer pair
 (a, b); the coefficient is Fraction(prefactor numerator * a, prefactor
 denominator * b), one gcd in all.  The oracle and reconstruction work on the
-members' integer forms (Poly.integer_form), which the cached family members
+members' integer forms (rationals.lift), which the cached family members
 compute once per process; verify compares closed forms with the table's
 integer rows by cross-multiplication.
 
@@ -69,79 +70,78 @@ from .rationals import (
     RationalLike,
     as_rational,
     check_index,
+    lift,
     rational_to_str,
+    rising,
 )
 
 
-def _jacobi_recurrence(k: int, jp: JacobiParams):
-    """(A, B, C) with y P_k(y) = A P_{k+1} + B P_k + C P_{k-1} for the standard
-    Jacobi polynomials P_k = P_k^(a,b), or None where a denominator vanishes.
+def _jacobi_recurrence(k: int, jp: JacobiParams) -> tuple[int, int, int, int]:
+    """(a, b, c, d) with d y P_k(y) = a P_{k+1} + b P_k + c P_{k-1} for the
+    standard Jacobi polynomials P_k = P_k^(alpha,beta), in integers.
 
-    With l = a + b + 1 and s = 2k + l (DLMF 18.9.2, solved for y P_k):
+    With l = alpha + beta + 1 and s = 2k + l, DLMF 18.9.2 reads
 
-        A = 2(k+1)(k+l) / (s(s+1)),  B = (b^2-a^2) / ((s-1)(s+1)),
-        C = 2(k+a)(k+b) / ((s-1)s);
+        (s-1)s(s+1) y P_k = 2(k+1)(k+l)(s-1) P_{k+1} + s(beta^2-alpha^2) P_k
+                            + 2(k+alpha)(k+beta)(s+1) P_{k-1}.
 
-    at k = 0 these reduce to A = 2/(l+1), B = (b-a)/(l+1), C = 0.  Computed
-    on integers: the variables a, b, lam and s below hold q times a, b, l and
-    s, with q the common denominator of a and b.
+    At k = 0 it is (s-1)s times (l+1) y P_0 = 2 P_1 + (beta-alpha) P_0, which
+    is returned instead, never all zero.  a, b, lam and s below hold q times
+    alpha, beta, l and s, with q the common denominator of alpha and beta.
     """
-    q = math.lcm(jp.alpha.denominator, jp.beta.denominator)
-    a = jp.alpha.numerator * (q // jp.alpha.denominator)
-    b = jp.beta.numerator * (q // jp.beta.denominator)
+    (a, b), q = lift((jp.alpha, jp.beta))
     lam = a + b + q
     if k == 0:
-        if lam + q == 0:
-            return None
-        return Fraction(2 * q, lam + q), Fraction(b - a, lam + q), Fraction(0)
+        return 2 * q, b - a, 0, lam + q
     s = 2 * k * q + lam
-    if (s - q) * s * (s + q) == 0:
-        return None
     return (
-        Fraction(2 * (k + 1) * (k * q + lam) * q, s * (s + q)),
-        Fraction(b * b - a * a, (s - q) * (s + q)),
-        Fraction(2 * (k * q + a) * (k * q + b), (s - q) * s),
+        2 * (k + 1) * (k * q + lam) * (s - q) * q,
+        s * (b * b - a * a),
+        2 * (k * q + a) * (k * q + b) * (s + q),
+        (s - q) * s * (s + q),
     )
 
 
-def _shifted_jacobi_recurrence(k: int, jp: JacobiParams):
-    """shifted_jacobi(k) is P_k(2x - 1), so x = (y + 1)/2."""
-    abc = _jacobi_recurrence(k, jp)
-    return None if abc is None else (abc[0] / 2, (abc[1] + 1) / 2, abc[2] / 2)
+def _shifted_jacobi_recurrence(k: int, jp: JacobiParams) -> tuple[int, int, int, int]:
+    """shifted_jacobi(k) is P_k(2x - 1), so y = 2x - 1."""
+    a, b, c, d = _jacobi_recurrence(k, jp)
+    return a, b + d, c, 2 * d
 
 
-def _jacobi_at_one_minus_x_recurrence(k: int, jp: JacobiParams):
-    """jacobi_at_one_minus_x(k) is P_k(1 - x), so x = 1 - y."""
-    abc = _jacobi_recurrence(k, jp)
-    return None if abc is None else (-abc[0], 1 - abc[1], -abc[2])
+def _jacobi_at_one_minus_x_recurrence(k: int, jp: JacobiParams) -> tuple[int, int, int, int]:
+    """jacobi_at_one_minus_x(k) is P_k(1 - x), so y = 1 - x."""
+    a, b, c, d = _jacobi_recurrence(k, jp)
+    return -a, d - b, -c, d
 
 
 class Family(NamedTuple):
     """A graded polynomial family.
 
     member(k, jp) is its degree-k member for Jacobi parameters jp (None for
-    the families without parameters).  recurrence(k, jp) is the triple
-    (a, b, c) of exact rationals with
+    the families without parameters).  recurrence(k, jp) is the integer
+    quadruple (a, b, c, d) with
 
-        x p_k = a p_{k+1} + b p_k + c p_{k-1},
+        d x p_k = a p_{k+1} + b p_k + c p_{k-1},
 
-    or None where a coefficient is singular (a vanishing denominator).
+    an identity on every member that can be built, with no coefficient ever
+    singular.  a or d vanishes only where lam is a negative integer (see
+    _always_graded).
     """
 
     member: Callable[[int, Optional[JacobiParams]], Poly]
-    recurrence: Callable[[int, Optional[JacobiParams]], Optional[tuple]]
+    recurrence: Callable[[int, Optional[JacobiParams]], tuple[int, int, int, int]]
 
 
 #: Family name -> record.  The member lambdas look each constructor up when
 #: called, not when the table is built.
 FAMILIES = {
-    "hermite": Family(lambda k, jp: hermite(k), lambda k, jp: (Fraction(1, 2), 0, k)),
-    "laguerre": Family(lambda k, jp: laguerre(k), lambda k, jp: (-k - 1, 2 * k + 1, -k)),
+    "hermite": Family(lambda k, jp: hermite(k), lambda k, jp: (1, 0, 2 * k, 2)),
+    "laguerre": Family(lambda k, jp: laguerre(k), lambda k, jp: (-k - 1, 2 * k + 1, -k, 1)),
     "shifted-jacobi": Family(lambda k, jp: shifted_jacobi(k, jp), _shifted_jacobi_recurrence),
     "jacobi-1mx": Family(
         lambda k, jp: jacobi_at_one_minus_x(k, jp), _jacobi_at_one_minus_x_recurrence
     ),
-    "monomial": Family(lambda k, jp: Poly.monomial(k), lambda k, jp: (1, 0, 0)),
+    "monomial": Family(lambda k, jp: Poly.monomial(k), lambda k, jp: (1, 0, 0, 1)),
 }
 JACOBI_FAMILIES = ("shifted-jacobi", "jacobi-1mx")
 
@@ -223,24 +223,20 @@ class ConnectionResult:
     def reconstruct(self) -> Poly:
         """Sum of coefficients[k] * target member k.
 
-        Each term c_k M_k is an integer vector over the denominator of c_k
-        times that of the member's integer form; the sum is one integer vector
-        over the lcm of those denominators, reduced once per output coefficient.
+        With member k in integer form M_k / e_k, the term c_k M_k / e_k is the
+        integer vector M_k times the scalar c_k / e_k.  The scalars are lifted
+        over one denominator d, so the sum is one integer vector over d,
+        reduced once per output coefficient.
         """
-        total, den = [], 1
-        for k, c in enumerate(self.coefficients):
-            if c:
-                member, member_den = basis_poly(self.target, k).integer_form
-                num, term_den = c.as_integer_ratio()
-                term_den *= member_den
-                common = math.lcm(den, term_den)
-                if common != den:
-                    total = [t * (common // den) for t in total]
-                    den = common
-                total += [0] * (len(member) - len(total))
-                scale = num * (common // term_den)
-                for i, m in enumerate(member):
-                    total[i] += scale * m
+        members = [
+            basis_poly(self.target, k).integer_form if c else ((), 1)
+            for k, c in enumerate(self.coefficients)
+        ]
+        scales, den = lift(Fraction(c, e) for c, (_, e) in zip(self.coefficients, members))
+        total = [0] * len(members)
+        for scale, (member, _) in zip(scales, members):
+            for i, m in enumerate(member):
+                total[i] += scale * m
         return Poly(Fraction(t, den) for t in total)
 
     def to_json(self) -> dict:
@@ -302,16 +298,17 @@ def connection_oracle(p: Poly, target: BasisId) -> ConnectionResult:
     )
 
 
-def _always_graded(b: BasisId) -> bool:
-    """Whether every member of b exists and has full degree: true for the
-    families without parameters, and for the Jacobi families unless alpha,
-    beta or lam is a negative integer.  Only then can a member's series meet
-    a denominator pole or its leading coefficient (k + lam)_k / k! vanish,
-    and only then can a recurrence coefficient be singular or a vanishing
-    a_k (see _jacobi_recurrence)."""
-    jp = b.params
-    return jp is None or not any(
-        v < 0 and v.denominator == 1 for v in (jp.alpha, jp.beta, jp.lam)
+def _always_graded(*bases: BasisId) -> bool:
+    """Whether every member of each basis exists and has full degree: true
+    for the families without parameters, and for the Jacobi families unless
+    alpha, beta or lam is a negative integer.  Only then can a member's
+    series meet a pole, its leading coefficient (k + lam)_k / k! vanish, or
+    a recurrence's a or d vanish (see Family)."""
+    return not any(
+        v < 0 and v.denominator == 1
+        for b in bases
+        if b.params is not None
+        for v in (b.params.alpha, b.params.beta, b.params.lam)
     )
 
 
@@ -348,7 +345,7 @@ def connection_table(
     return results()
 
 
-def _row_equals(coefficients: Sequence[Fraction], row: tuple[list[int], int]) -> bool:
+def _row_equals(coefficients: Sequence[Fraction], row: tuple[Sequence[int], int]) -> bool:
     """Whether coefficients equal the integer row (R, d), entry for entry."""
     num, den = row
     return len(coefficients) == len(num) and all(
@@ -362,27 +359,26 @@ def _table_rows(source: BasisId, target: BasisId, n_max: int):
 
     Where either family may have a member that cannot be built (see
     _always_graded), each row is connection_oracle(basis_poly(source, n),
-    target) or the error that call raises.  Otherwise, with x p_n = a p_{n+1}
-    + b p_n + c p_{n-1} for the source and X the multiplication by x written
-    in the target basis (x Q_k = A_k Q_{k+1} + B_k Q_k + C_k Q_{k-1}, an O(n)
-    map), row n+1 is
+    target) or the error that call raises.  Otherwise, with d x p_n =
+    a p_{n+1} + b p_n + c p_{n-1} for the source and X the multiplication by
+    x written in the target basis (an O(n) map, one triple per target
+    member), row n+1 is
 
-        (X row_n - b row_n - c row_{n-1}) / a,
+        (d X row_n - b row_n - c row_{n-1}) / a,
 
     so a table costs O(N^2) operations instead of the O(N^3) of converting
     every member.  Row 0 is [1]: every family's degree-0 member is 1.  In
-    this branch every recurrence coefficient is regular and every a != 0:
-    by DLMF 18.9.2 either fault needs lam to be a negative integer.
+    this branch every a != 0 and every d != 0: by DLMF 18.9.2 either needs
+    lam to be a negative integer.
     """
-    if not (_always_graded(source) and _always_graded(target)):
+    if not _always_graded(source, target):
         for n in range(n_max + 1):
             try:
                 oracle = connection_oracle(basis_poly(source, n), target)
             except PolyConnectError as exc:
                 yield exc
             else:
-                num, den = Poly(oracle.coefficients).integer_form
-                yield list(num), den
+                yield lift(oracle.coefficients)
         return
     source_rec = FAMILIES[source.family].recurrence
     target_rec = FAMILIES[target.family].recurrence
@@ -395,40 +391,34 @@ def _table_rows(source: BasisId, target: BasisId, n_max: int):
         yield row
 
 
-def _integer_triple(abc: tuple) -> tuple[int, int, int, int]:
-    """(a', b', c', g) with (a, b, c) == (a', b', c')/g and g > 0 the lcm of
-    their denominators."""
-    ratios = [v.as_integer_ratio() for v in abc]
-    g = math.lcm(*(q for _, q in ratios))
-    return (*(p * (g // q) for p, q in ratios), g)
-
-
-def _extend_x(x_rec: list, x_den: int, abc: tuple) -> tuple[list, int]:
-    """Append the triple abc to X = x_rec / x_den; the common denominator
-    grows to the lcm, and the earlier triples are rescaled when it does."""
-    *ints, g = _integer_triple(abc)
-    common = math.lcm(x_den, g)
+def _extend_x(x_rec: list, x_den: int, quad: tuple[int, int, int, int]) -> tuple[list, int]:
+    """Append the triple (a, b, c)/d of the target's quadruple to X =
+    x_rec / x_den; the common denominator grows to the lcm, and the earlier
+    triples are rescaled when it does."""
+    a, b, c, d = quad
+    common = math.lcm(x_den, d)
     if common != x_den:
         f = common // x_den
         x_rec = [tuple(t * f for t in triple) for triple in x_rec]
-    x_rec.append(tuple(t * (common // g) for t in ints))
+    f = common // d
+    x_rec.append((a * f, b * f, c * f))
     return x_rec, common
 
 
-def _next_row(x_rec, x_den, abc, row, prev):
-    """Row n+1 = (X row_n - b row_n - c row_{n-1}) / a in integers.
+def _next_row(x_rec, x_den, quad, row, prev):
+    """Row n+1 = (d X row_n - b row_n - c row_{n-1}) / a in integers, for the
+    source quadruple (a, b, c, d).
 
-    With row_n = R/d, row_{n-1} = S/e, m = lcm(d, e), X = X'/L and
-    (a, b, c) = (a', b', c')/g over integers, row n+1 is
+    With row_n = R/e, row_{n-1} = S/f, m = lcm(e, f) and X = X'/L, row n+1 is
 
-        (g (m/d) X'R - L b' (m/d) R - L c' (m/e) S) / (L m a'),
+        (d (m/e) X'R - L b (m/e) R - L c (m/f) S) / (L m a),
 
     reduced by one gcd.  The row denominators mostly divide one another, so
     the multipliers stay small.
     """
-    (r_num, d), (s_num, e) = row, prev
-    a, b, c, g = _integer_triple(abc)
-    m = math.lcm(d, e)
+    (r_num, e), (s_num, f) = row, prev
+    a, b, c, d = quad
+    m = math.lcm(e, f)
     xr = [0] * (len(r_num) + 1)
     for j, r in enumerate(r_num):
         if r:
@@ -437,7 +427,7 @@ def _next_row(x_rec, x_den, abc, row, prev):
             xr[j] += diag * r
             if j:
                 xr[j - 1] += down * r
-    u, v, w = g * (m // d), x_den * b * (m // d), x_den * c * (m // e)
+    u, v, w = d * (m // e), x_den * b * (m // e), x_den * c * (m // f)
     num = [u * t for t in xr] if u != 1 else xr
     if v:
         for j, r in enumerate(r_num):
@@ -469,12 +459,6 @@ def _check_pair(n: int, k: int, n_name: str, k_name: str) -> None:
     check_index(k, k_name)
     if k > n:
         raise InvalidInputError(f"{k_name} must not exceed {n_name}, got {k} > {n}")
-
-
-def _rising(p: int, q: int, start: int, stop: int) -> int:
-    """prod(p + i*q for start <= i < stop): the integer numerator of
-    (p/q + start)_(stop - start) over q**(stop - start)."""
-    return math.prod(p + i * q for i in range(start, stop))
 
 
 def _check_prefactor_denominator(den: int) -> None:
@@ -535,8 +519,8 @@ def coeff_shifted_jacobi_in_hermite(n: int, jp: JacobiParams, j: int) -> Fractio
         1,
         1,
     )
-    _check_prefactor_denominator(_rising(bp, bq, 0, j))
-    num = (-1) ** (n + j) * _rising(bp, bq, j, n) * _rising(n * lq + lp, lq, 0, j)
+    _check_prefactor_denominator(rising(bp, bq, 0, j))
+    num = (-1) ** (n + j) * rising(bp, bq, j, n) * rising(n * lq + lp, lq, 0, j)
     den = bq ** (n - j) * lq**j * (math.factorial(n - j) * math.factorial(j) << j)
     return Fraction(num * a, den * b)
 
@@ -564,9 +548,9 @@ def coeff_hermite_in_shifted_jacobi(n: int, jp: JacobiParams, m: int) -> Fractio
         4,
     )
     ap += aq
-    rise = _rising(lp + m * lq, lq, 0, n + 1)
-    _check_prefactor_denominator(_rising(ap, aq, 0, m) * rise)
-    num = (-1) ** m * math.perm(n, m) * (2 * m * lq + lp) * lq**n * _rising(ap, aq, m, n)
+    rise = rising(lp + m * lq, lq, 0, n + 1)
+    _check_prefactor_denominator(rising(ap, aq, 0, m) * rise)
+    num = (-1) ** m * math.perm(n, m) * (2 * m * lq + lp) * lq**n * rising(ap, aq, m, n)
     den = aq ** (n - m) * rise
     return Fraction((num << 2 * n) * a, den * b)
 
@@ -708,11 +692,14 @@ def verify_theorem(
     table.  Equal rows match with a zero residual: the table row rebuilds the
     source member exactly, so the closed form does too.  Otherwise the entry
     records the exact residual of the closed form's reconstruction and the
-    first index at which it disagrees with connection_oracle, which must
-    agree with the table first (two independent conversions behind every
-    mismatch).  Construction errors are recorded per entry without aborting
-    the sweep: the source member's, then the closed form's, then the table
-    row's.  Entries are ordered by (n, parameter-set index).
+    first index at which it disagrees with the table row, which
+    connection_oracle must confirm first where the recurrence built it: a
+    "fail" rests on two independent conversions except with degenerate
+    parameters, where the row is the oracle's (see _table_rows).
+    Construction errors are recorded per entry without aborting the sweep:
+    the source member's, then the closed form's, then the table row's.
+    Entries are ordered by (n, parameter-set index).  Empty param_sets, or
+    any for a theorem without Jacobi parameters, raise InvalidInputError.
     """
     record = THEOREMS.get(theorem)
     if record is None:
@@ -721,6 +708,10 @@ def verify_theorem(
     sets: tuple[Optional[JacobiParams], ...] = (None,)
     if record.needs_params:
         sets = tuple(param_sets if param_sets is not None else DEFAULT_JACOBI_SWEEP)
+        if not sets:
+            raise InvalidInputError(f"theorem {theorem} needs at least one Jacobi parameter set")
+    elif param_sets is not None:
+        raise InvalidInputError(f"theorem {theorem} takes no Jacobi parameters")
     report = VerificationReport(
         theorem=record.provenance.removeprefix("Thm"),
         params=tuple(s for s in sets if s is not None) if record.needs_params else None,
@@ -758,26 +749,30 @@ def verify_theorem(
 def _check_mismatch(
     entry: VerificationEntry,
     closed: ConnectionResult,
-    row: tuple[list[int], int],
+    row: tuple[Sequence[int], int],
     source: BasisId,
     target: BasisId,
 ) -> None:
     """Fill in an entry whose closed form differs from its table row.
 
-    The oracle converts the source member again, independently of the
-    table; the two must agree before the closed form is blamed.  The
-    residual is the closed form's reconstruction minus the source member.
+    Where the recurrence built the row, the oracle converts the source member
+    again, independently; the two must agree before the closed form is
+    blamed.  A degenerate row already is the oracle's and is not converted
+    again.  The residual is the closed form's reconstruction minus the
+    source member.
     """
     source_poly = basis_poly(source, entry.n)
-    oracle = connection_oracle(source_poly, target)
-    if not _row_equals(oracle.coefficients, row):
-        raise PolyConnectError(
-            f"connection table and oracle disagree at degree {entry.n}"
-        )
+    if _always_graded(source, target):
+        oracle = connection_oracle(source_poly, target)
+        if not _row_equals(oracle.coefficients, row):
+            raise PolyConnectError(
+                f"connection table and oracle disagree at degree {entry.n}"
+            )
     rebuilt = closed.reconstruct()
     entry.match = rebuilt == source_poly
     if not entry.match:
         entry.residual = rebuilt - source_poly
+    num, den = row
     entry.first_mismatch = next(
-        k for k, (c, o) in enumerate(zip(closed.coefficients, oracle.coefficients)) if c != o
+        k for k, (c, r) in enumerate(zip(closed.coefficients, num)) if c != Fraction(r, den)
     )

@@ -36,6 +36,7 @@ from .hypseries import HypSeries, evaluate_terminating, truncation_index
 from .rationals import (
     RationalLike,
     as_rational,
+    as_rationals,
     binomial,
     check_index,
     factorial,
@@ -236,12 +237,7 @@ def fields_wimp_terminating(
     [al], [be] may be anything pole-free; both sides are returned.
     """
     check_index(n, "n")
-    a = tuple(as_rational(v) for v in a_list)
-    b = tuple(as_rational(v) for v in b_list)
-    c = tuple(as_rational(v) for v in c_list)
-    d = tuple(as_rational(v) for v in d_list)
-    al = tuple(as_rational(v) for v in alpha_list)
-    be = tuple(as_rational(v) for v in beta_list)
+    a, b, c, d, al, be = map(as_rationals, (a_list, b_list, c_list, d_list, alpha_list, beta_list))
     z, w = as_rational(z), as_rational(w)
 
     lhs = evaluate_terminating(HypSeries((Fraction(-n),) + a + c, b + d, z * w))
@@ -276,10 +272,7 @@ def fields_wimp_luke_terminating(
     is the scalar n+c (the undefined slot in the source display, validated by
     tests).  Both sides are returned.
     """
-    a = tuple(as_rational(v) for v in a_list)
-    b = tuple(as_rational(v) for v in b_list)
-    cr = tuple(as_rational(v) for v in c_list)
-    d = tuple(as_rational(v) for v in d_list)
+    a, b, cr, d = map(as_rationals, (a_list, b_list, c_list, d_list))
     c = as_rational(c)
     z, w = as_rational(z), as_rational(w)
 

@@ -28,9 +28,13 @@ same order.
   their own integer prefactor and reduce once.
 
 evaluate_terminating keeps its path through series_coefficients (the
-coefficient list, then one integer Horner pass over their lcm and one
-Fraction): the benchmark's traced identity sweeps count series evaluations
-at series_coefficients, through this module's global.
+coefficient list, lifted to integers over one denominator by rationals.lift,
+then one integer Horner pass and one Fraction): the benchmark's traced
+identity sweeps count series evaluations at series_coefficients, through
+this module's global.
+
+Parameter lists are coerced by rationals.as_rationals: a string or a
+non-iterable raises InvalidInputError.
 """
 
 import math
@@ -44,17 +48,11 @@ from .errors import (
     NonTerminatingError,
     ZeroDenominatorParameterError,
 )
-from .rationals import RationalLike, as_rational, rational_to_str
+from .rationals import RationalLike, as_rational, as_rationals, lift, rational_to_str
 
 #: An ordered tuple of rational parameters.  Order is preserved as given;
 #: it matters for reporting, never for the value.
 ParamList = tuple[Fraction, ...]
-
-
-def _coerce_params(params: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    if isinstance(params, str):
-        raise InvalidInputError(f"expected a sequence of rationals, got the string {params!r}")
-    return tuple(as_rational(a) for a in params)
 
 
 @dataclass(frozen=True)
@@ -66,8 +64,8 @@ class HypSeries:
     argument: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "numerators", _coerce_params(self.numerators))
-        object.__setattr__(self, "denominators", _coerce_params(self.denominators))
+        object.__setattr__(self, "numerators", as_rationals(self.numerators))
+        object.__setattr__(self, "denominators", as_rationals(self.denominators))
         object.__setattr__(self, "argument", as_rational(self.argument))
 
 
@@ -86,7 +84,7 @@ def truncation_index(numerators: Iterable[RationalLike]) -> int:
     by the product loses nothing when cut at K.  Raises NonTerminating if no
     parameter is a nonpositive integer (the product never vanishes).
     """
-    return _cut([a.as_integer_ratio() for a in _coerce_params(numerators)], ())
+    return _cut([a.as_integer_ratio() for a in as_rationals(numerators)], ())
 
 
 def _cut(num_pq: Sequence[tuple[int, int]], den_pq: Sequence[tuple[int, int]]) -> int:
@@ -129,8 +127,8 @@ def series_coefficients(
     so each coefficient is the previous numerator and denominator times two
     integers, reduced once, into its Fraction.
     """
-    num_pq = [a.as_integer_ratio() for a in _coerce_params(numerators)]
-    den_pq = [b.as_integer_ratio() for b in _coerce_params(denominators)]
+    num_pq = [a.as_integer_ratio() for a in as_rationals(numerators)]
+    den_pq = [b.as_integer_ratio() for b in as_rationals(denominators)]
     k_max = _cut(num_pq, den_pq)
     num_scale = math.prod(q for _, q in den_pq)
     den_scale = math.prod(q for _, q in num_pq)
@@ -197,18 +195,16 @@ def sum_pairs(
 def evaluate_terminating(series: HypSeries) -> Fraction:
     """Exact value of a terminating series under the first-zero truncation policy.
 
-    The coefficients c_k come from series_coefficients; the sum of c_k x^k is
-    taken by backward Horner in integers, over the lcm d of the coefficient
-    denominators times x's denominator to the power K, and reduced once, into
-    the returned Fraction.
+    The coefficients c_k come from series_coefficients and are lifted to
+    integers over one denominator d (rationals.lift); the sum of c_k x^k is
+    taken by backward Horner in integers, over d times x's denominator to the
+    power K, and reduced once, into the returned Fraction.
     """
-    coeffs = series_coefficients(series.numerators, series.denominators)
+    coeffs, den = lift(series_coefficients(series.numerators, series.denominators))
     x_num, x_den = series.argument.as_integer_ratio()
-    ratios = [c.as_integer_ratio() for c in coeffs]
-    den = math.lcm(*(d for _, d in ratios))
     total, power = 0, 1
-    for n, d in reversed(ratios):
-        total = total * x_num + n * (den // d) * power
+    for c in reversed(coeffs):
+        total = total * x_num + c * power
         power *= x_den
     return Fraction(total, den * x_den ** (len(coeffs) - 1))
 

@@ -20,8 +20,10 @@ from .hypseries import series_coefficients
 from .rationals import (
     RationalLike,
     as_rational,
+    as_rationals,
     check_index,
     factorial,
+    lift,
     pochhammer,
     rational_to_str,
 )
@@ -39,11 +41,7 @@ class Poly:
     __slots__ = ("_coeffs", "_integer_form")
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()):
-        if isinstance(coefficients, str):
-            raise InvalidInputError(
-                f"expected a sequence of coefficients, got the string {coefficients!r}"
-            )
-        coeffs = [as_rational(c) for c in coefficients]
+        coeffs = list(as_rationals(coefficients))
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self._coeffs: tuple[Fraction, ...] = tuple(coeffs)
@@ -63,9 +61,7 @@ class Poly:
         """(vector, den): integer coefficients over the lcm d > 0 of the
         coefficient denominators, so coefficients[i] == vector[i] / d."""
         if self._integer_form is None:
-            ratios = [c.as_integer_ratio() for c in self._coeffs]
-            den = math.lcm(*(d for _, d in ratios))
-            self._integer_form = tuple(n * (den // d) for n, d in ratios), den
+            self._integer_form = lift(self._coeffs)
         return self._integer_form
 
     @property

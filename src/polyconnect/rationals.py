@@ -59,30 +59,49 @@ def check_index(value: int, name: str) -> int:
     return value
 
 
+def as_rationals(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
+    """Coerce each item with as_rational.  A string ("12" would read as
+    [1, 2]) or a non-iterable raises InvalidInputError."""
+    if isinstance(values, str):
+        raise InvalidInputError(f"expected a sequence of rationals, got the string {values!r}")
+    try:
+        items = map(as_rational, values)
+    except TypeError:
+        raise InvalidInputError(f"expected a sequence of rationals, got {values!r}") from None
+    return tuple(items)
+
+
+def lift(values: Iterable[Fraction]) -> tuple[tuple[int, ...], int]:
+    """(ints, den): the values as integers over den > 0, the lcm of their
+    denominators, so values[i] == ints[i] / den.  ((), 1) for no values."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in ratios))
+    return tuple(n * (den // d) for n, d in ratios), den
+
+
+def rising(p: int, q: int, start: int, stop: int) -> int:
+    """prod(p + i*q for start <= i < stop), q > 0: the integer numerator of
+    (p/q + start)_(stop - start) over q**(stop - start)."""
+    return math.prod(range(p + start * q, p + stop * q, q))
+
+
 def pochhammer(a: RationalLike, n: int) -> Fraction:
     """Rising factorial a*(a+1)*...*(a+n-1), with the empty product equal to 1.
 
-    Computed literally, so a nonpositive integer ``a`` yields 0 as soon as the
-    zero factor is reached (the gamma-ratio form is undefined there).  With
-    a = p/q the product is the integer prod(p + i*q) over q**n, reduced once.
+    Computed literally, so a nonpositive integer ``a`` yields 0 once n
+    passes -a (the gamma-ratio form is undefined there).  With a = p/q the
+    product is the integer rising(p, q, 0, n) over q**n, reduced once.
     """
     check_index(n, "n")
-    a = as_rational(a)
-    p, q = a.numerator, a.denominator
-    product = 1
-    for i in range(n):
-        factor = p + i * q
-        if factor == 0:
-            return Fraction(0)
-        product *= factor
-    return Fraction(product, q**n)
+    p, q = as_rational(a).as_integer_ratio()
+    return Fraction(rising(p, q, 0, n), q**n)
 
 
 def pochhammer_list(params: Iterable[RationalLike], k: int) -> Fraction:
     """Product of pochhammer(a, k) over a parameter list; 1 for the empty list."""
     check_index(k, "k")
     result = Fraction(1)
-    for a in params:
+    for a in as_rationals(params):
         result *= pochhammer(a, k)
         if result == 0:
             break

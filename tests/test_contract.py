@@ -8,7 +8,18 @@ from pathlib import Path
 import pytest
 
 import polyconnect
-from polyconnect import InvalidInputError, Poly, coeff_seq_from_json, series_from_json
+from polyconnect import (
+    HypSeries,
+    InvalidInputError,
+    Poly,
+    coeff_seq_from_json,
+    fields_wimp_luke_terminating,
+    fields_wimp_terminating,
+    pochhammer_list,
+    series_coefficients,
+    series_from_json,
+    truncation_index,
+)
 
 
 @pytest.mark.parametrize(
@@ -28,6 +39,26 @@ from polyconnect import InvalidInputError, Poly, coeff_seq_from_json, series_fro
 def test_json_readers_raise_invalid_input(reader, data):
     with pytest.raises(InvalidInputError):
         reader(data)
+
+
+@pytest.mark.parametrize("bad", [None, 5, "12"], ids=["none", "int", "string"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: HypSeries(v, (), 1),
+        truncation_index,
+        lambda v: series_coefficients(v, ()),
+        Poly,
+        lambda v: pochhammer_list(v, 2),
+        lambda v: fields_wimp_terminating(2, v, (), (), (), (), (), 1, 1),
+        lambda v: fields_wimp_luke_terminating(v, (), (), (), 1, 1, 1),
+    ],
+    ids=["HypSeries", "truncation_index", "series_coefficients", "Poly",
+         "pochhammer_list", "fields_wimp_terminating", "fields_wimp_luke_terminating"],
+)
+def test_rational_lists_reject_strings_and_non_iterables(call, bad):
+    with pytest.raises(InvalidInputError, match="expected a sequence of rationals"):
+        call(bad)
 
 
 def test_library_has_no_assert_statements():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from polyconnect import (
     pochhammer_list,
     rational_to_str,
 )
+from polyconnect.rationals import lift, rising
 
 small_rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -29,6 +31,29 @@ def test_pochhammer_list():
     assert pochhammer_list([], 5) == 1
     assert pochhammer_list([1, 1], 2) == 4
     assert pochhammer_list([-1, Fraction(1, 2)], 2) == 0
+
+
+@given(st.lists(small_rationals, max_size=8))
+def test_lift_is_the_values_over_their_lcm(values):
+    ints, den = lift(values)
+    assert den == math.lcm(*(v.denominator for v in values)) > 0
+    assert all(type(i) is int for i in ints)
+    assert [Fraction(i, den) for i in ints] == values
+
+
+@given(
+    st.integers(min_value=-12, max_value=12),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=12),
+    st.data(),
+)
+def test_rising_is_the_literal_product(p, q, n, data):
+    literal = Fraction(1)
+    for i in range(n):
+        literal *= Fraction(p, q) + i
+    assert Fraction(rising(p, q, 0, n), q**n) == literal
+    j = data.draw(st.integers(min_value=0, max_value=n))
+    assert rising(p, q, 0, j) * rising(p, q, j, n) == rising(p, q, 0, n)
 
 
 def test_factorial_binomial():

@@ -28,7 +28,7 @@ PAIRS = list(product(FAMILIES, FAMILIES))
 JP00 = JacobiParams(0, 0)
 
 #: Small rationals, weighted towards the integers where Jacobi members lose
-#: their degree or meet a series pole and recurrence coefficients turn singular.
+#: their degree or meet a series pole and a recurrence's a or d vanishes.
 jacobi_values = st.one_of(
     st.integers(min_value=-6, max_value=4).map(F),
     st.fractions(min_value=-6, max_value=4, max_denominator=3),
@@ -63,22 +63,32 @@ def test_table_rows_equal_oracle_rows(source_family, target_family, alpha, beta,
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("jp", [JP00, JacobiParams(F(-1, 2), F(1, 3)), JacobiParams(F(5, 2), -3)])
+@pytest.mark.parametrize(
+    "jp",
+    [
+        JP00,
+        JacobiParams(F(-1, 2), F(1, 3)),
+        JacobiParams(F(5, 2), -3),
+        # lam = -1: the k = 0 coefficients of the divided form are singular
+        JacobiParams(F(-1, 2), F(-3, 2)),
+    ],
+)
 def test_family_recurrences_hold_on_members(family, jp):
-    """x p_k = a p_{k+1} + b p_k + c p_{k-1} on the members themselves."""
-    b = basis(family, jp)
+    """d x p_k = a p_{k+1} + b p_k + c p_{k-1} in integers, on every member
+    that can be built, graded or not."""
+    params = basis(family, jp).params
+    member = FAMILIES[family].member
     x = Poly.monomial(1)
     for k in range(8):
-        abc = FAMILIES[family].recurrence(k, b.params)
-        if abc is None:
-            continue
-        a, diag, c = abc
+        quad = FAMILIES[family].recurrence(k, params)
+        assert [type(v) for v in quad] == [int] * 4, k
+        a, b, c, d = quad
         try:
-            lower = basis_poly(b, k - 1) if k else Poly()
-            rhs = a * basis_poly(b, k + 1) + diag * basis_poly(b, k) + c * lower
+            lower = member(k - 1, params) if k else Poly()
+            rhs = a * member(k + 1, params) + b * member(k, params) + c * lower
         except PolyConnectError:
             continue
-        assert x * basis_poly(b, k) == rhs, k
+        assert d * x * member(k, params) == rhs, k
 
 
 def test_rows_of_ungraded_families_come_from_the_oracle(monkeypatch):
@@ -182,3 +192,24 @@ def test_verify_records_table_oracle_disagreement_as_entry_error(monkeypatch):
         f"connection table and oracle disagree at degree {n}" for n in range(3)
     ]
     assert report.verdict == "error"
+
+
+def test_verify_runs_oracle_once_per_row_for_degenerate_parameters(monkeypatch):
+    # beta = -3: every table row already is the oracle's conversion, so a
+    # mismatching row is not converted a second time
+    calls = _count_calls(monkeypatch)
+    report = verify_theorem("3.3", 4, [JacobiParams(F(1, 2), -3)])
+    assert report.verdict == "fail"
+    mismatches = [e.n for e in report.entries if e.error is None and not e.match]
+    assert mismatches == [2, 3, 4]
+    assert calls == {"connection_oracle": 5, "reconstruct": 3}
+    assert [e.first_mismatch for e in report.entries] == [None, None, 0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "theorem, param_sets",
+    [("3.1", [JacobiParams(1, 1)]), ("3.2", []), ("3.3", []), ("3.4", ())],
+)
+def test_verify_refuses_parameter_sets_the_theorem_cannot_use(theorem, param_sets):
+    with pytest.raises(InvalidInputError):
+        verify_theorem(theorem, 3, param_sets)

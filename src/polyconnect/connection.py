@@ -698,8 +698,9 @@ def verify_theorem(
     parameters, where the row is the oracle's (see _table_rows).
     Construction errors are recorded per entry without aborting the sweep:
     the source member's, then the closed form's, then the table row's.
-    Entries are ordered by (n, parameter-set index).  Empty param_sets, or
-    any for a theorem without Jacobi parameters, raise InvalidInputError.
+    Entries are ordered by (n, parameter-set index).  Empty param_sets, any
+    for a theorem without Jacobi parameters, or any that are not a sequence
+    of JacobiParams raise InvalidInputError.
     """
     record = THEOREMS.get(theorem)
     if record is None:
@@ -707,9 +708,15 @@ def verify_theorem(
     check_index(n_max, "n_max")
     sets: tuple[Optional[JacobiParams], ...] = (None,)
     if record.needs_params:
-        sets = tuple(param_sets if param_sets is not None else DEFAULT_JACOBI_SWEEP)
+        try:
+            sets = tuple(param_sets if param_sets is not None else DEFAULT_JACOBI_SWEEP)
+        except TypeError:
+            sets = (param_sets,)
         if not sets:
             raise InvalidInputError(f"theorem {theorem} needs at least one Jacobi parameter set")
+        for jp in sets:
+            if not isinstance(jp, JacobiParams):
+                raise InvalidInputError(f"param_sets must hold JacobiParams, got {jp!r}")
     elif param_sets is not None:
         raise InvalidInputError(f"theorem {theorem} takes no Jacobi parameters")
     report = VerificationReport(

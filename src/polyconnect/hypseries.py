@@ -24,14 +24,19 @@ same order.
 * sum_pairs takes the parameters as (p, q) pairs and the argument as an
   integer pair, and returns the value as an integer pair (a, b) without
   building a Fraction or reducing anything: a backward nested sum over the
-  term ratios.  The closed-form connection coefficients fold (a, b) into
-  their own integer prefactor and reduce once.
+  term ratios.  Its clients fold (a, b) into their own integer factors and
+  reduce once: the closed-form connection coefficients, with their
+  prefactor, and the right sides of the Fields-Wimp expansions
+  (expansions.fields_wimp_terminating and fields_wimp_luke_terminating),
+  with each term's weight.
 
 evaluate_terminating keeps its path through series_coefficients (the
 coefficient list, lifted to integers over one denominator by rationals.lift,
-then one integer Horner pass and one Fraction): the benchmark's traced
-identity sweeps count series evaluations at series_coefficients, through
-this module's global.
+then one integer Horner pass and one Fraction), although sum_pairs would
+take the same value with less work: the benchmark's traced identity sweeps
+count series evaluations at series_coefficients, through this module's
+global, and the Fields-Wimp left sides and the even/odd split sweep are
+the calls left for it to count.
 
 Parameter lists are coerced by rationals.as_rationals: a string or a
 non-iterable raises InvalidInputError.

@@ -20,25 +20,38 @@ from polyconnect import (
     BasisId,
     ConnectionResult,
     DenominatorPoleError,
+    ExpansionParams,
     HypSeries,
     InvalidInputError,
     JacobiParams,
     MONOMIAL,
     NonTerminatingError,
+    PoleInParamsError,
     Poly,
     PolyConnectError,
     basis_poly,
+    binomial,
+    coeff_seq,
     coeff_hermite_in_laguerre,
     coeff_hermite_in_shifted_jacobi,
     coeff_laguerre_in_hermite,
     coeff_shifted_jacobi_in_hermite,
     connection_oracle,
     evaluate_terminating,
+    fields_ismail_13_rhs,
+    fields_ismail_32_rhs,
+    fields_wimp_luke_terminating,
+    fields_wimp_terminating,
+    hermite,
+    hermite_bm_sequence,
     pochhammer,
+    pochhammer_list,
     series_coefficients,
+    truncation_index,
 )
 from polyconnect.cli import run
 from polyconnect.hypseries import sum_pairs
+from polyconnect.rationals import as_rationals
 
 DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
 
@@ -353,6 +366,206 @@ def test_closed_forms_match_literal_fraction_bodies(theorem, nk, alpha, beta):
     jp = JacobiParams(alpha, beta)
     kernel, literal = CLOSED_FORMS[theorem]
     assert _outcome(kernel, n, k, jp) == _outcome(literal, n, k, jp)
+
+
+def literal_ismail_32_rhs(a, b, c, z, w):
+    a, b = coeff_seq(a), coeff_seq(b)
+    c, z, w = F(c), F(z), F(w)
+    n_max = max(b, default=-1)
+    total = F(0)
+    for n in range(n_max + 1):
+        inner = F(0)
+        for k in range(n + 1):
+            ak = a.get(k)
+            if not ak:
+                continue
+            ck = literal_pochhammer(c, k)
+            if ck == 0:
+                raise PoleInParamsError(f"(c)_{k} = 0 for c = {c}")
+            inner += literal_pochhammer(F(-n), k) / ck * ak * w**k
+        if inner == 0:
+            continue
+        middle = F(0)
+        for j in range(n_max - n + 1):
+            bnj = b.get(n + j)
+            if bnj:
+                middle += literal_pochhammer(n + c, j) / math.factorial(j) * bnj * z**j
+        total += literal_pochhammer(c, n) * (-z) ** n / math.factorial(n) * middle * inner
+    return total
+
+
+def literal_ismail_13_rhs(a, b, ep, z, w):
+    a, b = coeff_seq(a), coeff_seq(b)
+    z, w = F(z), F(w)
+    g, mu, th = ep.gamma, ep.mu, ep.theta
+    n_max = max(b, default=-1)
+    total = F(0)
+    for n in range(n_max + 1):
+        inner = F(0)
+        for s in range(n + 1):
+            a_s = a.get(s)
+            if not a_s:
+                continue
+            div = math.factorial(s) * literal_pochhammer(mu, s) * literal_pochhammer(th, s)
+            if div == 0:
+                raise PoleInParamsError(f"(mu)_{s} (theta)_{s} = 0 for mu = {mu}, theta = {th}")
+            inner += literal_pochhammer(F(-n), s) * literal_pochhammer(n + g, s) / div * a_s * w**s
+        if inner == 0:
+            continue
+        middle = F(0)
+        for r in range(n_max - n + 1):
+            b_nr = b.get(n + r)
+            if not b_nr:
+                continue
+            div = math.factorial(r) * literal_pochhammer(g + 2 * n + 1, r)
+            if div == 0:
+                raise PoleInParamsError(f"(gamma+2n+1)_{r} = 0 for gamma = {g}, n = {n}")
+            middle += (
+                literal_pochhammer(mu, n + r) * literal_pochhammer(th, n + r) / div * b_nr * z**r
+            )
+        if middle == 0:
+            continue
+        div = math.factorial(n) * literal_pochhammer(g + n, n)
+        if div == 0:
+            raise PoleInParamsError(f"(gamma+n)_{n} = 0 for gamma = {g}")
+        total += (-z) ** n / div * middle * inner
+    return total
+
+
+def literal_wimp_terminating(n, a, b, c, d, al, be, z, w):
+    a, b, c, d, al, be = map(as_rationals, (a, b, c, d, al, be))
+    z, w = F(z), F(w)
+    lhs = evaluate_terminating(HypSeries((F(-n),) + a + c, b + d, z * w))
+    rhs = F(0)
+    for k in range(n + 1):
+        div = pochhammer_list(b, k) * pochhammer_list(be, k)
+        if div == 0:
+            raise PoleInParamsError(f"[b]_{k} [beta]_{k} = 0")
+        weight = binomial(n, k) * pochhammer_list(a, k) * pochhammer_list(al, k) * z**k / div
+        f1 = evaluate_terminating(HypSeries(
+            (F(k - n),) + tuple(p + k for p in a + al), tuple(p + k for p in b + be), z
+        ))
+        f2 = evaluate_terminating(HypSeries((F(-k),) + c + be, d + al, w))
+        rhs += weight * f1 * f2
+    return lhs, rhs
+
+
+def literal_wimp_luke_terminating(a, b, cr, d, c, z, w):
+    a, b, cr, d = map(as_rationals, (a, b, cr, d))
+    c, z, w = F(c), F(z), F(w)
+    n_max = truncation_index(a)
+    lhs = evaluate_terminating(HypSeries(a + cr, b + d, z * w))
+    rhs = F(0)
+    for n in range(n_max + 1):
+        div = pochhammer_list(b, n) * math.factorial(n)
+        if div == 0:
+            raise DenominatorPoleError(f"[b]_{n} = 0")
+        weight = pochhammer_list(a, n) * literal_pochhammer(c, n) * (-z) ** n / div
+        f1 = evaluate_terminating(HypSeries(
+            (n + c,) + tuple(p + n for p in a), tuple(p + n for p in b), z
+        ))
+        f2 = evaluate_terminating(HypSeries((F(-n),) + cr, (c,) + d, w))
+        rhs += weight * f1 * f2
+    return lhs, rhs
+
+
+def _result(fn, *args):
+    """The value, or the error's class and message."""
+    try:
+        return fn(*args)
+    except PolyConnectError as exc:
+        return type(exc), str(exc)
+
+
+#: Rationals, and nonpositive integers that make Pochhammer factors vanish.
+pole_params = st.one_of(rationals, st.integers(min_value=-7, max_value=0))
+sequences = st.dictionaries(st.integers(min_value=0, max_value=8), rationals, max_size=7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences, sequences, pole_params, rationals, rationals)
+def test_plain_rearrangement_matches_literal_fraction_body(a, b, c, z, w):
+    assert _result(fields_ismail_32_rhs, a, b, c, z, w) == _result(
+        literal_ismail_32_rhs, a, b, c, z, w
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences, sequences, pole_params, pole_params, pole_params, rationals, rationals)
+def test_weighted_rearrangement_matches_literal_fraction_body(a, b, gamma, mu, theta, z, w):
+    ep = ExpansionParams(gamma, mu, theta)
+    assert _result(fields_ismail_13_rhs, a, b, ep, z, w) == _result(
+        literal_ismail_13_rhs, a, b, ep, z, w
+    )
+
+
+@pytest.mark.parametrize(
+    "form, a, b, params, message",
+    [
+        ("plain", {2: 1}, {2: 1}, -1, "(c)_2 = 0 for c = -1"),
+        # a_3 sits past the outer range, so (c)_3 = 0 is never divided by
+        ("plain", {0: 1, 3: 1}, {2: 1}, -1, None),
+        ("weighted", {2: 1}, {2: 1}, (1, -1, 1), "(mu)_2 (theta)_2 = 0 for mu = -1, theta = 1"),
+        ("weighted", {0: 1}, {1: 1}, (-1, 1, 1), "(gamma+2n+1)_1 = 0 for gamma = -1, n = 0"),
+        # (gamma+1)_2 = 0 at n = 0, where the inner sum is 0: not checked
+        ("weighted", {1: 1}, {2: 1}, (-2, 1, 1), None),
+    ],
+)
+def test_rearrangement_poles_raise_or_skip_as_literal_bodies(form, a, b, params, message):
+    if form == "plain":
+        kernel, literal = fields_ismail_32_rhs, literal_ismail_32_rhs
+    else:
+        kernel, literal, params = fields_ismail_13_rhs, literal_ismail_13_rhs, ExpansionParams(*params)
+    got = _result(kernel, a, b, params, 1, 1)
+    assert got == _result(literal, a, b, params, 1, 1)
+    if message is None:
+        assert isinstance(got, F)
+    else:
+        assert got == (PoleInParamsError, message)
+
+
+@pytest.mark.parametrize("form", ["plain", "weighted"])
+def test_rearrangements_match_literal_bodies_on_hermite_support(form):
+    # b supported on 0, 2, ..., 40: sums of 41 outer terms
+    x = F(-3, 5)
+    if form == "plain":
+        a = {m: F(1, math.factorial(m)) for m in range(41)}
+        args = (a, hermite_bm_sequence(20), 1, 1, x)
+        kernel, literal = fields_ismail_32_rhs, literal_ismail_32_rhs
+    else:
+        a = {m: math.factorial(m) for m in range(41)}
+        args = (a, hermite_bm_sequence(20, with_index_factorial=True), ExpansionParams(), 1, x)
+        kernel, literal = fields_ismail_13_rhs, literal_ismail_13_rhs
+    assert kernel(*args) == literal(*args) == hermite(40)(x)
+
+
+#: Wimp parameters: rationals, small integers, and integers written as
+#: unreduced strings ("-6/2"), so shifted parameters hit integer poles and cuts.
+wimp_params = st.one_of(
+    rationals,
+    st.integers(min_value=-4, max_value=3),
+    st.builds(lambda p, q: f"{p * q}/{q}", st.integers(min_value=-4, max_value=3),
+              st.integers(min_value=1, max_value=3)),
+)
+wimp_lists = st.lists(wimp_params, max_size=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=5), wimp_lists, wimp_lists, wimp_lists, wimp_lists,
+       wimp_lists, wimp_lists, rationals, rationals)
+def test_wimp_terminating_matches_literal_fraction_body(n, a, b, c, d, al, be, z, w):
+    args = (n, a, b, c, d, al, be, z, w)
+    assert _result(fields_wimp_terminating, *args) == _result(literal_wimp_terminating, *args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=-5, max_value=0), wimp_lists, wimp_lists, wimp_lists, wimp_lists,
+       wimp_params, rationals, rationals)
+def test_wimp_luke_matches_literal_fraction_body(cut, a, b, cr, d, c, z, w):
+    args = ([cut] + a, b, cr, d, c, z, w)
+    assert _result(fields_wimp_luke_terminating, *args) == _result(
+        literal_wimp_luke_terminating, *args
+    )
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFY_COMMANDS))

@@ -5,10 +5,10 @@ member of one graded polynomial family in another family:
 
     P_n(x) = sum_{k=0}^{n} c_nk Q_k(x).
 
-Four directed pairs have closed-form coefficients here, one ``THEOREMS``
-record each, tagged with a formula identifier (Thm3.1, Thm3.2,
-Thm3.3-interpreted, Thm3.4).  Every closed form is shadowed by two exact
-conversions that use no closed form:
+Four directed pairs have closed-form coefficients here, in five
+``THEOREMS`` records, each tagged with a formula identifier (Thm3.1, Thm3.2,
+Thm3.3-interpreted, Thm3.3-corrected, Thm3.4).  Every closed form is
+shadowed by two exact conversions that use no closed form:
 
 * ``connection_oracle(p, target)``, the brute-force conversion of one
   polynomial through the monomial basis, O(n^2) per degree;
@@ -26,7 +26,8 @@ conversions that use no closed form:
 
 ``verify_theorem`` compares each closed-form row with its table row.  Equal
 rows match with a zero residual, and verify builds no member for them
-(``closed_form_connection`` still checks a Jacobi source member's degree).
+(``closed_form_connection`` builds a Jacobi source member only for
+degenerate parameters, to check its degree).
 Only a row that differs runs ``connection_oracle`` on the source member,
 which must agree with the table, and then ``ConnectionResult.reconstruct``
 for the exact residual, so a "fail" verdict rests on two independent
@@ -35,12 +36,17 @@ the oracle's).  The CLI's ``table --method oracle|both`` reads the table
 too; ``connect`` and ``connection_oracle`` convert one degree as before.
 
 The certify path computes on integers and builds one Fraction per value it
-returns.  A closed-form coefficient c_nk is an integer prefactor numerator
-and denominator times a terminating 2F2 or 4F2 series.  Its parameters are
-written as integer pairs (p, q), such as (k - n, 2) for (k - n)/2, and
-hypseries.sum_pairs returns the series value as an unreduced integer pair
-(a, b); the coefficient is Fraction(prefactor numerator * a, prefactor
-denominator * b), one gcd in all.  The oracle and reconstruction work on the
+returns.  Each record's row(n, jp) gives the coefficients of a whole row.
+The Thm3.1 and Thm3.2 rows come from integer recurrences in k of order 3,
+run backward from k = n in O(n) steps; tests/test_row_recurrences.py proves
+them with Zeilberger certificates.  The Jacobi rows are evaluated entry by
+entry: a coefficient c_nk is an integer prefactor numerator and denominator
+times a terminating 4F2 series.  Its parameters are written as integer pairs
+(p, q), such as (k - n, 2) for (k - n)/2, and hypseries.sum_pairs returns
+the series value as an unreduced integer pair (a, b); the coefficient is
+Fraction(prefactor numerator * a, prefactor denominator * b), one gcd in
+all.  The single-coefficient functions coeff_* keep the literal series for
+every theorem.  The oracle and reconstruction work on the
 members' integer forms (rationals.lift), which the cached family members
 compute once per process; verify compares closed forms with the table's
 integer rows by cross-multiplication.
@@ -48,7 +54,9 @@ integer rows by cross-multiplication.
 The Thm3.3 coefficient formula is a repaired reading of a typographically
 defective display (its expansion sum is restored over m = 0..n).  It is
 validated by hand only for n <= 1; oracle sweeps show it fails from n = 2
-on, so its report, not the closed form, is authoritative there.
+on, so its report, not the closed form, is authoritative there.  The same
+formula with its 4F2 argument -1/4 instead of 1/4 agrees with the oracle
+(Thm3.3-corrected, theorem id "3.3c"; see coeff_hermite_in_shifted_jacobi).
 """
 
 import math
@@ -525,26 +533,46 @@ def coeff_shifted_jacobi_in_hermite(n: int, jp: JacobiParams, j: int) -> Fractio
     return Fraction(num * a, den * b)
 
 
-def coeff_hermite_in_shifted_jacobi(n: int, jp: JacobiParams, m: int) -> Fraction:
-    """Interpreted closed form for the Hermite expansion in Jacobi-at-1-x members:
+def coeff_hermite_in_shifted_jacobi(
+    n: int, jp: JacobiParams, m: int, argument_sign: int = 1
+) -> Fraction:
+    """Closed form for the Hermite expansion in Jacobi-at-1-x members:
 
         (-n)_m 4^n (2m+l) (a+1)_n / ((a+1)_m (l+m)_{n+1})
-        * 4F2(D(2, m-n), D(2, -l-n-m); D(2, -a-n); 1/4)
+        * 4F2(D(2, m-n), D(2, -l-n-m); D(2, -a-n); argument_sign / 4)
 
     with a = jp.alpha, l = jp.lam and D = delta_params.  The target member is
-    jacobi_at_one_minus_x(m, jp).  Only validated against the oracle for
-    n <= 1; verify_theorem("3.3", ...) reports where the two disagree.  With
-    a + 1 = ap/aq and l = lp/lq, the prefactor is (-1)^m n!/(n-m)! 4^n
-    (2m lq + lp) lq^n times the product of ap + i aq over m <= i < n, over
-    aq^(n-m) times the product of lp + (m + i) lq over 0 <= i <= n.
+    jacobi_at_one_minus_x(m, jp).  With a + 1 = ap/aq and l = lp/lq, the
+    prefactor is (-1)^m n!/(n-m)! 4^n (2m lq + lp) lq^n times the product of
+    ap + i aq over m <= i < n, over aq^(n-m) times the product of
+    lp + (m + i) lq over 0 <= i <= n.
+
+    argument_sign = 1 gives the interpreted display, Thm3.3-interpreted:
+    it holds only for n <= 1, and verify_theorem("3.3", ...) reports where
+    it disagrees with the oracle.  argument_sign = -1 gives Thm3.3-corrected,
+    which agrees with the oracle, derived as follows.  H_n(x) =
+    sum_j n! (-1)^j (2x)^(n-2j) / (j! (n-2j)!), and with y = 1 - x the power
+    x^s = 2^s ((1-y)/2)^s has the single-term expansion
+
+        x^s = sum_m 2^s (a+1)_s (-s)_m (2m+l) (l)_m / ((a+1)_m (l)_{s+m+1})
+                    P_m^(a,b)(y).
+
+    Summing over j with s = n - 2j, the term ratio in j is
+
+        -(1/4) (j+(m-n)/2)(j+(m-n+1)/2)(j+(-l-n-m)/2)(j+(1-l-n-m)/2)
+        / ((j+1)(j+(-a-n)/2)(j+(1-a-n)/2)),
+
+    the interpreted 4F2 at -1/4; the prefactor is the j = 0 term.
     """
     _check_pair(n, m, "n", "m")
+    if argument_sign not in (1, -1):
+        raise InvalidInputError(f"argument_sign must be 1 or -1, got {argument_sign!r}")
     lp, lq = jp.lam.as_integer_ratio()
     ap, aq = jp.alpha.as_integer_ratio()
     a, b = sum_pairs(
         _delta_pairs(2, m - n, 1) + _delta_pairs(2, -lp - (n + m) * lq, lq),
         _delta_pairs(2, -ap - n * aq, aq),
-        1,
+        argument_sign,
         4,
     )
     ap += aq
@@ -555,15 +583,77 @@ def coeff_hermite_in_shifted_jacobi(n: int, jp: JacobiParams, m: int) -> Fractio
     return Fraction((num << 2 * n) * a, den * b)
 
 
+def _laguerre_in_hermite_row(n: int) -> tuple[Fraction, ...]:
+    """The Thm3.1 row c_{n,0..n} (coeff_laguerre_in_hermite) by a recurrence
+    in k, O(n) integer steps instead of an O(n)-term series per entry.
+
+    c_{n,k} is the sum over j of t(n,k,j) = (-1)^k n! / (2^k k! (n-k-2j)!
+    (k+2j)! j! 4^j).  Zeilberger's algorithm (Petkovsek, Wilf, Zeilberger,
+    A = B, 1996, ch. 6) gives
+
+        (n-k)/4 c_k + (k+1)^2/2 c_{k+1} - (k+1)(k+2)/2 c_{k+2}
+            + (k+1)(k+2)(k+3) c_{k+3} = 0,
+
+    with c_k = 0 for k > n, certified by G(j) = -(n+1) j t(n,k,j) / (2(k+2j+1))
+    (tests/test_row_recurrences.py checks the certificate).  With
+    c_k = (-1)^k N_k / (2^n k! (n-k)!) it is the integer recurrence
+
+        N_k = 2(k+1) N_{k+1} + 2(n-k-1) N_{k+2} + 4(n-k-1)(n-k-2) N_{k+3},
+
+    run backward from N_n = 1 (c_{n,n} = (-1)^n / (2^n n!)); the leading
+    coefficient (n-k)/4 never vanishes for k < n.
+    """
+    big = [0] * (n + 4)
+    big[n] = 1
+    for k in range(n - 1, -1, -1):
+        r = n - k - 1
+        big[k] = 2 * (k + 1) * big[k + 1] + 2 * r * big[k + 2] + 4 * r * (r - 1) * big[k + 3]
+    den = math.factorial(n) << n
+    return tuple(Fraction((-1) ** k * math.comb(n, k) * big[k], den) for k in range(n + 1))
+
+
+def _hermite_in_laguerre_row(n: int) -> tuple[Fraction, ...]:
+    """The Thm3.2 row c_{n,0..n} (coeff_hermite_in_laguerre) by a recurrence
+    in k, O(n) integer steps instead of an O(n)-term series per entry.
+
+    c_{n,k} is the sum over j of t(n,k,j) = (-1)^(k+j) 2^(n-2j) n! (n-2j)! /
+    (k! (n-k-2j)! j!).  Zeilberger's algorithm gives
+
+        (n-k) c_k + (3k+3-2n) c_{k+1} + (2n-11-6k)/2 c_{k+2} + (k+3) c_{k+3} = 0,
+
+    with c_k = 0 for k > n, certified by G(j) = -2j (n-2j+1)(n-2j+2)
+    t(n,k,j) / ((k+1)(k+2)).  With c_k = (-1)^n 2^k n! N_k / (n-k)! it is the
+    integer recurrence
+
+        N_k = -[2(3k+3-2n) N_{k+1} + 2(2n-11-6k)(n-k-1) N_{k+2}
+                + 8(k+3)(n-k-1)(n-k-2) N_{k+3}],
+
+    run backward from N_n = 1 (c_{n,n} = (-1)^n 2^n n!).  Every entry is an
+    integer.
+    """
+    big = [0] * (n + 4)
+    big[n] = 1
+    for k in range(n - 1, -1, -1):
+        r = n - k - 1
+        big[k] = -(
+            2 * (3 * k + 3 - 2 * n) * big[k + 1]
+            + 2 * (2 * n - 11 - 6 * k) * r * big[k + 2]
+            + 8 * (k + 3) * r * (r - 1) * big[k + 3]
+        )
+    sign = -1 if n % 2 else 1
+    return tuple(Fraction(sign * math.perm(n, k) * big[k] << k) for k in range(n + 1))
+
+
 @dataclass(frozen=True)
 class Theorem:
-    """One closed form: source family -> target family, coefficient(n, k, jp)
-    of the degree-k target member, and the provenance tag of its results."""
+    """One closed form: source family -> target family, row(n, jp) the
+    coefficients of the target members of degree 0..n, and the provenance tag
+    of its results."""
 
     id: str
     source: str
     target: str
-    coefficient: Callable[[int, int, Optional[JacobiParams]], Fraction]
+    row: Callable[[int, Optional[JacobiParams]], tuple[Fraction, ...]]
     provenance: str
 
     @property
@@ -571,44 +661,64 @@ class Theorem:
         return self.source in JACOBI_FAMILIES or self.target in JACOBI_FAMILIES
 
 
-#: Theorem id -> record.  The lambdas look each coefficient function up when
-#: called, not when the table is built.
+#: Theorem id -> record.  Thm3.1 and Thm3.2 rows come from recurrences in k;
+#: the Jacobi rows are evaluated entry by entry.  The lambdas look each
+#: function up when called, not when the table is built.
 THEOREMS = {
     t.id: t
     for t in (
         Theorem("3.1", "laguerre", "hermite",
-                lambda n, k, jp: coeff_laguerre_in_hermite(n, k), "Thm3.1"),
+                lambda n, jp: _laguerre_in_hermite_row(n), "Thm3.1"),
         Theorem("3.2", "hermite", "laguerre",
-                lambda n, k, jp: coeff_hermite_in_laguerre(n, k), "Thm3.2"),
+                lambda n, jp: _hermite_in_laguerre_row(n), "Thm3.2"),
         Theorem("3.3", "hermite", "jacobi-1mx",
-                lambda n, k, jp: coeff_hermite_in_shifted_jacobi(n, jp, k), "Thm3.3-interpreted"),
+                lambda n, jp: tuple(coeff_hermite_in_shifted_jacobi(n, jp, k)
+                                    for k in range(n + 1)), "Thm3.3-interpreted"),
+        Theorem("3.3c", "hermite", "jacobi-1mx",
+                lambda n, jp: tuple(coeff_hermite_in_shifted_jacobi(n, jp, k, -1)
+                                    for k in range(n + 1)), "Thm3.3-corrected"),
         Theorem("3.4", "shifted-jacobi", "hermite",
-                lambda n, k, jp: coeff_shifted_jacobi_in_hermite(n, jp, k), "Thm3.4"),
+                lambda n, jp: tuple(coeff_shifted_jacobi_in_hermite(n, jp, k)
+                                    for k in range(n + 1)), "Thm3.4"),
     )
 }
 
 
-def closed_form_connection(source: BasisId, target: BasisId, n: int) -> ConnectionResult:
-    """Full closed-form coefficient list for one of the THEOREMS pairs.
+def _theorem(theorem: object) -> Theorem:
+    """The THEOREMS record with this id; anything else is InvalidInputError."""
+    record = THEOREMS.get(theorem) if isinstance(theorem, str) else None
+    if record is None:
+        raise InvalidInputError(f"unknown theorem id {theorem!r}")
+    return record
 
-    A parameterised source family is checked to be graded at degree n; the
-    families without parameters always are.
+
+def closed_form_connection(
+    source: BasisId, target: BasisId, n: int, theorem: Optional[str] = None
+) -> ConnectionResult:
+    """Full closed-form coefficient list for one of the THEOREMS pairs: the
+    record with id theorem, or by default the first record for the pair (so
+    hermite -> jacobi-1mx is Thm3.3-interpreted unless "3.3c" is asked for).
+
+    A Jacobi source member is built to check that it has degree n unless
+    _always_graded(source) holds, in which case it has by construction; the
+    families without parameters always are graded.
     """
     check_index(n, "n")
-    for theorem in THEOREMS.values():
-        if (theorem.source, theorem.target) == (source.family, target.family):
+    records = THEOREMS.values() if theorem is None else (_theorem(theorem),)
+    for record in records:
+        if (record.source, record.target) == (source.family, target.family):
             break
     else:
         raise UnsupportedPairError(f"no closed form for {source.family} -> {target.family}")
-    if source.params is not None:
+    if not _always_graded(source):
         basis_poly(source, n)
     jp = source.params or target.params
     return ConnectionResult(
         source=source,
         target=target,
         degree=n,
-        coefficients=tuple(theorem.coefficient(n, k, jp) for k in range(n + 1)),
-        provenance=theorem.provenance,
+        coefficients=record.row(n, jp),
+        provenance=record.provenance,
     )
 
 
@@ -702,9 +812,7 @@ def verify_theorem(
     for a theorem without Jacobi parameters, or any that are not a sequence
     of JacobiParams raise InvalidInputError.
     """
-    record = THEOREMS.get(theorem)
-    if record is None:
-        raise InvalidInputError(f"unknown theorem id {theorem!r}")
+    record = _theorem(theorem)
     check_index(n_max, "n_max")
     sets: tuple[Optional[JacobiParams], ...] = (None,)
     if record.needs_params:
@@ -740,7 +848,7 @@ def verify_theorem(
                 # drawn first so the table keeps step with n, but a row's
                 # error is raised only after the closed form's own errors
                 row = next(tables[i])
-                closed = closed_form_connection(source, target, n)
+                closed = closed_form_connection(source, target, n, theorem)
                 if isinstance(row, PolyConnectError):
                     raise row
                 if _row_equals(closed.coefficients, row):

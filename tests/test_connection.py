@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from polyconnect import (
     UnsupportedPairError,
     basis_poly,
     closed_form_connection,
+    connection_table,
     coeff_hermite_in_laguerre,
     coeff_hermite_in_shifted_jacobi,
     coeff_laguerre_in_hermite,
@@ -29,6 +31,8 @@ from polyconnect import (
     shifted_jacobi_basis,
     verify_theorem,
 )
+from polyconnect import connection
+from polyconnect.connection import _always_graded
 
 JP00 = JacobiParams(0, 0)
 TARGETS = [
@@ -38,6 +42,9 @@ TARGETS = [
     shifted_jacobi_basis(JacobiParams(F(1, 2), F(1, 2))),
     jacobi_at_one_minus_x_basis(JacobiParams(1, 2)),
 ]
+
+rationals = st.fractions(min_value=-6, max_value=4, max_denominator=3)
+negative_integers = st.integers(min_value=-6, max_value=-1).map(F)
 
 small_polys = st.builds(
     Poly,
@@ -190,6 +197,111 @@ class TestHermiteInShiftedJacobi:
         assert closed[0] == F(22, 3) != oracle.coefficients[0]
         assert closed[1] == oracle.coefficients[1] == -8
         assert closed[2] == oracle.coefficients[2] == F(8, 3)
+
+
+class TestCorrectedHermiteInShiftedJacobi:
+    """Thm3.3-corrected: the interpreted form with its 4F2 argument -1/4."""
+
+    @pytest.mark.parametrize("jp", [JP00, JacobiParams(F(1, 2), F(1, 2)), JacobiParams(1, 2),
+                                    JacobiParams(F(-1, 2), F(1, 3))], ids=str)
+    @pytest.mark.parametrize("s", range(7))
+    def test_single_term_power_expansion(self, s, jp):
+        # x^s = sum_m 2^s (a+1)_s (-s)_m (2m+l) (l)_m / ((a+1)_m (l)_{s+m+1})
+        #       * P_m^(a,b)(1-x), the expansion the corrected form sums over j
+        def rise(x, i):
+            return math.prod((x + r for r in range(i)), start=F(1))
+
+        a, lam = jp.alpha, jp.lam
+        coefficients = [
+            2**s * rise(a + 1, s) * rise(-s, m) * (2 * m + lam) * rise(lam, m)
+            / (rise(a + 1, m) * rise(lam, s + m + 1))
+            for m in range(s + 1)
+        ]
+        target = jacobi_at_one_minus_x_basis(jp)
+        expansion = sum(
+            (c * basis_poly(target, m) for m, c in enumerate(coefficients)), Poly()
+        )
+        assert expansion == Poly.monomial(s)
+        assert tuple(coefficients) == connection_oracle(Poly.monomial(s), target).coefficients
+
+    def test_literal_values_and_provenance(self):
+        target = jacobi_at_one_minus_x_basis(JP00)
+        corrected = closed_form_connection(HERMITE, target, 2, "3.3c")
+        assert corrected.coefficients == (F(10, 3), -8, F(8, 3))
+        assert corrected.provenance == "Thm3.3-corrected"
+        assert coeff_hermite_in_shifted_jacobi(2, JP00, 0, -1) == F(10, 3)
+        # without an id the pair keeps its first record, the interpreted form
+        assert closed_form_connection(HERMITE, target, 2).coefficients[0] == F(22, 3)
+
+    def test_argument_sign_is_checked(self):
+        for sign in (0, 2, F(1, 2), "1"):
+            with pytest.raises(InvalidInputError, match="argument_sign"):
+                coeff_hermite_in_shifted_jacobi(1, JP00, 0, sign)
+
+    def test_theorem_id_must_fit_the_pair(self):
+        with pytest.raises(UnsupportedPairError):
+            closed_form_connection(LAGUERRE, HERMITE, 2, "3.3c")
+        for theorem in ("9.9", "2.1", 3.1, ["3.1"]):
+            with pytest.raises(InvalidInputError, match="unknown theorem id"):
+                closed_form_connection(LAGUERRE, HERMITE, 2, theorem)
+
+    @settings(deadline=None, max_examples=60)
+    @given(rationals, rationals)
+    def test_agrees_with_the_table(self, alpha, beta):
+        # wherever both exist the corrected row equals the table row; the
+        # closed form is missing only where its prefactor 1/(lam)_{n+1}
+        # vanishes (lam = 0) or the parameters are degenerate
+        jp = JacobiParams(alpha, beta)
+        target = jacobi_at_one_minus_x_basis(jp)
+        regular = _always_graded(target) and jp.lam != 0
+        for n, row in enumerate(connection_table(HERMITE, target, 12)):
+            try:
+                closed = closed_form_connection(HERMITE, target, n, "3.3c")
+            except PolyConnectError:
+                assert not regular, n
+                continue
+            if not isinstance(row, PolyConnectError):
+                assert closed.coefficients == row.coefficients, n
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(
+        st.tuples(negative_integers, rationals),
+        st.tuples(rationals, negative_integers),
+        st.tuples(rationals, negative_integers).map(lambda t: (t[0], t[1] - 1 - t[0])),
+    ))
+    def test_degenerate_parameters_pass_or_error(self, params):
+        # alpha, beta or lam a negative integer: never a fail, never a raw exception
+        report = verify_theorem("3.3c", 6, (JacobiParams(*params),))
+        assert report.verdict in ("pass", "error")
+        assert report.theorem == "3.3-corrected"
+
+    def test_verified_to_degree_forty(self):
+        # the README's status row: 41 degrees over six (alpha, beta), three
+        # of them non-symmetric
+        params = (*DEFAULT_JACOBI_SWEEP, JacobiParams(F(5, 2), F(-1, 3)), JacobiParams(F(7, 3), 2))
+        report = verify_theorem("3.3c", 40, params)
+        assert len(report.entries) == 246
+        assert report.verdict == "pass"
+
+
+class TestSourceMemberCheck:
+    @settings(deadline=None, max_examples=60)
+    @given(rationals, rationals)
+    def test_graded_parameters_give_full_degree_members(self, alpha, beta):
+        # the premise that lets closed_form_connection skip the member build
+        jp = JacobiParams(alpha, beta)
+        if not _always_graded(shifted_jacobi_basis(jp)):
+            return
+        for n in range(13):
+            assert shifted_jacobi(n, jp).degree == n
+
+    def test_graded_source_member_is_not_built(self, monkeypatch):
+        def refuse(basis, k):
+            raise AssertionError("source member built")
+
+        monkeypatch.setattr(connection, "basis_poly", refuse)
+        for jp in DEFAULT_JACOBI_SWEEP:
+            closed_form_connection(shifted_jacobi_basis(jp), HERMITE, 6)
 
 
 def test_delta_params():

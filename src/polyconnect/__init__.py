@@ -6,6 +6,8 @@ no floating-point path anywhere, so every identity check is an exact
 equality.
 """
 
+import types as _types
+
 from .errors import (
     DenominatorPoleError,
     InvalidInputError,
@@ -25,11 +27,9 @@ from .rationals import (
     rational_to_str,
 )
 from .hypseries import (
-    EvenOddSplit,
     HypSeries,
     evaluate_terminating,
     series_coefficients,
-    series_from_json,
     series_to_json,
     split_even_odd,
     truncation_index,
@@ -59,16 +59,13 @@ from .connection import (
     coeff_shifted_jacobi_in_hermite,
     connection_oracle,
     connection_table,
-    delta_params,
     jacobi_at_one_minus_x_basis,
-    shifted_jacobi_basis,
     verify_theorem,
 )
 from .expansions import (
     ExpansionParams,
     bilinear_lhs,
     coeff_seq,
-    coeff_seq_from_json,
     coeff_seq_to_json,
     delta_seq,
     fields_ismail_13_rhs,
@@ -81,65 +78,8 @@ from .expansions import (
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BasisId",
-    "ConnectionResult",
-    "DEFAULT_JACOBI_SWEEP",
-    "DenominatorPoleError",
-    "EvenOddSplit",
-    "ExpansionParams",
-    "HERMITE",
-    "HypSeries",
-    "InvalidInputError",
-    "JacobiParams",
-    "LAGUERRE",
-    "MONOMIAL",
-    "NonTerminatingError",
-    "Poly",
-    "PoleInParamsError",
-    "PolyConnectError",
-    "UnsupportedPairError",
-    "VerificationEntry",
-    "VerificationReport",
-    "ZeroDenominatorParameterError",
-    "as_rational",
-    "basis_poly",
-    "bilinear_lhs",
-    "binomial",
-    "closed_form_connection",
-    "coeff_hermite_in_laguerre",
-    "coeff_hermite_in_shifted_jacobi",
-    "coeff_laguerre_in_hermite",
-    "coeff_seq",
-    "coeff_seq_from_json",
-    "coeff_seq_to_json",
-    "coeff_shifted_jacobi_in_hermite",
-    "connection_oracle",
-    "connection_table",
-    "delta_params",
-    "delta_seq",
-    "evaluate_terminating",
-    "factorial",
-    "fields_ismail_13_rhs",
-    "fields_ismail_32_rhs",
-    "fields_wimp_luke_terminating",
-    "fields_wimp_terminating",
-    "hermite",
-    "hermite_bm_sequence",
-    "hermite_in_laguerre_via_bilinear",
-    "jacobi_at_one_minus_x",
-    "jacobi_at_one_minus_x_basis",
-    "laguerre",
-    "parse_rational",
-    "pochhammer",
-    "pochhammer_list",
-    "rational_to_str",
-    "series_coefficients",
-    "series_from_json",
-    "series_to_json",
-    "shifted_jacobi",
-    "shifted_jacobi_basis",
-    "split_even_odd",
-    "truncation_index",
-    "verify_theorem",
-]
+#: The public names: everything imported above.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -8,14 +8,13 @@ never mismatched (for both verification outcomes the report is still
 emitted), or stdout closed before the output was written.
 """
 
-import argparse
 import csv
 import dataclasses
-import functools
 import json
 import os
 import re
 import sys
+import types
 from typing import Optional
 
 from .connection import (
@@ -34,52 +33,8 @@ from .polybases import JacobiParams
 from .rationals import check_index, parse_rational, rational_to_str
 from .sweeps import LEMMA_SWEEPS
 
-_VERIFY_IDS = (*THEOREMS, *LEMMA_SWEEPS)
 _CONNECTION_HEADER = ("n", "k", "coefficient", "provenance")
 _VERDICT_EXIT = {"pass": 0, "fail": 1, "error": 2}
-
-
-class _Parser(argparse.ArgumentParser):
-    """Raises InvalidInputError instead of exiting, and reads "-p/q" as a value."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # argparse sets the matcher per instance; the default one has no "/".
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
-
-    def error(self, message):  # exit 2 with a one-line reason, never sys.exit here
-        raise InvalidInputError(message)
-
-
-@functools.cache
-def _build_parser() -> _Parser:
-    """The parser, built on the first request and reused by later ones; a
-    parse keeps its state in the namespace it returns, not in the parser."""
-    parser = _Parser(prog="polyconnect", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    poly = sub.add_parser("poly", help="construct a polynomial family member")
-    connect = sub.add_parser("connect", help="connection coefficients for one degree")
-    verify = sub.add_parser("verify", help="verify a closed form or identity sweep")
-    table = sub.add_parser("table", help="full lower-triangular connection matrix")
-
-    poly.add_argument("--family", required=True, choices=FAMILIES)
-    poly.add_argument("--n", required=True, type=int)
-    verify.add_argument("--theorem", required=True, choices=_VERIFY_IDS)
-    verify.add_argument("--n-max", type=int, default=0)
-    for command, degree in ((connect, "--n"), (table, "--n-max")):
-        command.add_argument("--source", required=True, choices=FAMILIES)
-        command.add_argument("--target", required=True, choices=FAMILIES)
-        command.add_argument(degree, required=True, type=int)
-    for command in (poly, connect, verify, table):
-        command.add_argument("--alpha")
-        command.add_argument("--beta")
-    verify.add_argument("--cases", type=int, default=200)
-    verify.add_argument("--seed", type=int, default=0)
-    for command, method in ((connect, "both"), (table, "closed")):
-        command.add_argument("--method", choices=("closed", "oracle", "both"), default=method)
-    for command, fmt in ((poly, "json"), (connect, "json"), (verify, "json"), (table, "csv")):
-        command.add_argument("--format", choices=("json", "csv"), default=fmt)
-    return parser
 
 
 def _jacobi_params(ns, families, subject: str) -> Optional[JacobiParams]:
@@ -217,19 +172,144 @@ def _cmd_verify(ns) -> int:
     return _VERDICT_EXIT[verdict]
 
 
+_REQUIRED = object()
+_FAMILY = (tuple(FAMILIES), _REQUIRED)
+_JACOBI = {"--alpha": (str, None), "--beta": (str, None)}
+_METHODS, _FORMATS = ("closed", "oracle", "both"), ("json", "csv")
+
+#: command -> (handler, what it does, {option: (kind, default)}): kind is int,
+#: str or the tuple of accepted values; the default _REQUIRED marks an option
+#: that must be given.  A handler reads each option as the namespace
+#: attribute named like it without "--", "-" read as "_".
 _COMMANDS = {
-    "poly": _cmd_poly,
-    "connect": _cmd_connect,
-    "verify": _cmd_verify,
-    "table": _cmd_table,
+    "poly": (_cmd_poly, "construct a polynomial family member", {
+        "--family": _FAMILY, "--n": (int, _REQUIRED), **_JACOBI, "--format": (_FORMATS, "json")}),
+    "connect": (_cmd_connect, "connection coefficients for one degree", {
+        "--source": _FAMILY, "--target": _FAMILY, "--n": (int, _REQUIRED), **_JACOBI,
+        "--method": (_METHODS, "both"), "--format": (_FORMATS, "json")}),
+    "verify": (_cmd_verify, "verify a closed form or identity sweep", {
+        "--theorem": ((*THEOREMS, *LEMMA_SWEEPS), _REQUIRED), "--n-max": (int, 0), **_JACOBI,
+        "--cases": (int, 200), "--seed": (int, 0), "--format": (_FORMATS, "json")}),
+    "table": (_cmd_table, "full lower-triangular connection matrix", {
+        "--source": _FAMILY, "--target": _FAMILY, "--n-max": (int, _REQUIRED), **_JACOBI,
+        "--method": (_METHODS, "closed"), "--format": (_FORMATS, "csv")}),
 }
+_HELP = ("-h", "--help")
+#: A token starting with "-" that is a value all the same: a negative number.
+_NEGATIVE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
+def _option(token: str, names) -> Optional[tuple]:
+    """What a token is among a parser's option names: None for a value,
+    (None, None) for an unknown option, else (name, the value attached by
+    "=", or None).  A "--" name may be cut to any prefix no other name
+    shares, and letters after "-h" are its attached value."""
+    if token in names:
+        return token, None
+    if len(token) < 2 or token[0] != "-":
+        return None
+    name, eq, value = token.partition("=")
+    if eq and name in names:
+        return name, value
+    if token[1] == "-":
+        found = [full for full in names if full.startswith(name)]
+        if len(found) > 1:
+            raise InvalidInputError(f"ambiguous option: {name} could match {', '.join(found)}")
+        if found:
+            return found[0], value if eq else None
+    elif token[1] == "h":
+        return "-h", token[2:]
+    return None if _NEGATIVE.match(token) or " " in token else (None, None)
+
+
+def _help(command: Optional[str], name: str, value: Optional[str]) -> str:
+    """The help text of the program or a command, read from _COMMANDS.  A
+    value attached to -h/--help is an error, except more "h"s after "-h"."""
+    if value is not None and not (name == "-h" and value and not value.strip("h")):
+        raise InvalidInputError(f"{name} takes no value, got {value!r}")
+    if command is None:
+        rows = "".join(f"  {name:<8} {text}\n" for name, (_, text, _) in _COMMANDS.items())
+        about = (__doc__ or "").strip()  # python -OO strips docstrings
+        return f"usage: polyconnect [-h] COMMAND ...\n\n{about}\n\ncommands:\n{rows}"
+    _, text, options = _COMMANDS[command]
+    rows = ""
+    for name, (kind, default) in options.items():
+        shape = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name[2:].upper()
+        note = "required" if default is _REQUIRED else f"default {default}"
+        rows += f"  {name} {shape}" + ("\n" if default is None else f" ({note})\n")
+    return f"usage: polyconnect {command} [-h] OPTIONS\n\n{text}\n\noptions:\n{rows}"
+
+
+def _value(name: str, kind, text: str):
+    """The option's value as its kind reads text."""
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise InvalidInputError(f"{name}: invalid int value {text!r}") from None
+    if kind is not str and text not in kind:
+        raise InvalidInputError(f"{name}: invalid choice {text!r} (choose from {', '.join(kind)})")
+    return text
+
+
+def _parse(argv):
+    """The namespace argv asks for, or the help text; InvalidInputError where
+    argparse (CPython 3.11) given these options rejects argv, and for a value
+    "--" attached by "=".  Only -h may precede the command, "--" ends its
+    options, and left-over tokens and missing options are errors only if no
+    -h comes first."""
+    argv, extras = list(argv), []
+    for i, token in enumerate(argv):
+        found = None if token == "--" else _option(token, _HELP)
+        if found is None:
+            break
+        if found[0] is not None:
+            return _help(None, *found)
+        extras.append(token)
+    else:
+        raise InvalidInputError(f"a command is required: {', '.join(_COMMANDS)}")
+    command, args = argv[i], argv[i + 1:]
+    if command not in _COMMANDS:
+        raise InvalidInputError(f"invalid command {command!r} (choose from {', '.join(_COMMANDS)})")
+    options, values = _COMMANDS[command][2], {}
+    cut = args.index("--") if "--" in args else len(args)
+    # every token before "--" is read before any is acted on, so an ambiguous
+    # prefix is an error even after -h
+    found = [_option(token, (*_HELP, *options)) for token in args[:cut]]
+    indices = iter(range(cut))
+    for i in indices:
+        name, value = found[i] or (None, None)
+        if name is None:
+            extras.append(args[i])
+        elif name in _HELP:
+            return _help(command, name, value)
+        else:
+            if value is None:
+                if i + 1 == cut or found[i + 1] is not None:
+                    raise InvalidInputError(f"{name} expects a value")
+                value = args[next(indices)]
+            values[name] = _value(name, options[name][0], value)
+    missing = [name for name, (_, default) in options.items()
+               if default is _REQUIRED and name not in values]
+    if missing:
+        raise InvalidInputError(f"the following options are required: {', '.join(missing)}")
+    if extras or cut < len(args):
+        raise InvalidInputError(f"unrecognized arguments: {' '.join(extras + args[cut:])}")
+    return types.SimpleNamespace(command=command, **{
+        name[2:].replace("-", "_"): values.get(name, default)
+        for name, (_, default) in options.items()
+    })
 
 
 def run(argv) -> int:
-    """Parse argv and run one command; returns the process exit code."""
+    """Parse argv and run one command, or print the help it asks for;
+    returns the process exit code."""
     try:
-        ns = _build_parser().parse_args(argv)
-        return _COMMANDS[ns.command](ns)
+        ns = _parse(argv)
+        if isinstance(ns, str):
+            sys.stdout.write(ns)
+            return 0
+        return _COMMANDS[ns.command][0](ns)
     except PolyConnectError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -75,8 +75,6 @@ from .polybases import (
     shifted_jacobi,
 )
 from .rationals import (
-    RationalLike,
-    as_rational,
     check_index,
     lift,
     rational_to_str,
@@ -191,10 +189,6 @@ class BasisId:
 MONOMIAL = BasisId("monomial")
 HERMITE = BasisId("hermite")
 LAGUERRE = BasisId("laguerre")
-
-
-def shifted_jacobi_basis(jp: JacobiParams) -> BasisId:
-    return BasisId("shifted-jacobi", jp)
 
 
 def jacobi_at_one_minus_x_basis(jp: JacobiParams) -> BasisId:
@@ -451,15 +445,9 @@ def _next_row(x_rec, x_den, quad, row, prev):
 
 
 def _delta_pairs(r: int, p: int, q: int) -> list[tuple[int, int]]:
-    """delta_params(r, p/q) as (numerator, denominator) pairs, not reduced."""
+    """The parameters D(r, p/q) = [p/q/r, (p/q+1)/r, ..., (p/q+r-1)/r] as
+    (numerator, denominator) pairs, not reduced."""
     return [(p + j * q, r * q) for j in range(r)]
-
-
-def delta_params(r: int, phi: RationalLike) -> tuple[Fraction, ...]:
-    """The parameter list [phi/r, (phi+1)/r, ..., (phi+r-1)/r]."""
-    if check_index(r, "r") < 1:
-        raise InvalidInputError(f"r must be a positive integer, got {r!r}")
-    return tuple(Fraction(*pq) for pq in _delta_pairs(r, *as_rational(phi).as_integer_ratio()))
 
 
 def _check_pair(n: int, k: int, n_name: str, k_name: str) -> None:
@@ -541,7 +529,7 @@ def coeff_hermite_in_shifted_jacobi(
         (-n)_m 4^n (2m+l) (a+1)_n / ((a+1)_m (l+m)_{n+1})
         * 4F2(D(2, m-n), D(2, -l-n-m); D(2, -a-n); argument_sign / 4)
 
-    with a = jp.alpha, l = jp.lam and D = delta_params.  The target member is
+    with a = jp.alpha, l = jp.lam and D(2, x) = [x/2, (x+1)/2].  The target member is
     jacobi_at_one_minus_x(m, jp).  With a + 1 = ap/aq and l = lp/lq, the
     prefactor is (-1)^m n!/(n-m)! 4^n (2m lq + lp) lq^n times the product of
     ap + i aq over m <= i < n, over aq^(n-m) times the product of
@@ -576,9 +564,12 @@ def coeff_hermite_in_shifted_jacobi(
         4,
     )
     ap += aq
-    rise = rising(lp + m * lq, lq, 0, n + 1)
+    if m:
+        lead, rise = 2 * m * lq + lp, rising(lp + m * lq, lq, 0, n + 1)
+    else:  # (2m+l)/(l+m)_{n+1} is l/(l)_{n+1} = 1/(l+1)_n, also at l = 0
+        lead, rise = 1, rising(lp + lq, lq, 0, n)
     _check_prefactor_denominator(rising(ap, aq, 0, m) * rise)
-    num = (-1) ** m * math.perm(n, m) * (2 * m * lq + lp) * lq**n * rising(ap, aq, m, n)
+    num = (-1) ** m * math.perm(n, m) * lead * lq**n * rising(ap, aq, m, n)
     den = aq ** (n - m) * rise
     return Fraction((num << 2 * n) * a, den * b)
 

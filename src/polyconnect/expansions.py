@@ -84,14 +84,6 @@ def coeff_seq_to_json(seq: CoeffSeq) -> dict:
     return {str(i): rational_to_str(v) for i, v in sorted(coeff_seq(seq).items())}
 
 
-def coeff_seq_from_json(data: Mapping[str, str]) -> dict[int, Fraction]:
-    try:
-        seq = {int(i): v for i, v in data.items()}
-    except (AttributeError, TypeError, ValueError):
-        raise InvalidInputError(f"malformed coefficient sequence JSON {data!r}") from None
-    return coeff_seq(seq)
-
-
 @dataclass(frozen=True)
 class ExpansionParams:
     """Free parameters gamma, mu, theta of the m!-weighted bilinear expansion

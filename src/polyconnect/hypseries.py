@@ -45,11 +45,10 @@ non-iterable raises InvalidInputError.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DenominatorPoleError,
-    InvalidInputError,
     NonTerminatingError,
     ZeroDenominatorParameterError,
 )
@@ -72,12 +71,6 @@ class HypSeries:
         object.__setattr__(self, "numerators", as_rationals(self.numerators))
         object.__setattr__(self, "denominators", as_rationals(self.denominators))
         object.__setattr__(self, "argument", as_rational(self.argument))
-
-
-class EvenOddSplit(NamedTuple):
-    even: HypSeries
-    odd_prefactor: Fraction
-    odd: HypSeries
 
 
 def truncation_index(numerators: Iterable[RationalLike]) -> int:
@@ -214,8 +207,8 @@ def evaluate_terminating(series: HypSeries) -> Fraction:
     return Fraction(total, den * x_den ** (len(coeffs) - 1))
 
 
-def split_even_odd(series: HypSeries) -> EvenOddSplit:
-    """Split a series into its even- and odd-index parts.
+def split_even_odd(series: HypSeries) -> tuple[HypSeries, Fraction, HypSeries]:
+    """Split a series into its even- and odd-index parts: (even, prefactor, odd).
 
     Both parts are series in the squared argument scaled by 4^(p-q-1): the
     even part has numerators [a/2] + [(a+1)/2] and denominators
@@ -250,7 +243,7 @@ def split_even_odd(series: HypSeries) -> EvenOddSplit:
         prefactor *= a
     for b in dens:
         prefactor /= b
-    return EvenOddSplit(even, prefactor, odd)
+    return even, prefactor, odd
 
 
 def series_to_json(series: HypSeries) -> dict:
@@ -260,10 +253,3 @@ def series_to_json(series: HypSeries) -> dict:
         "arg": rational_to_str(series.argument),
     }
 
-
-def series_from_json(data: dict) -> HypSeries:
-    fields = data if isinstance(data, dict) else {}
-    num, den = fields.get("num"), fields.get("den")
-    if not (isinstance(num, (list, tuple)) and isinstance(den, (list, tuple)) and "arg" in fields):
-        raise InvalidInputError(f"series JSON needs num and den arrays and arg, got {data!r}")
-    return HypSeries(tuple(num), tuple(den), fields["arg"])

@@ -37,14 +37,15 @@ def as_rational(value: RationalLike) -> Fraction:
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or a bare integer string "n" into a Fraction."""
     s = text.strip()
-    if not _RATIONAL_RE.fullmatch(s):
-        raise InvalidInputError(f"malformed rational {text!r}: expected 'p/q' or 'n'")
-    if "/" in s:
-        p, q = s.split("/")
-        if int(q) == 0:
-            raise InvalidInputError(f"zero denominator in {text!r}")
-        return Fraction(int(p), int(q))
-    return Fraction(int(s))
+    try:
+        if not _RATIONAL_RE.fullmatch(s):
+            raise ValueError
+        p, q = (int(part) for part in s.split("/")) if "/" in s else (int(s), 1)
+    except ValueError:  # also more digits than int() reads, sys.get_int_max_str_digits()
+        raise InvalidInputError(f"malformed rational {text!r}: expected 'p/q' or 'n'") from None
+    if q == 0:
+        raise InvalidInputError(f"zero denominator in {text!r}")
+    return Fraction(p, q)
 
 
 def rational_to_str(value: RationalLike) -> str:

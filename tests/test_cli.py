@@ -132,6 +132,18 @@ class TestVerify:
         bad = [e for e in data["entries"] if not e["match"]]
         assert bad and bad[0]["n"] == 2 and bad[0]["first_mismatch"] == 0
 
+    @pytest.mark.parametrize("theorem, code", [("3.3c", 0), ("3.3", 1)])
+    def test_lam_zero_is_not_an_error(self, theorem, code):
+        # alpha + beta = -1: the m = 0 prefactor (2m+lam)/(lam+m)_{n+1} of both
+        # Thm3.3 forms is a removable 0/0; the interpreted form still fails from n = 2
+        proc = run_cli(
+            "verify", "--theorem", theorem, "--n-max", "3", "--alpha=-1/2", "--beta=-1/2"
+        )
+        assert proc.returncode == code
+        assert proc.stderr == ""
+        entries = json.loads(proc.stdout)["entries"]
+        assert [e["match"] for e in entries] == [True, True, code == 0, code == 0]
+
     def test_lemma_sweep(self):
         proc = run_cli("verify", "--theorem", "2.3", "--cases", "30", "--seed", "9")
         assert proc.returncode == 0
@@ -305,9 +317,9 @@ class TestContract:
         assert a.stdout != b.stdout
 
 
-def test_reused_parser_matches_fresh_parsers(capsys):
-    """One process serves invalid requests, then every command, on one parser;
-    each outcome equals that of a parser built for the request alone."""
+def test_one_process_serving_many_requests_matches_fresh_processes(capsys):
+    """One process serves invalid requests, then every command; each outcome
+    equals that of a process serving the request alone."""
     from polyconnect import cli
 
     requests = [
@@ -322,20 +334,13 @@ def test_reused_parser_matches_fresh_parsers(capsys):
          "--method", "oracle", "--format", "json"],
         ["table", "--source", "laguerre", "--target", "hermite", "--n-max", "3"],
         ["poly", "--family", "hermite", "--n", "3"],
+        ["verify", "-h"],
     ]
-
-    def outcomes(fresh):
-        seen = []
-        for argv in requests:
-            if fresh:
-                cli._build_parser.cache_clear()
-            rc = cli.run(argv)
-            captured = capsys.readouterr()
-            seen.append((rc, captured.out, captured.err))
-        return seen
-
-    cli._build_parser.cache_clear()
-    shared = outcomes(fresh=False)
-    assert cli._build_parser.cache_info().misses == 1
-    assert [rc for rc, _, _ in shared] == [2, 2, 2, 0, 0, 1, 0, 0, 0, 0]
-    assert shared == outcomes(fresh=True)
+    shared = []
+    for argv in requests:
+        rc = cli.run(argv)
+        captured = capsys.readouterr()
+        shared.append((rc, captured.out, captured.err))
+    assert [rc for rc, _, _ in shared] == [2, 2, 2, 0, 0, 1, 0, 0, 0, 0, 0]
+    fresh = [run_cli(*argv) for argv in requests]
+    assert shared == [(p.returncode, p.stdout, p.stderr) for p in fresh]

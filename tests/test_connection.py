@@ -23,12 +23,10 @@ from polyconnect import (
     coeff_laguerre_in_hermite,
     coeff_shifted_jacobi_in_hermite,
     connection_oracle,
-    delta_params,
     hermite,
     jacobi_at_one_minus_x_basis,
     laguerre,
     shifted_jacobi,
-    shifted_jacobi_basis,
     verify_theorem,
 )
 from polyconnect import connection
@@ -39,7 +37,7 @@ TARGETS = [
     MONOMIAL,
     HERMITE,
     LAGUERRE,
-    shifted_jacobi_basis(JacobiParams(F(1, 2), F(1, 2))),
+    BasisId("shifted-jacobi", JacobiParams(F(1, 2), F(1, 2))),
     jacobi_at_one_minus_x_basis(JacobiParams(1, 2)),
 ]
 
@@ -67,7 +65,7 @@ class TestBasisId:
 
     def test_json(self):
         assert HERMITE.to_json() == {"family": "hermite"}
-        assert shifted_jacobi_basis(JacobiParams(F(1, 2), 2)).to_json() == {
+        assert BasisId("shifted-jacobi", JacobiParams(F(1, 2), 2)).to_json() == {
             "family": "shifted-jacobi",
             "alpha": "1/2",
             "beta": "2",
@@ -109,7 +107,7 @@ class TestOracle:
 
     def test_short_target_member_is_invalid_input(self):
         # at alpha = -6, beta = 0 the degree-3 shifted Jacobi member has degree 2
-        target = shifted_jacobi_basis(JacobiParams(-6, 0))
+        target = BasisId("shifted-jacobi", JacobiParams(-6, 0))
         with pytest.raises(InvalidInputError, match="not graded at degree 3"):
             connection_oracle(Poly.monomial(3), target)
 
@@ -233,6 +231,17 @@ class TestCorrectedHermiteInShiftedJacobi:
         # without an id the pair keeps its first record, the interpreted form
         assert closed_form_connection(HERMITE, target, 2).coefficients[0] == F(22, 3)
 
+    @pytest.mark.parametrize("jp", [JacobiParams(F(-1, 2), F(-1, 2)),
+                                    JacobiParams(F(1, 2), F(-3, 2)),
+                                    JacobiParams(F(7, 3), F(-10, 3))], ids=str)
+    def test_lam_zero_equals_the_table(self, jp):
+        # at lam = 0 the m = 0 prefactor (2m+l)/(l+m)_{n+1} is 0/0 with limit 1/(l+1)_n
+        target = jacobi_at_one_minus_x_basis(jp)
+        for n, row in enumerate(connection_table(HERMITE, target, 12)):
+            closed = closed_form_connection(HERMITE, target, n, "3.3c")
+            assert closed.coefficients == row.coefficients
+        assert verify_theorem("3.3", 1, (jp,)).verdict == "pass"
+
     def test_argument_sign_is_checked(self):
         for sign in (0, 2, F(1, 2), "1"):
             with pytest.raises(InvalidInputError, match="argument_sign"):
@@ -249,11 +258,10 @@ class TestCorrectedHermiteInShiftedJacobi:
     @given(rationals, rationals)
     def test_agrees_with_the_table(self, alpha, beta):
         # wherever both exist the corrected row equals the table row; the
-        # closed form is missing only where its prefactor 1/(lam)_{n+1}
-        # vanishes (lam = 0) or the parameters are degenerate
+        # closed form is missing only where the parameters are degenerate
         jp = JacobiParams(alpha, beta)
         target = jacobi_at_one_minus_x_basis(jp)
-        regular = _always_graded(target) and jp.lam != 0
+        regular = _always_graded(target)
         for n, row in enumerate(connection_table(HERMITE, target, 12)):
             try:
                 closed = closed_form_connection(HERMITE, target, n, "3.3c")
@@ -290,7 +298,7 @@ class TestSourceMemberCheck:
     def test_graded_parameters_give_full_degree_members(self, alpha, beta):
         # the premise that lets closed_form_connection skip the member build
         jp = JacobiParams(alpha, beta)
-        if not _always_graded(shifted_jacobi_basis(jp)):
+        if not _always_graded(BasisId("shifted-jacobi", jp)):
             return
         for n in range(13):
             assert shifted_jacobi(n, jp).degree == n
@@ -301,15 +309,7 @@ class TestSourceMemberCheck:
 
         monkeypatch.setattr(connection, "basis_poly", refuse)
         for jp in DEFAULT_JACOBI_SWEEP:
-            closed_form_connection(shifted_jacobi_basis(jp), HERMITE, 6)
-
-
-def test_delta_params():
-    assert delta_params(2, 0) == (F(0), F(1, 2))
-    assert delta_params(2, -3) == (F(-3, 2), F(-1))
-    assert delta_params(1, F(7, 2)) == (F(7, 2),)
-    with pytest.raises(InvalidInputError):
-        delta_params(0, 1)
+            closed_form_connection(BasisId("shifted-jacobi", jp), HERMITE, 6)
 
 
 class TestClosedFormConnection:
@@ -322,7 +322,7 @@ class TestClosedFormConnection:
         result = closed_form_connection(HERMITE, LAGUERRE, 2)
         assert result.coefficients == (6, -16, 8)
         assert result.provenance == "Thm3.2"
-        jacobi = shifted_jacobi_basis(JP00)
+        jacobi = BasisId("shifted-jacobi", JP00)
         assert closed_form_connection(jacobi, HERMITE, 1).provenance == "Thm3.4"
         one_minus_x = jacobi_at_one_minus_x_basis(JP00)
         assert (
@@ -332,7 +332,7 @@ class TestClosedFormConnection:
 
     def test_unsupported_pairs(self):
         with pytest.raises(UnsupportedPairError):
-            closed_form_connection(LAGUERRE, shifted_jacobi_basis(JP00), 2)
+            closed_form_connection(LAGUERRE, BasisId("shifted-jacobi", JP00), 2)
         with pytest.raises(UnsupportedPairError):
             closed_form_connection(HERMITE, MONOMIAL, 2)
 
@@ -397,9 +397,9 @@ class TestVerifyTheorem:
         assert report.verdict == "error"
 
     def test_mismatch_verdict_wins_over_errors(self):
-        # Thm3.3-interpreted: alpha = -1 errors at every n, alpha = 0 mismatches at n = 2
+        # Thm3.3-interpreted: alpha = -1 errors from n = 1, alpha = 0 mismatches at n = 2
         report = verify_theorem("3.3", 2, (JacobiParams(-1, 0), JacobiParams(0, 0)))
-        assert [e.error is None for e in report.entries] == [False, True] * 3
+        assert [e.error is None for e in report.entries] == [True, True, False, True, False, True]
         assert report.verdict == "fail"
         assert report.first_failure() is report.entries[5]
 
@@ -414,7 +414,7 @@ class TestVerifyTheorem:
         report = verify_theorem(theorem, 4, (jp,))
         assert len(report.entries) == 5
         source, target = (
-            (shifted_jacobi_basis(jp), HERMITE)
+            (BasisId("shifted-jacobi", jp), HERMITE)
             if theorem == "3.4"
             else (HERMITE, jacobi_at_one_minus_x_basis(jp))
         )

@@ -1,11 +1,15 @@
 """Library-wide contract checks: malformed outside input raises
-InvalidInputError, and no check in the library depends on ``assert``
-(``python -O`` strips those)."""
+InvalidInputError, the CLI exits 0, 1 or 2 with at most a one-line error,
+and no check in the library depends on ``assert`` (``python -O`` strips
+those)."""
 
 import ast
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import polyconnect
 from polyconnect import (
@@ -14,32 +18,27 @@ from polyconnect import (
     Poly,
     bilinear_lhs,
     coeff_seq,
-    coeff_seq_from_json,
     fields_ismail_13_rhs,
     fields_ismail_32_rhs,
     fields_wimp_luke_terminating,
     fields_wimp_terminating,
     pochhammer_list,
     series_coefficients,
-    series_from_json,
     truncation_index,
     verify_theorem,
 )
+from polyconnect import cli
+from polyconnect.connection import FAMILIES, THEOREMS
+from polyconnect.sweeps import LEMMA_SWEEPS
 
 
 @pytest.mark.parametrize(
     "reader, data",
     [
-        (coeff_seq_from_json, {"x": "1"}),
-        (coeff_seq_from_json, ["1"]),
-        (series_from_json, {}),
-        (series_from_json, {"num": "12", "den": [], "arg": "1"}),
-        (series_from_json, 5),
         (Poly.from_json, 5),
         (Poly.from_json, "12"),
     ],
-    ids=["seq-key", "seq-array", "series-empty", "series-string", "series-int",
-         "poly-int", "poly-string"],
+    ids=["poly-int", "poly-string"],
 )
 def test_json_readers_raise_invalid_input(reader, data):
     with pytest.raises(InvalidInputError):
@@ -103,3 +102,64 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+_JACOBI = ["--alpha", "--beta"]
+
+
+def _mostly(good, bad):
+    """good nine times in ten, else bad."""
+    return st.sampled_from([True] * 9 + [False]).flatmap(lambda ok: good if ok else bad)
+
+
+_family = _mostly(st.sampled_from(list(FAMILIES)), st.just("bogus"))
+#: More digits than int() reads by default (sys.get_int_max_str_digits()).
+_HUGE = "9" * 4301
+_degree = _mostly(st.integers(0, 6).map(str), st.sampled_from(["-1", "x", "--", _HUGE]))
+_rational = _mostly(
+    st.fractions(min_value=-7, max_value=4, max_denominator=4).map(str),
+    st.sampled_from(["x", "", "1/0", " 2 ", "+1/2", "--", _HUGE, f"1/{_HUGE}"]),
+)
+#: Each CLI option with values to draw, mostly good or degenerate, some malformed.
+_OPTION_VALUES = {
+    "--family": _family,
+    "--source": _family,
+    "--target": _family,
+    "--n": _degree,
+    "--n-max": _degree,
+    "--alpha": _rational,
+    "--beta": _rational,
+    "--theorem": _mostly(st.sampled_from([*THEOREMS, *LEMMA_SWEEPS]), st.just("9.9")),
+    "--cases": _mostly(st.integers(1, 5).map(str), st.just("0")),
+    "--seed": st.integers(-3, 3).map(str),
+    "--method": _mostly(st.sampled_from(["closed", "oracle", "both"]), st.just("x")),
+    "--format": _mostly(st.sampled_from(["json", "csv"]), st.just("x")),
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    """A command with degrees <= 6 and --cases <= 5; --alpha and --beta
+    mostly together or not at all."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    names = [name for name in cli._COMMANDS[command][2]
+             if name not in _JACOBI and draw(_mostly(st.just(True), st.just(False)))]
+    names += draw(_mostly(st.sampled_from([[], _JACOBI]), st.just(["--alpha"])))
+    argv = [command]
+    for name in draw(st.permutations(names)):
+        value = draw(_OPTION_VALUES[name])
+        argv += draw(st.sampled_from([[name, value], [f"{name}={value}"]]))
+    return argv + draw(_mostly(st.just([]), st.sampled_from([["-h"], ["--"], ["x"], ["--seed"]])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cli_argv())
+@example(["poly", "--family", "jacobi-1mx", "--n", "1", "--alpha", _HUGE, "--beta", "0"])
+def test_cli_exits_0_1_or_2_with_a_one_line_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.run(argv)
+    assert rc in (0, 1, 2)
+    errors = err.getvalue()
+    assert errors == "" or (errors.startswith("error: ") and errors.count("\n") == 1
+                            and errors.endswith("\n"))

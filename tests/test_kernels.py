@@ -321,13 +321,18 @@ def literal_hermite_in_shifted_jacobi(n, m, jp):
             F(1, 4),
         )
     )
-    denominator = literal_pochhammer(jp.alpha + 1, m) * literal_pochhammer(lam + m, n + 1)
+    # (2m+lam)/(lam+m)_{n+1}, which at m = 0 is lam/(lam)_{n+1} = 1/(lam+1)_n, also at lam = 0
+    if m:
+        lead, rise = 2 * m + lam, literal_pochhammer(lam + m, n + 1)
+    else:
+        lead, rise = 1, literal_pochhammer(lam + 1, n)
+    denominator = literal_pochhammer(jp.alpha + 1, m) * rise
     if denominator == 0:
         raise InvalidInputError("a prefactor denominator vanishes")
     prefactor = (
         literal_pochhammer(F(-n), m)
         * F(4) ** n
-        * (2 * m + lam)
+        * lead
         * literal_pochhammer(jp.alpha + 1, n)
         / denominator
     )

@@ -9,7 +9,6 @@ emitted), or stdout closed before the output was written.
 """
 
 import csv
-import dataclasses
 import json
 import os
 import re
@@ -21,6 +20,7 @@ from .connection import (
     FAMILIES,
     JACOBI_FAMILIES,
     THEOREMS,
+    ConnectionResult,
     basis,
     basis_poly,
     closed_form_connection,
@@ -31,8 +31,10 @@ from .connection import (
 from .errors import InvalidInputError, PolyConnectError
 from .polybases import JacobiParams
 from .rationals import check_index, parse_rational, rational_to_str
-from .sweeps import LEMMA_SWEEPS
 
+#: The lemma ids of verify, the keys of sweeps.LEMMA_SWEEPS.  That module
+#: (with expansions and random) is imported only when a lemma is verified.
+_LEMMAS = ("2.1", "2.2", "2.3")
 _CONNECTION_HEADER = ("n", "k", "coefficient", "provenance")
 _VERDICT_EXIT = {"pass": 0, "fail": 1, "error": 2}
 
@@ -94,7 +96,8 @@ def _connections(ns) -> list:
             row = next(rows)
             if isinstance(row, PolyConnectError):
                 raise row
-            results.append(dataclasses.replace(row, source=source))
+            results.append(ConnectionResult(
+                source, row.target, row.degree, row.coefficients, row.provenance))
     return results
 
 
@@ -134,6 +137,8 @@ def _cmd_verify(ns) -> int:
     if record is None:
         if ns.cases < 1:
             raise InvalidInputError("--cases must be >= 1")
+        from .sweeps import LEMMA_SWEEPS
+
         entries = LEMMA_SWEEPS[ns.theorem](ns.cases, ns.seed)
         verdict = "pass" if all(e["match"] for e in entries) else "fail"
         header = ("theorem", "case", "match", "residual", "verdict")
@@ -188,7 +193,7 @@ _COMMANDS = {
         "--source": _FAMILY, "--target": _FAMILY, "--n": (int, _REQUIRED), **_JACOBI,
         "--method": (_METHODS, "both"), "--format": (_FORMATS, "json")}),
     "verify": (_cmd_verify, "verify a closed form or identity sweep", {
-        "--theorem": ((*THEOREMS, *LEMMA_SWEEPS), _REQUIRED), "--n-max": (int, 0), **_JACOBI,
+        "--theorem": ((*THEOREMS, *_LEMMAS), _REQUIRED), "--n-max": (int, 0), **_JACOBI,
         "--cases": (int, 200), "--seed": (int, 0), "--format": (_FORMATS, "json")}),
     "table": (_cmd_table, "full lower-triangular connection matrix", {
         "--source": _FAMILY, "--target": _FAMILY, "--n-max": (int, _REQUIRED), **_JACOBI,

@@ -60,7 +60,6 @@ formula with its 4F2 argument -1/4 instead of 1/4 agrees with the oracle
 """
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -69,6 +68,7 @@ from .hypseries import sum_pairs
 from .polybases import (
     JacobiParams,
     Poly,
+    check_params,
     hermite,
     jacobi_at_one_minus_x,
     laguerre,
@@ -80,6 +80,7 @@ from .rationals import (
     rational_to_str,
     rising,
 )
+from .records import Frozen, Record
 
 
 def _jacobi_recurrence(k: int, jp: JacobiParams) -> tuple[int, int, int, int]:
@@ -163,20 +164,32 @@ DEFAULT_JACOBI_SWEEP = (
 )
 
 
-@dataclass(frozen=True)
-class BasisId:
-    """Tagged identifier of a graded polynomial family."""
+class BasisId(Frozen):
+    """Tagged identifier of a graded polynomial family: a FAMILIES name, with
+    JacobiParams exactly for the JACOBI_FAMILIES."""
 
-    family: str
-    params: Optional[JacobiParams] = None
+    _fields = ("family", "params")
+    __slots__ = _fields
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise InvalidInputError(f"unknown basis family {self.family!r}")
-        if self.family in JACOBI_FAMILIES and self.params is None:
-            raise InvalidInputError(f"{self.family} basis requires Jacobi parameters")
-        if self.family not in JACOBI_FAMILIES and self.params is not None:
-            raise InvalidInputError(f"{self.family} basis takes no parameters")
+    def __init__(self, family: str, params: Optional[JacobiParams] = None):
+        if not isinstance(family, str) or family not in FAMILIES:
+            raise InvalidInputError(f"unknown basis family {family!r}")
+        if family in JACOBI_FAMILIES:
+            if params is None:
+                raise InvalidInputError(f"{family} basis requires Jacobi parameters")
+            check_params(params)
+        elif params is not None:
+            raise InvalidInputError(f"{family} basis takes no parameters")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.family == other.family and self.params == other.params
+
+    def __hash__(self):
+        return hash((self.family, self.params))
 
     def to_json(self) -> dict:
         out = {"family": self.family}
@@ -208,19 +221,29 @@ def basis_poly(basis: BasisId, k: int) -> Poly:
     return member
 
 
-@dataclass(frozen=True)
-class ConnectionResult:
+class ConnectionResult(Frozen):
     """Coefficient list expanding a degree-n source member in a target family.
 
     coefficients[k] multiplies the target's degree-k member; provenance names
     the closed form used, or "Oracle" for the brute-force conversion.
     """
 
-    source: BasisId
-    target: BasisId
-    degree: int
-    coefficients: tuple[Fraction, ...]
-    provenance: str
+    _fields = ("source", "target", "degree", "coefficients", "provenance")
+    __slots__ = _fields
+
+    def __init__(
+        self,
+        source: BasisId,
+        target: BasisId,
+        degree: int,
+        coefficients: tuple[Fraction, ...],
+        provenance: str,
+    ):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "provenance", provenance)
 
     def reconstruct(self) -> Poly:
         """Sum of coefficients[k] * target member k.
@@ -506,7 +529,7 @@ def coeff_shifted_jacobi_in_hermite(n: int, jp: JacobiParams, j: int) -> Fractio
     over bq^(n-j), and (n+l)_j is the product of n lq + lp + i lq over lq^j.
     """
     _check_pair(n, j, "n", "j")
-    lp, lq = jp.lam.as_integer_ratio()
+    lp, lq = check_params(jp).lam.as_integer_ratio()
     bp, bq = jp.beta.as_integer_ratio()
     bp += bq
     a, b = sum_pairs(
@@ -555,7 +578,7 @@ def coeff_hermite_in_shifted_jacobi(
     _check_pair(n, m, "n", "m")
     if argument_sign not in (1, -1):
         raise InvalidInputError(f"argument_sign must be 1 or -1, got {argument_sign!r}")
-    lp, lq = jp.lam.as_integer_ratio()
+    lp, lq = check_params(jp).lam.as_integer_ratio()
     ap, aq = jp.alpha.as_integer_ratio()
     a, b = sum_pairs(
         _delta_pairs(2, m - n, 1) + _delta_pairs(2, -lp - (n + m) * lq, lq),
@@ -635,17 +658,27 @@ def _hermite_in_laguerre_row(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(sign * math.perm(n, k) * big[k] << k) for k in range(n + 1))
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(Frozen):
     """One closed form: source family -> target family, row(n, jp) the
     coefficients of the target members of degree 0..n, and the provenance tag
     of its results."""
 
-    id: str
-    source: str
-    target: str
-    row: Callable[[int, Optional[JacobiParams]], tuple[Fraction, ...]]
-    provenance: str
+    _fields = ("id", "source", "target", "row", "provenance")
+    __slots__ = _fields
+
+    def __init__(
+        self,
+        id: str,
+        source: str,
+        target: str,
+        row: Callable[[int, Optional[JacobiParams]], tuple[Fraction, ...]],
+        provenance: str,
+    ):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "provenance", provenance)
 
     @property
     def needs_params(self) -> bool:
@@ -713,18 +746,25 @@ def closed_form_connection(
     )
 
 
-@dataclass
-class VerificationEntry:
+class VerificationEntry(Record):
     """One verified instance: residual of the closed-form reconstruction plus
     the first index (if any) where the closed form and the oracle disagree."""
 
-    n: int
-    match: bool
-    residual: Poly
-    first_mismatch: Optional[int] = None
-    alpha: Optional[Fraction] = None
-    beta: Optional[Fraction] = None
-    error: Optional[str] = None
+    _fields = ("n", "match", "residual", "first_mismatch", "alpha", "beta", "error")
+    __slots__ = _fields
+
+    def __init__(
+        self,
+        n: int,
+        match: bool,
+        residual: Poly,
+        first_mismatch: Optional[int] = None,
+        alpha: Optional[Fraction] = None,
+        beta: Optional[Fraction] = None,
+        error: Optional[str] = None,
+    ):
+        self.n, self.match, self.residual = n, match, residual
+        self.first_mismatch, self.alpha, self.beta, self.error = first_mismatch, alpha, beta, error
 
     def to_json(self) -> dict:
         out = {"n": self.n}
@@ -739,18 +779,25 @@ class VerificationEntry:
         return out
 
 
-@dataclass
-class VerificationReport:
-    """Sweep result for one formula.
+class VerificationReport(Record):
+    """Sweep result for one formula, entries a new list unless given.
 
     The verdict is "fail" if some entry without an error did not reconstruct
     its source polynomial (a real mismatch); otherwise "error" if some entry
     could not be built (degenerate parameters); otherwise "pass".
     """
 
-    theorem: str
-    params: Optional[tuple[JacobiParams, ...]]
-    entries: list[VerificationEntry] = field(default_factory=list)
+    _fields = ("theorem", "params", "entries")
+    __slots__ = _fields
+
+    def __init__(
+        self,
+        theorem: str,
+        params: Optional[tuple[JacobiParams, ...]],
+        entries: Optional[list[VerificationEntry]] = None,
+    ):
+        self.theorem, self.params = theorem, params
+        self.entries = [] if entries is None else entries
 
     @property
     def verdict(self) -> str:

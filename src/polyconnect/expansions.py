@@ -37,7 +37,6 @@ product of every term's denominator.
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -55,6 +54,7 @@ from .rationals import (
     rational_to_str,
     rising,
 )
+from .records import Frozen
 
 #: Finite-support coefficient sequence: mapping from nonnegative index to a
 #: rational value; absent indices mean 0.
@@ -84,19 +84,23 @@ def coeff_seq_to_json(seq: CoeffSeq) -> dict:
     return {str(i): rational_to_str(v) for i, v in sorted(coeff_seq(seq).items())}
 
 
-@dataclass(frozen=True)
-class ExpansionParams:
+class ExpansionParams(Frozen):
     """Free parameters gamma, mu, theta of the m!-weighted bilinear expansion
     (the plain one takes its c as an argument).  Pole freedom over the
     touched index ranges is checked lazily."""
 
-    gamma: Fraction = Fraction(1)
-    mu: Fraction = Fraction(1)
-    theta: Fraction = Fraction(1)
+    _fields = ("gamma", "mu", "theta")
+    __slots__ = _fields
 
-    def __post_init__(self):
-        for name in ("gamma", "mu", "theta"):
-            object.__setattr__(self, name, as_rational(getattr(self, name)))
+    def __init__(
+        self,
+        gamma: RationalLike = Fraction(1),
+        mu: RationalLike = Fraction(1),
+        theta: RationalLike = Fraction(1),
+    ):
+        object.__setattr__(self, "gamma", as_rational(gamma))
+        object.__setattr__(self, "mu", as_rational(mu))
+        object.__setattr__(self, "theta", as_rational(theta))
 
 
 def bilinear_lhs(

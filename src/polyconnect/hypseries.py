@@ -43,7 +43,6 @@ non-iterable raises InvalidInputError.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -53,24 +52,28 @@ from .errors import (
     ZeroDenominatorParameterError,
 )
 from .rationals import RationalLike, as_rational, as_rationals, lift, rational_to_str
+from .records import Frozen
 
 #: An ordered tuple of rational parameters.  Order is preserved as given;
 #: it matters for reporting, never for the value.
 ParamList = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class HypSeries:
+class HypSeries(Frozen):
     """Descriptor for a generalized hypergeometric series."""
 
-    numerators: tuple[Fraction, ...]
-    denominators: tuple[Fraction, ...]
-    argument: Fraction
+    _fields = ("numerators", "denominators", "argument")
+    __slots__ = _fields
 
-    def __post_init__(self):
-        object.__setattr__(self, "numerators", as_rationals(self.numerators))
-        object.__setattr__(self, "denominators", as_rationals(self.denominators))
-        object.__setattr__(self, "argument", as_rational(self.argument))
+    def __init__(
+        self,
+        numerators: Iterable[RationalLike],
+        denominators: Iterable[RationalLike],
+        argument: RationalLike,
+    ):
+        object.__setattr__(self, "numerators", as_rationals(numerators))
+        object.__setattr__(self, "denominators", as_rationals(denominators))
+        object.__setattr__(self, "argument", as_rational(argument))
 
 
 def truncation_index(numerators: Iterable[RationalLike]) -> int:
@@ -216,33 +219,38 @@ def split_even_odd(series: HypSeries) -> tuple[HypSeries, Fraction, HypSeries]:
     [(a+1)/2] + [(a+2)/2] and denominators [3/2] + [(b+1)/2] + [(b+2)/2].
     The original value is  even + prefactor * x * odd  with
     prefactor = prod(a_i)/prod(b_i), which is why every b_i must be nonzero.
+    With each parameter written p/q, (p/q + j)/2 is the one Fraction
+    (p + j q)/(2 q), and the prefactor and the argument are one integer ratio
+    each.
     """
-    nums, dens = series.numerators, series.denominators
-    for b in dens:
-        if b == 0:
-            raise ZeroDenominatorParameterError(
-                "cannot split: a denominator parameter is zero"
-            )
-    p, q = len(nums), len(dens)
-    arg = Fraction(4) ** (p - q - 1) * series.argument**2
-    half = Fraction(1, 2)
+    num_pq = [a.as_integer_ratio() for a in series.numerators]
+    den_pq = [b.as_integer_ratio() for b in series.denominators]
+    if any(p == 0 for p, _ in den_pq):
+        raise ZeroDenominatorParameterError("cannot split: a denominator parameter is zero")
+
+    def halves(pairs, j):
+        return tuple(Fraction(p + j * q, 2 * q) for p, q in pairs)
+
+    x_num, x_den = series.argument.as_integer_ratio()
+    shift = 2 * (len(num_pq) - len(den_pq) - 1)
+    if shift >= 0:
+        arg = Fraction(x_num * x_num << shift, x_den * x_den)
+    else:
+        arg = Fraction(x_num * x_num, x_den * x_den << -shift)
     even = HypSeries(
-        tuple(a * half for a in nums) + tuple((a + 1) * half for a in nums),
-        (half,) + tuple(b * half for b in dens) + tuple((b + 1) * half for b in dens),
+        halves(num_pq, 0) + halves(num_pq, 1),
+        (Fraction(1, 2),) + halves(den_pq, 0) + halves(den_pq, 1),
         arg,
     )
     odd = HypSeries(
-        tuple((a + 1) * half for a in nums) + tuple((a + 2) * half for a in nums),
-        (Fraction(3, 2),)
-        + tuple((b + 1) * half for b in dens)
-        + tuple((b + 2) * half for b in dens),
+        halves(num_pq, 1) + halves(num_pq, 2),
+        (Fraction(3, 2),) + halves(den_pq, 1) + halves(den_pq, 2),
         arg,
     )
-    prefactor = Fraction(1)
-    for a in nums:
-        prefactor *= a
-    for b in dens:
-        prefactor /= b
+    prefactor = Fraction(
+        math.prod(p for p, _ in num_pq) * math.prod(q for _, q in den_pq),
+        math.prod(q for _, q in num_pq) * math.prod(p for p, _ in den_pq),
+    )
     return even, prefactor, odd
 
 

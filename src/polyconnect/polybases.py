@@ -10,9 +10,8 @@ with a = jp.alpha, b = jp.beta, l = a + b + 1 throughout.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Optional, Union
 
 from .errors import InvalidInputError
@@ -27,6 +26,7 @@ from .rationals import (
     pochhammer,
     rational_to_str,
 )
+from .records import Frozen
 
 
 class Poly:
@@ -138,20 +138,36 @@ class Poly:
         return Poly(data)
 
 
-@dataclass(frozen=True)
-class JacobiParams:
-    """Jacobi parameter pair; ``lam`` is the derived value alpha + beta + 1."""
+class JacobiParams(Frozen):
+    """Jacobi parameter pair; ``lam`` is the derived value alpha + beta + 1.
 
-    alpha: Fraction
-    beta: Fraction
+    Family members are cached by (degree, params), so the hash is taken once,
+    here, and equality compares the two fields directly."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", as_rational(self.alpha))
-        object.__setattr__(self, "beta", as_rational(self.beta))
+    _fields = ("alpha", "beta")
+    __slots__ = ("alpha", "beta", "lam", "_hash")
 
-    @cached_property
-    def lam(self) -> Fraction:
-        return self.alpha + self.beta + 1
+    def __init__(self, alpha: RationalLike, beta: RationalLike):
+        alpha, beta = as_rational(alpha), as_rational(beta)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "lam", alpha + beta + 1)
+        object.__setattr__(self, "_hash", hash((alpha, beta)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.alpha == other.alpha and self.beta == other.beta
+
+    def __hash__(self):
+        return self._hash
+
+
+def check_params(jp: object) -> JacobiParams:
+    """Return jp if it is a JacobiParams, else raise InvalidInputError."""
+    if not isinstance(jp, JacobiParams):
+        raise InvalidInputError(f"expected JacobiParams, got {jp!r}")
+    return jp
 
 
 @lru_cache(maxsize=None)
@@ -180,6 +196,7 @@ def hermite(n: int) -> Poly:
 def shifted_jacobi(n: int, jp: JacobiParams) -> Poly:
     """Shifted Jacobi polynomial ((-1)^n (beta+1)_n / n!) 2F1(-n, n+lam; beta+1; x)."""
     check_index(n, "degree")
+    check_params(jp)
     prefactor = Fraction((-1) ** n) * pochhammer(jp.beta + 1, n) / factorial(n)
     coeffs = series_coefficients((Fraction(-n), n + jp.lam), (jp.beta + 1,))
     return prefactor * Poly(coeffs)
@@ -189,6 +206,7 @@ def shifted_jacobi(n: int, jp: JacobiParams) -> Poly:
 def jacobi_at_one_minus_x(m: int, jp: JacobiParams) -> Poly:
     """The standard Jacobi polynomial evaluated at 1-x, as a polynomial in x."""
     check_index(m, "degree")
+    check_params(jp)
     prefactor = pochhammer(jp.alpha + 1, m) / factorial(m)
     coeffs = series_coefficients((Fraction(-m), m + jp.lam), (jp.alpha + 1,))
     half = Fraction(1, 2)

@@ -36,6 +36,8 @@ def as_rational(value: RationalLike) -> Fraction:
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or a bare integer string "n" into a Fraction."""
+    if not isinstance(text, str):
+        raise InvalidInputError(f"expected a rational string, got {text!r}")
     s = text.strip()
     try:
         if not _RATIONAL_RE.fullmatch(s):

@@ -225,22 +225,47 @@ def test_command_help_lists_every_option(command, capsys):
             assert ("(required)" if default is cli._REQUIRED else f"(default {default})") in line
 
 
-def test_cold_path_imports_no_argparse():
-    """Serving each command in a fresh process imports neither argparse nor
-    the gettext and locale modules it pulls in."""
-    code = """
-import contextlib, io, sys
-from polyconnect import cli
-requests = [
+#: Modules no command but a lemma verify needs: argparse with the gettext and
+#: locale it pulls in, dataclasses with inspect, and the lemma sweeps with
+#: expansions and random.
+_OFF_COLD_PATH = {
+    "argparse", "gettext", "locale", "dataclasses", "inspect", "random",
+    "polyconnect.sweeps", "polyconnect.expansions",
+}
+_COLD_REQUESTS = [
     ["poly", "--family", "hermite", "--n", "3"],
     ["connect", "--source", "hermite", "--target", "laguerre", "--n", "2"],
     ["table", "--source", "laguerre", "--target", "hermite", "--n-max", "3"],
     ["verify", "--theorem", "3.1", "--n-max", "3"],
 ]
+
+
+def test_cold_path_imports_no_argparse():
+    """Serving poly, connect, table or verify 3.1 in a fresh process, by
+    cli.run or by python -m polyconnect, loads none of _OFF_COLD_PATH (python
+    -S keeps site's own imports out); verify 2.3 then works in the same
+    process, and loads the sweeps."""
+    code = f"""
+import contextlib, io, sys
+from polyconnect import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.run(argv) for argv in requests]
-print(codes, sorted({"argparse", "gettext", "locale"} & set(sys.modules)))
+    codes = [cli.run(argv) for argv in {_COLD_REQUESTS!r}]
+    loaded = sorted({_OFF_COLD_PATH!r} & set(sys.modules))
+    codes.append(cli.run(["verify", "--theorem", "2.3", "--cases", "3"]))
+print(codes, loaded, "polyconnect.sweeps" in sys.modules)
 """
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert proc.stderr == ""
-    assert proc.stdout == "[0, 0, 0, 0] []\n"
+    assert proc.stdout == "[0, 0, 0, 0, 0] [] True\n"
+    for argv in _COLD_REQUESTS:
+        proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "polyconnect", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        assert "polyconnect.cli" in imported
+        assert not imported & _OFF_COLD_PATH, argv
+
+
+def test_verify_lemma_choices_are_the_lemma_sweeps():
+    """cli names the lemma ids without importing sweeps; they must be its keys."""
+    assert cli._COMMANDS["verify"][2]["--theorem"][0] == (*THEOREMS, *LEMMA_SWEEPS)

@@ -13,17 +13,24 @@ from hypothesis import example, given, settings, strategies as st
 
 import polyconnect
 from polyconnect import (
+    BasisId,
     HypSeries,
     InvalidInputError,
     Poly,
+    basis_poly,
     bilinear_lhs,
+    coeff_hermite_in_shifted_jacobi,
     coeff_seq,
+    coeff_shifted_jacobi_in_hermite,
     fields_ismail_13_rhs,
     fields_ismail_32_rhs,
     fields_wimp_luke_terminating,
     fields_wimp_terminating,
+    jacobi_at_one_minus_x,
+    parse_rational,
     pochhammer_list,
     series_coefficients,
+    shifted_jacobi,
     truncation_index,
     verify_theorem,
 )
@@ -91,6 +98,29 @@ def test_bilinear_forms_reject_non_mappings_and_bad_params(call):
 def test_verify_theorem_rejects_param_sets_that_are_not_jacobi_params(param_sets):
     with pytest.raises(InvalidInputError, match="param_sets must hold JacobiParams"):
         verify_theorem("3.3", 3, param_sets)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: parse_rational(3),
+        lambda: parse_rational(None),
+        lambda: shifted_jacobi(2, (0, 0)),
+        lambda: jacobi_at_one_minus_x(2, (0, 0)),
+        lambda: coeff_shifted_jacobi_in_hermite(3, (0, 0), 1),
+        lambda: coeff_hermite_in_shifted_jacobi(3, (0, 0), 1),
+        lambda: BasisId(["hermite"]),
+        lambda: BasisId(3),
+        lambda: BasisId("jacobi-1mx", (0, 0)),
+        lambda: basis_poly(BasisId("shifted-jacobi", 0), 2),
+    ],
+    ids=["parse-int", "parse-none", "shifted-jacobi-tuple", "jacobi-1mx-tuple",
+         "coeff-3.4-tuple", "coeff-3.3-tuple", "basis-list", "basis-int", "basis-tuple-params",
+         "basis-int-params"],
+)
+def test_wrong_argument_types_raise_invalid_input(call):
+    with pytest.raises(InvalidInputError, match="expected|unknown basis family"):
+        call()
 
 
 def test_library_has_no_assert_statements():

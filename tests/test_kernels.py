@@ -47,7 +47,9 @@ from polyconnect import (
     pochhammer,
     pochhammer_list,
     series_coefficients,
+    split_even_odd,
     truncation_index,
+    ZeroDenominatorParameterError,
 )
 from polyconnect.cli import run
 from polyconnect.hypseries import sum_pairs
@@ -192,6 +194,37 @@ def test_sum_pairs_reduces_unreduced_pairs(n, k):
 )
 def test_pochhammer_matches_literal_product(a, n):
     assert pochhammer(a, n) == literal_pochhammer(a, n)
+
+
+def literal_split_even_odd(series):
+    nums, dens = series.numerators, series.denominators
+    if any(b == 0 for b in dens):
+        raise ZeroDenominatorParameterError("cannot split: a denominator parameter is zero")
+    arg = F(4) ** (len(nums) - len(dens) - 1) * series.argument**2
+    half = F(1, 2)
+    even = HypSeries(
+        tuple(a * half for a in nums) + tuple((a + 1) * half for a in nums),
+        (half,) + tuple(b * half for b in dens) + tuple((b + 1) * half for b in dens),
+        arg,
+    )
+    odd = HypSeries(
+        tuple((a + 1) * half for a in nums) + tuple((a + 2) * half for a in nums),
+        (F(3, 2),) + tuple((b + 1) * half for b in dens) + tuple((b + 2) * half for b in dens),
+        arg,
+    )
+    prefactor = F(1)
+    for a in nums:
+        prefactor *= a
+    for b in dens:
+        prefactor /= b
+    return even, prefactor, odd
+
+
+@settings(max_examples=300)
+@given(st.lists(rationals, max_size=4), st.lists(rationals, max_size=4), rationals)
+def test_split_even_odd_matches_literal_fraction_body(nums, dens, x):
+    series = HypSeries(nums, dens, x)
+    assert _result(split_even_odd, series) == _result(literal_split_even_odd, series)
 
 
 def literal_oracle(p, target):

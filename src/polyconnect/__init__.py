@@ -38,7 +38,7 @@ _HOMES = {
         "closed_form_connection", "coeff_hermite_in_laguerre",
         "coeff_hermite_in_shifted_jacobi", "coeff_laguerre_in_hermite",
         "coeff_shifted_jacobi_in_hermite", "connection_oracle", "connection_table",
-        "jacobi_at_one_minus_x_basis", "verify_theorem",
+        "verify_theorem",
     ), "connection"),
     **dict.fromkeys((
         "ExpansionParams", "bilinear_lhs", "coeff_seq", "coeff_seq_to_json", "delta_seq",

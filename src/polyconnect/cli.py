@@ -8,7 +8,6 @@ never mismatched (for both verification outcomes the report is still
 emitted), or stdout closed before the output was written.
 """
 
-import csv
 import json
 import os
 import re
@@ -54,11 +53,11 @@ def _jacobi_params(ns, families, subject: str) -> Optional[JacobiParams]:
 
 def _emit(ns, header, rows, payload=None, indent=2) -> None:
     """Write one result to stdout: the rows under header as CSV, or the
-    payload as JSON (by default the rows as objects keyed by header)."""
+    payload as JSON (by default the rows as objects keyed by header).  No
+    field is ever None or holds a comma, quote or line break (ints, bools,
+    rational strings, names), so CSV needs no quoting: str joined by commas."""
     if ns.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        sys.stdout.writelines(",".join(map(str, row)) + "\n" for row in (header, *rows))
         return
     if payload is None:
         payload = [dict(zip(header, row)) for row in rows]

@@ -68,7 +68,6 @@ from .hypseries import sum_pairs
 from .polybases import (
     JacobiParams,
     Poly,
-    check_params,
     hermite,
     jacobi_at_one_minus_x,
     laguerre,
@@ -76,6 +75,7 @@ from .polybases import (
 )
 from .rationals import (
     check_index,
+    check_instance,
     lift,
     rational_to_str,
     rising,
@@ -177,7 +177,7 @@ class BasisId(Frozen):
         if family in JACOBI_FAMILIES:
             if params is None:
                 raise InvalidInputError(f"{family} basis requires Jacobi parameters")
-            check_params(params)
+            check_instance(params, JacobiParams)
         elif params is not None:
             raise InvalidInputError(f"{family} basis takes no parameters")
         object.__setattr__(self, "family", family)
@@ -204,10 +204,6 @@ HERMITE = BasisId("hermite")
 LAGUERRE = BasisId("laguerre")
 
 
-def jacobi_at_one_minus_x_basis(jp: JacobiParams) -> BasisId:
-    return BasisId("jacobi-1mx", jp)
-
-
 def basis(family: str, jp: Optional[JacobiParams]) -> BasisId:
     """The basis of a family, with jp attached only if the family takes it."""
     return BasisId(family, jp if family in JACOBI_FAMILIES else None)
@@ -215,7 +211,7 @@ def basis(family: str, jp: Optional[JacobiParams]) -> BasisId:
 
 def basis_poly(basis: BasisId, k: int) -> Poly:
     """The degree-k member of a basis family; it must have degree exactly k."""
-    member = FAMILIES[basis.family].member(k, basis.params)
+    member = FAMILIES[check_instance(basis, BasisId).family].member(k, basis.params)
     if len(member.coefficients) != k + 1:
         raise InvalidInputError(f"{basis.family} family is not graded at degree {k}")
     return member
@@ -295,6 +291,8 @@ def connection_oracle(p: Poly, target: BasisId) -> ConnectionResult:
     followed by one multi-argument gcd reduction of (d, R).  The final
     residual is exactly zero by construction, and checked to be.
     """
+    check_instance(p, Poly)
+    check_instance(target, BasisId)
     degree = 0 if p.is_zero else p.degree
     residual, den = p.integer_form
     residual = residual or (0,)
@@ -352,6 +350,8 @@ def connection_table(
     does not end the table.  Rows are computed only as they are asked for.
     """
     check_index(n_max, "n_max")
+    check_instance(source, BasisId)
+    check_instance(target, BasisId)
 
     def results():
         for n, row in enumerate(_table_rows(source, target, n_max)):
@@ -529,7 +529,7 @@ def coeff_shifted_jacobi_in_hermite(n: int, jp: JacobiParams, j: int) -> Fractio
     over bq^(n-j), and (n+l)_j is the product of n lq + lp + i lq over lq^j.
     """
     _check_pair(n, j, "n", "j")
-    lp, lq = check_params(jp).lam.as_integer_ratio()
+    lp, lq = check_instance(jp, JacobiParams).lam.as_integer_ratio()
     bp, bq = jp.beta.as_integer_ratio()
     bp += bq
     a, b = sum_pairs(
@@ -578,7 +578,7 @@ def coeff_hermite_in_shifted_jacobi(
     _check_pair(n, m, "n", "m")
     if argument_sign not in (1, -1):
         raise InvalidInputError(f"argument_sign must be 1 or -1, got {argument_sign!r}")
-    lp, lq = check_params(jp).lam.as_integer_ratio()
+    lp, lq = check_instance(jp, JacobiParams).lam.as_integer_ratio()
     ap, aq = jp.alpha.as_integer_ratio()
     a, b = sum_pairs(
         _delta_pairs(2, m - n, 1) + _delta_pairs(2, -lp - (n + m) * lq, lq),
@@ -728,6 +728,8 @@ def closed_form_connection(
     families without parameters always are graded.
     """
     check_index(n, "n")
+    check_instance(source, BasisId)
+    check_instance(target, BasisId)
     records = THEOREMS.values() if theorem is None else (_theorem(theorem),)
     for record in records:
         if (record.source, record.target) == (source.family, target.family):

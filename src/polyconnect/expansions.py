@@ -19,20 +19,20 @@ rewrites a bilinear sum over two coefficient sequences a_m, b_m:
 Both become finite once the sequences have finite support, since b truncates
 the outer and middle sums.
 
-The second family expands a hypergeometric series of a product argument zw
-into products of series in z and in w separately; the intrinsically
-terminating variant keyed by a -n numerator parameter is
-``fields_wimp_terminating`` and the variant made finite by a nonpositive
-integer numerator parameter is ``fields_wimp_luke_terminating``.  Each
-returns both sides so a counterexample is observable rather than masked.
+The second family, the Fields-Wimp expansion (Math. Comp. 15, 1961) of a
+series of product argument zw into series in z times series in w, is summed
+by one routine, _fields_wimp.  ``fields_wimp_terminating`` is made finite by
+a -n numerator parameter; ``fields_wimp_luke_terminating`` is Luke's form,
+Fields-Wimp with alpha = (c) and beta = (), made finite by a nonpositive
+integer in [a].  Each returns both sides, so a counterexample shows.
 
 Every right side is taken in integers and reduced once, into the returned
 Fraction.  The bilinear ones lift a and b to one denominator each, write each
 Pochhammer factor as rationals.rising on its (p, q) pair and nest the inner
-and middle sums backward over their term ratios (_nest); the Fields-Wimp ones
-take their series from hypseries.sum_pairs.  Outer terms are added over the
-lcm of their denominators (_add), which grows with the support, never as the
-product of every term's denominator.
+and middle sums backward over their term ratios (_nest); both Fields-Wimp
+sides take their series from hypseries.sum_pairs.  Outer terms are added over
+the lcm of their denominators (_add), which grows with the support, never as
+the product of every term's denominator.
 """
 
 import math
@@ -40,14 +40,14 @@ from collections.abc import Mapping
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .errors import DenominatorPoleError, InvalidInputError, PoleInParamsError
-from .hypseries import HypSeries, evaluate_terminating, sum_pairs, truncation_index
+from .errors import DenominatorPoleError, InvalidInputError, PoleInParamsError, PolyConnectError
+from .hypseries import sum_pairs, truncation_index
 from .rationals import (
     RationalLike,
     as_rational,
     as_rationals,
-    binomial,
     check_index,
+    check_instance,
     factorial,
     lift,
     pochhammer_list,
@@ -59,6 +59,7 @@ from .records import Frozen
 #: Finite-support coefficient sequence: mapping from nonnegative index to a
 #: rational value; absent indices mean 0.
 CoeffSeq = Mapping[int, Fraction]
+Params = tuple[Fraction, ...]
 
 
 def coeff_seq(data: Mapping[int, RationalLike]) -> dict[int, Fraction]:
@@ -77,7 +78,7 @@ def coeff_seq(data: Mapping[int, RationalLike]) -> dict[int, Fraction]:
 
 def delta_seq(index: int, value: RationalLike = 1) -> dict[int, Fraction]:
     """The sequence supported on a single index."""
-    return coeff_seq({index: value})
+    return coeff_seq({check_index(index, "sequence index"): value})
 
 
 def coeff_seq_to_json(seq: CoeffSeq) -> dict:
@@ -186,8 +187,7 @@ def fields_ismail_13_rhs(
     touched raises PoleInParams.  (g+2n+1)_r is checked only where the inner
     sum is nonzero, (g+n)_n only where the middle one is too.
     """
-    if not isinstance(ep, ExpansionParams):
-        raise InvalidInputError(f"expected ExpansionParams, got {ep!r}")
+    check_instance(ep, ExpansionParams)
     (A, da), (B, db) = _lifted(a), _lifted(b)
     (zn, zd), (wn, wd) = (as_rational(v).as_integer_ratio() for v in (z, w))
     (pg, qg), (pm, qm), (pt, qt) = (v.as_integer_ratio() for v in (ep.gamma, ep.mu, ep.theta))
@@ -226,6 +226,28 @@ def _pairs(params: Iterable[Union[int, Fraction]], k: int = 0) -> list[tuple[int
     return [(p + k * q, q) for p, q in (v.as_integer_ratio() for v in params)]
 
 
+def _fields_wimp(
+    top: int, P: Params, Q: Params, R: Params, S: Params, z: Fraction, w: Fraction,
+    pole: Callable[[int], PolyConnectError],
+) -> Fraction:
+    """Right side of the Fields-Wimp expansion of F(A, C; B, D; zw) with
+    P = A + al, Q = B + be, R = C + be and S = D + al, for any pole-free al
+    and be: the sum over k <= top of [P]_k (-z)^k / ([Q]_k k!) times
+    F(k+P; k+Q; z) F(-k, R; S; w).  Raises pole(k) at the first k with
+    [Q]_k = 0.  The weights come from pochhammer_list, where the benchmark's
+    traced runs count them."""
+    num, den = 0, 1
+    for k in range(top + 1):
+        div = pochhammer_list(Q, k)
+        if div == 0:
+            raise pole(k)
+        weight = pochhammer_list(P, k) * (-z) ** k / (div * math.factorial(k))
+        p1, q1 = sum_pairs(_pairs(P, k), _pairs(Q, k), *z.as_integer_ratio())
+        p2, q2 = sum_pairs(_pairs((-k,) + R), _pairs(S), *w.as_integer_ratio())
+        num, den = _add(num, den, weight.numerator * p1 * p2, weight.denominator * q1 * q2)
+    return Fraction(num, den)
+
+
 def fields_wimp_terminating(
     n: int,
     a_list: Iterable[RationalLike],
@@ -247,17 +269,11 @@ def fields_wimp_terminating(
     check_index(n, "n")
     a, b, c, d, al, be = map(as_rationals, (a_list, b_list, c_list, d_list, alpha_list, beta_list))
     z, w = as_rational(z), as_rational(w)
-    lhs = evaluate_terminating(HypSeries((Fraction(-n),) + a + c, b + d, z * w))
-    num, den = 0, 1
-    for k in range(n + 1):
-        div = pochhammer_list(b + be, k)
-        if div == 0:
-            raise PoleInParamsError(f"[b]_{k} [beta]_{k} = 0")
-        weight = binomial(n, k) * pochhammer_list(a + al, k) * z**k / div
-        p1, q1 = sum_pairs(_pairs((-n,) + a + al, k), _pairs(b + be, k), *z.as_integer_ratio())
-        p2, q2 = sum_pairs(_pairs((-k,) + c + be), _pairs(d + al), *w.as_integer_ratio())
-        num, den = _add(num, den, weight.numerator * p1 * p2, weight.denominator * q1 * q2)
-    return lhs, Fraction(num, den)
+    a = (Fraction(-n),) + a
+    lhs = Fraction(*sum_pairs(_pairs(a + c), _pairs(b + d), *(z * w).as_integer_ratio()))
+    # C(n,k) z^k = (-n)_k (-z)^k / k!
+    return lhs, _fields_wimp(n, a + al, b + be, c + be, d + al, z, w,
+                             lambda k: PoleInParamsError(f"[b]_{k} [beta]_{k} = 0"))
 
 
 def fields_wimp_luke_terminating(
@@ -279,18 +295,10 @@ def fields_wimp_luke_terminating(
     """
     a, b, cr, d = map(as_rationals, (a_list, b_list, c_list, d_list))
     c, z, w = as_rational(c), as_rational(z), as_rational(w)
-    n_max = truncation_index(a)
-    lhs = evaluate_terminating(HypSeries(a + cr, b + d, z * w))
-    num, den = 0, 1
-    for n in range(n_max + 1):
-        div = pochhammer_list(b, n) * factorial(n)
-        if div == 0:
-            raise DenominatorPoleError(f"[b]_{n} = 0")
-        weight = pochhammer_list(a + (c,), n) * (-z) ** n / div
-        p1, q1 = sum_pairs(_pairs((c,) + a, n), _pairs(b, n), *z.as_integer_ratio())
-        p2, q2 = sum_pairs(_pairs((-n,) + cr), _pairs((c,) + d), *w.as_integer_ratio())
-        num, den = _add(num, den, weight.numerator * p1 * p2, weight.denominator * q1 * q2)
-    return lhs, Fraction(num, den)
+    top = truncation_index(a)
+    lhs = Fraction(*sum_pairs(_pairs(a + cr), _pairs(b + d), *(z * w).as_integer_ratio()))
+    return lhs, _fields_wimp(top, (c,) + a, b, cr, (c,) + d, z, w,
+                             lambda n: DenominatorPoleError(f"[b]_{n} = 0"))
 
 
 def hermite_bm_sequence(p: int, with_index_factorial: bool = False) -> dict[int, Fraction]:

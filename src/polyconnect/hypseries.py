@@ -26,17 +26,16 @@ same order.
   building a Fraction or reducing anything: a backward nested sum over the
   term ratios.  Its clients fold (a, b) into their own integer factors and
   reduce once: the closed-form connection coefficients, with their
-  prefactor, and the right sides of the Fields-Wimp expansions
+  prefactor, and both sides of the Fields-Wimp expansion
   (expansions.fields_wimp_terminating and fields_wimp_luke_terminating),
-  with each term's weight.
+  the right side with each term's weight.
 
 evaluate_terminating keeps its path through series_coefficients (the
 coefficient list, lifted to integers over one denominator by rationals.lift,
 then one integer Horner pass and one Fraction), although sum_pairs would
 take the same value with less work: the benchmark's traced identity sweeps
 count series evaluations at series_coefficients, through this module's
-global, and the Fields-Wimp left sides and the even/odd split sweep are
-the calls left for it to count.
+global, and the even/odd split sweep is the only one left for it to count.
 
 Parameter lists are coerced by rationals.as_rationals: a string or a
 non-iterable raises InvalidInputError.
@@ -51,7 +50,14 @@ from .errors import (
     NonTerminatingError,
     ZeroDenominatorParameterError,
 )
-from .rationals import RationalLike, as_rational, as_rationals, lift, rational_to_str
+from .rationals import (
+    RationalLike,
+    as_rational,
+    as_rationals,
+    check_instance,
+    lift,
+    rational_to_str,
+)
 from .records import Frozen
 
 #: An ordered tuple of rational parameters.  Order is preserved as given;
@@ -201,6 +207,7 @@ def evaluate_terminating(series: HypSeries) -> Fraction:
     taken by backward Horner in integers, over d times x's denominator to the
     power K, and reduced once, into the returned Fraction.
     """
+    check_instance(series, HypSeries)
     coeffs, den = lift(series_coefficients(series.numerators, series.denominators))
     x_num, x_den = series.argument.as_integer_ratio()
     total, power = 0, 1
@@ -223,6 +230,7 @@ def split_even_odd(series: HypSeries) -> tuple[HypSeries, Fraction, HypSeries]:
     (p + j q)/(2 q), and the prefactor and the argument are one integer ratio
     each.
     """
+    check_instance(series, HypSeries)
     num_pq = [a.as_integer_ratio() for a in series.numerators]
     den_pq = [b.as_integer_ratio() for b in series.denominators]
     if any(p == 0 for p, _ in den_pq):
@@ -255,6 +263,7 @@ def split_even_odd(series: HypSeries) -> tuple[HypSeries, Fraction, HypSeries]:
 
 
 def series_to_json(series: HypSeries) -> dict:
+    check_instance(series, HypSeries)
     return {
         "num": [rational_to_str(a) for a in series.numerators],
         "den": [rational_to_str(b) for b in series.denominators],

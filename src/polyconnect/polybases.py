@@ -11,7 +11,7 @@ with a = jp.alpha, b = jp.beta, l = a + b + 1 throughout.
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Iterable, Optional, Union
 
 from .errors import InvalidInputError
@@ -21,6 +21,7 @@ from .rationals import (
     as_rational,
     as_rationals,
     check_index,
+    check_instance,
     factorial,
     lift,
     pochhammer,
@@ -163,21 +164,34 @@ class JacobiParams(Frozen):
         return self._hash
 
 
-def check_params(jp: object) -> JacobiParams:
-    """Return jp if it is a JacobiParams, else raise InvalidInputError."""
-    if not isinstance(jp, JacobiParams):
-        raise InvalidInputError(f"expected JacobiParams, got {jp!r}")
-    return jp
+def _cached(body):
+    """lru_cache(body), at one more call per cached hit.  Where the cache
+    raises TypeError, body runs uncached: its checks raise InvalidInputError
+    for an argument the cache cannot hash (no valid one is unhashable), and a
+    TypeError of body's own is raised again.  Keys are typed, so a degree
+    equal to a cached one but not an int (2.0, Fraction(2)) is checked too."""
+    cached = lru_cache(maxsize=None, typed=True)(body)
+
+    @wraps(body)
+    def member(*args, **kwargs):
+        try:
+            return cached(*args, **kwargs)
+        except TypeError:
+            pass
+        return body(*args, **kwargs)
+
+    member.cache_info, member.cache_clear = cached.cache_info, cached.cache_clear
+    return member
 
 
-@lru_cache(maxsize=None)
+@_cached
 def laguerre(n: int) -> Poly:
     """Laguerre polynomial, the terminating sum of (-n)_k x^k / (k! k!)."""
     check_index(n, "degree")
     return Poly(series_coefficients((Fraction(-n),), (Fraction(1),)))
 
 
-@lru_cache(maxsize=None)
+@_cached
 def hermite(n: int) -> Poly:
     """Hermite polynomial from the explicit sum
     n! * sum_k (-1)^k (2x)^(n-2k) / (k!(n-2k)!)."""
@@ -192,21 +206,21 @@ def hermite(n: int) -> Poly:
     return Poly(coeffs)
 
 
-@lru_cache(maxsize=None)
+@_cached
 def shifted_jacobi(n: int, jp: JacobiParams) -> Poly:
     """Shifted Jacobi polynomial ((-1)^n (beta+1)_n / n!) 2F1(-n, n+lam; beta+1; x)."""
     check_index(n, "degree")
-    check_params(jp)
+    check_instance(jp, JacobiParams)
     prefactor = Fraction((-1) ** n) * pochhammer(jp.beta + 1, n) / factorial(n)
     coeffs = series_coefficients((Fraction(-n), n + jp.lam), (jp.beta + 1,))
     return prefactor * Poly(coeffs)
 
 
-@lru_cache(maxsize=None)
+@_cached
 def jacobi_at_one_minus_x(m: int, jp: JacobiParams) -> Poly:
     """The standard Jacobi polynomial evaluated at 1-x, as a polynomial in x."""
     check_index(m, "degree")
-    check_params(jp)
+    check_instance(jp, JacobiParams)
     prefactor = pochhammer(jp.alpha + 1, m) / factorial(m)
     coeffs = series_coefficients((Fraction(-m), m + jp.lam), (jp.alpha + 1,))
     half = Fraction(1, 2)

@@ -62,6 +62,13 @@ def check_index(value: int, name: str) -> int:
     return value
 
 
+def check_instance(value: object, cls: type):
+    """Return value if it is an instance of cls, else raise InvalidInputError."""
+    if not isinstance(value, cls):
+        raise InvalidInputError(f"expected {cls.__name__}, got {value!r}")
+    return value
+
+
 def as_rationals(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     """Coerce each item with as_rational.  A string ("12" would read as
     [1, 2]) or a non-iterable raises InvalidInputError."""

@@ -4,7 +4,8 @@ Each sweep draws random instances from the documented sample pools, skips
 draws that violate a precondition (non-terminating part, pole in range),
 and keeps going until the requested number of valid cases has been checked.
 Identical seeds give identical case sequences.  Entries record the exact
-residual lhs - rhs; a sweep passes only if every residual is zero.
+residual lhs - rhs and the drawn inputs, rendered as JSON in one place
+(_to_json); a sweep passes only if every residual is zero.
 """
 
 import random
@@ -21,7 +22,7 @@ from .expansions import (
     fields_wimp_luke_terminating,
     fields_wimp_terminating,
 )
-from .hypseries import HypSeries, evaluate_terminating, series_to_json, split_even_odd
+from .hypseries import HypSeries, evaluate_terminating, split_even_odd
 from .rationals import check_index, rational_to_str
 
 _F = Fraction
@@ -49,10 +50,22 @@ _WIMP_ARG_POOL = (_F(1), _F(-1), _F(1, 2), _F(-1, 2), _F(1, 4), _F(-1, 4))
 MAX_DRAWS_PER_CASE = 100
 
 
+def _to_json(value):
+    """A drawn input as JSON: an int (a degree) as is, a rational as its
+    string, a parameter tuple as a list of them, a sequence by
+    coeff_seq_to_json."""
+    if isinstance(value, dict):
+        return coeff_seq_to_json(value)
+    if isinstance(value, tuple):
+        return [rational_to_str(v) for v in value]
+    return value if isinstance(value, int) else rational_to_str(value)
+
+
 def _sweep(cases: int, seed: int, draw) -> list[dict]:
     """Entries for ``cases`` draws of ``draw(rng, index) -> (lhs, rhs, case)``
-    from one seeded rng, skipping draws that raise PolyConnectError; raises
-    PolyConnectError after cases * MAX_DRAWS_PER_CASE draws."""
+    from one seeded rng, each drawn input in case rendered by _to_json,
+    skipping draws that raise PolyConnectError; raises PolyConnectError after
+    cases * MAX_DRAWS_PER_CASE draws."""
     rng = random.Random(seed)
     entries = []
     for _ in range(check_index(cases, "cases") * MAX_DRAWS_PER_CASE):
@@ -66,7 +79,7 @@ def _sweep(cases: int, seed: int, draw) -> list[dict]:
             "n": len(entries),
             "match": lhs == rhs,
             "residual": rational_to_str(lhs - rhs),
-            "case": case,
+            "case": {name: _to_json(value) for name, value in case.items()},
         })
     if len(entries) < cases:
         raise PolyConnectError(
@@ -87,7 +100,7 @@ def _draw_even_odd_split(rng: random.Random, index: int):
     rhs = evaluate_terminating(even)
     if prefactor and series.argument:
         rhs += prefactor * series.argument * evaluate_terminating(odd)
-    return lhs, rhs, series_to_json(series)
+    return lhs, rhs, {"num": series.numerators, "den": series.denominators, "arg": series.argument}
 
 
 def sweep_even_odd_split(cases: int = 200, seed: int = 0) -> list[dict]:
@@ -120,14 +133,7 @@ def _draw_bilinear_plain(rng: random.Random, index: int):
     c = rng.choice(_C_POOL)
     lhs = bilinear_lhs(a, b, z, w, with_factorial=False)
     rhs = fields_ismail_32_rhs(a, b, c, z, w)
-    case = {
-        "a": coeff_seq_to_json(a),
-        "b": coeff_seq_to_json(b),
-        "c": rational_to_str(c),
-        "z": rational_to_str(z),
-        "w": rational_to_str(w),
-    }
-    return lhs, rhs, case
+    return lhs, rhs, {"a": a, "b": b, "c": c, "z": z, "w": w}
 
 
 def sweep_bilinear_plain(cases: int = 200, seed: int = 0) -> list[dict]:
@@ -143,16 +149,8 @@ def _draw_bilinear_weighted(rng: random.Random, index: int):
     )
     lhs = bilinear_lhs(a, b, z, w, with_factorial=True)
     rhs = fields_ismail_13_rhs(a, b, ep, z, w)
-    case = {
-        "a": coeff_seq_to_json(a),
-        "b": coeff_seq_to_json(b),
-        "gamma": rational_to_str(ep.gamma),
-        "mu": rational_to_str(ep.mu),
-        "theta": rational_to_str(ep.theta),
-        "z": rational_to_str(z),
-        "w": rational_to_str(w),
-    }
-    return lhs, rhs, case
+    return lhs, rhs, {"a": a, "b": b, "gamma": ep.gamma, "mu": ep.mu, "theta": ep.theta,
+                      "z": z, "w": w}
 
 
 def sweep_bilinear_weighted(cases: int = 200, seed: int = 0) -> list[dict]:
@@ -174,18 +172,8 @@ def _draw_wimp_terminating(rng: random.Random, index: int):
     be = _random_list(rng, _WIMP_DEN_POOL)
     z, w = rng.choice(_WIMP_ARG_POOL), rng.choice(_WIMP_ARG_POOL)
     lhs, rhs = fields_wimp_terminating(n, a, b, c, d, al, be, z, w)
-    case = {
-        "n": n,
-        "a": [rational_to_str(v) for v in a],
-        "b": [rational_to_str(v) for v in b],
-        "c": [rational_to_str(v) for v in c],
-        "d": [rational_to_str(v) for v in d],
-        "alpha": [rational_to_str(v) for v in al],
-        "beta": [rational_to_str(v) for v in be],
-        "z": rational_to_str(z),
-        "w": rational_to_str(w),
-    }
-    return lhs, rhs, case
+    return lhs, rhs, {"n": n, "a": a, "b": b, "c": c, "d": d, "alpha": al, "beta": be,
+                      "z": z, "w": w}
 
 
 def sweep_wimp_terminating(cases: int = 200, seed: int = 0) -> list[dict]:
@@ -201,16 +189,7 @@ def _draw_luke_terminating(rng: random.Random, index: int):
     c = rng.choice(_WIMP_DEN_POOL)
     z, w = rng.choice(_WIMP_ARG_POOL), rng.choice(_WIMP_ARG_POOL)
     lhs, rhs = fields_wimp_luke_terminating(a, b, cr, d, c, z, w)
-    case = {
-        "a": [rational_to_str(v) for v in a],
-        "b": [rational_to_str(v) for v in b],
-        "c_list": [rational_to_str(v) for v in cr],
-        "d": [rational_to_str(v) for v in d],
-        "c": rational_to_str(c),
-        "z": rational_to_str(z),
-        "w": rational_to_str(w),
-    }
-    return lhs, rhs, case
+    return lhs, rhs, {"a": a, "b": b, "c_list": cr, "d": d, "c": c, "z": z, "w": w}
 
 
 def sweep_luke_terminating(cases: int = 100, seed: int = 0) -> list[dict]:

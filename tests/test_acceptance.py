@@ -11,6 +11,7 @@ import sys
 from fractions import Fraction as F
 
 from polyconnect import (
+    BasisId,
     DEFAULT_JACOBI_SWEEP,
     LAGUERRE,
     Poly,
@@ -19,7 +20,6 @@ from polyconnect import (
     connection_oracle,
     hermite,
     hermite_in_laguerre_via_bilinear,
-    jacobi_at_one_minus_x_basis,
     verify_theorem,
 )
 from polyconnect.sweeps import (
@@ -93,7 +93,7 @@ def test_criterion_05_interpreted_hermite_in_jacobi_vs_oracle():
     # the oracle route must reconstruct every source polynomial regardless
     oracle_ok = True
     for jp in DEFAULT_JACOBI_SWEEP:
-        target = jacobi_at_one_minus_x_basis(jp)
+        target = BasisId("jacobi-1mx", jp)
         for n in range(21):
             oracle_ok = oracle_ok and connection_oracle(hermite(n), target).reconstruct() == hermite(n)
     failure = report.first_failure()

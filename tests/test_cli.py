@@ -344,3 +344,38 @@ def test_one_process_serving_many_requests_matches_fresh_processes(capsys):
     assert [rc for rc, _, _ in shared] == [2, 2, 2, 0, 0, 1, 0, 0, 0, 0, 0]
     fresh = [run_cli(*argv) for argv in requests]
     assert shared == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poly", "--family", "jacobi-1mx", "--n", "6", "--alpha", "1/2", "--beta", "-1/3"],
+        ["connect", "--source", "shifted-jacobi", "--target", "hermite", "--n", "5",
+         "--alpha", "1/2", "--beta", "1/3", "--method", "both"],
+        ["table", "--source", "hermite", "--target", "jacobi-1mx", "--n-max", "4",
+         "--alpha", "-1/2", "--beta", "1/3", "--method", "both"],
+        ["table", "--source", "laguerre", "--target", "monomial", "--n-max", "4",
+         "--method", "oracle"],
+        ["verify", "--theorem", "3.1", "--n-max", "4"],
+        ["verify", "--theorem", "3.3", "--n-max", "4", "--alpha", "1", "--beta", "2"],
+        ["verify", "--theorem", "3.4", "--n-max", "3", "--alpha", "-3/2", "--beta", "-1"],
+        ["verify", "--theorem", "2.2", "--cases", "4"],
+        ["verify", "--theorem", "2.3", "--cases", "4"],
+    ],
+    ids=lambda argv: "-".join(argv[:3]),
+)
+def test_no_csv_field_needs_quoting(argv, capsys):
+    """The CSV is fields joined by commas; the csv module writes the same
+    fields to the same bytes, so none needed quoting."""
+    import csv
+    import io
+
+    from polyconnect import cli
+
+    assert cli.run([*argv, "--format", "csv"]) in (0, 1, 2)
+    out = capsys.readouterr().out
+    rows = [line.split(",") for line in out.split("\n")[:-1]]
+    assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
+    reference = io.StringIO()
+    csv.writer(reference, lineterminator="\n").writerows(rows)
+    assert reference.getvalue() == out

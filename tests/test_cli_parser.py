@@ -229,7 +229,7 @@ def test_command_help_lists_every_option(command, capsys):
 #: locale it pulls in, dataclasses with inspect, and the lemma sweeps with
 #: expansions and random.
 _OFF_COLD_PATH = {
-    "argparse", "gettext", "locale", "dataclasses", "inspect", "random",
+    "argparse", "gettext", "locale", "dataclasses", "inspect", "random", "csv",
     "polyconnect.sweeps", "polyconnect.expansions",
 }
 _COLD_REQUESTS = [

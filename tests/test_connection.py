@@ -24,7 +24,6 @@ from polyconnect import (
     coeff_shifted_jacobi_in_hermite,
     connection_oracle,
     hermite,
-    jacobi_at_one_minus_x_basis,
     laguerre,
     shifted_jacobi,
     verify_theorem,
@@ -38,7 +37,7 @@ TARGETS = [
     HERMITE,
     LAGUERRE,
     BasisId("shifted-jacobi", JacobiParams(F(1, 2), F(1, 2))),
-    jacobi_at_one_minus_x_basis(JacobiParams(1, 2)),
+    BasisId("jacobi-1mx", JacobiParams(1, 2)),
 ]
 
 rationals = st.fractions(min_value=-6, max_value=4, max_denominator=3)
@@ -181,14 +180,14 @@ class TestHermiteInShiftedJacobi:
     @pytest.mark.parametrize("jp", DEFAULT_JACOBI_SWEEP, ids=str)
     @pytest.mark.parametrize("n", range(0, 2))
     def test_matches_oracle_up_to_degree_one(self, n, jp):
-        oracle = connection_oracle(hermite(n), jacobi_at_one_minus_x_basis(jp))
+        oracle = connection_oracle(hermite(n), BasisId("jacobi-1mx", jp))
         closed = [coeff_hermite_in_shifted_jacobi(n, jp, m) for m in range(n + 1)]
         assert tuple(closed) == oracle.coefficients
 
     def test_known_divergence_from_oracle_at_degree_two(self):
         # the interpreted closed form and the oracle part ways at n = 2, m = 0;
         # the oracle side is the one that reconstructs hermite(2)
-        oracle = connection_oracle(hermite(2), jacobi_at_one_minus_x_basis(JP00))
+        oracle = connection_oracle(hermite(2), BasisId("jacobi-1mx", JP00))
         assert oracle.coefficients == (F(10, 3), -8, F(8, 3))
         assert oracle.reconstruct() == hermite(2)
         closed = [coeff_hermite_in_shifted_jacobi(2, JP00, m) for m in range(3)]
@@ -215,7 +214,7 @@ class TestCorrectedHermiteInShiftedJacobi:
             / (rise(a + 1, m) * rise(lam, s + m + 1))
             for m in range(s + 1)
         ]
-        target = jacobi_at_one_minus_x_basis(jp)
+        target = BasisId("jacobi-1mx", jp)
         expansion = sum(
             (c * basis_poly(target, m) for m, c in enumerate(coefficients)), Poly()
         )
@@ -223,7 +222,7 @@ class TestCorrectedHermiteInShiftedJacobi:
         assert tuple(coefficients) == connection_oracle(Poly.monomial(s), target).coefficients
 
     def test_literal_values_and_provenance(self):
-        target = jacobi_at_one_minus_x_basis(JP00)
+        target = BasisId("jacobi-1mx", JP00)
         corrected = closed_form_connection(HERMITE, target, 2, "3.3c")
         assert corrected.coefficients == (F(10, 3), -8, F(8, 3))
         assert corrected.provenance == "Thm3.3-corrected"
@@ -236,7 +235,7 @@ class TestCorrectedHermiteInShiftedJacobi:
                                     JacobiParams(F(7, 3), F(-10, 3))], ids=str)
     def test_lam_zero_equals_the_table(self, jp):
         # at lam = 0 the m = 0 prefactor (2m+l)/(l+m)_{n+1} is 0/0 with limit 1/(l+1)_n
-        target = jacobi_at_one_minus_x_basis(jp)
+        target = BasisId("jacobi-1mx", jp)
         for n, row in enumerate(connection_table(HERMITE, target, 12)):
             closed = closed_form_connection(HERMITE, target, n, "3.3c")
             assert closed.coefficients == row.coefficients
@@ -260,7 +259,7 @@ class TestCorrectedHermiteInShiftedJacobi:
         # wherever both exist the corrected row equals the table row; the
         # closed form is missing only where the parameters are degenerate
         jp = JacobiParams(alpha, beta)
-        target = jacobi_at_one_minus_x_basis(jp)
+        target = BasisId("jacobi-1mx", jp)
         regular = _always_graded(target)
         for n, row in enumerate(connection_table(HERMITE, target, 12)):
             try:
@@ -324,7 +323,7 @@ class TestClosedFormConnection:
         assert result.provenance == "Thm3.2"
         jacobi = BasisId("shifted-jacobi", JP00)
         assert closed_form_connection(jacobi, HERMITE, 1).provenance == "Thm3.4"
-        one_minus_x = jacobi_at_one_minus_x_basis(JP00)
+        one_minus_x = BasisId("jacobi-1mx", JP00)
         assert (
             closed_form_connection(HERMITE, one_minus_x, 1).provenance
             == "Thm3.3-interpreted"
@@ -416,7 +415,7 @@ class TestVerifyTheorem:
         source, target = (
             (BasisId("shifted-jacobi", jp), HERMITE)
             if theorem == "3.4"
-            else (HERMITE, jacobi_at_one_minus_x_basis(jp))
+            else (HERMITE, BasisId("jacobi-1mx", jp))
         )
         for n in range(5):
             try:

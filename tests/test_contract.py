@@ -5,7 +5,10 @@ those)."""
 
 import ast
 import contextlib
+import inspect
 import io
+from collections.abc import Iterator
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,7 @@ from polyconnect import (
     HypSeries,
     InvalidInputError,
     Poly,
+    PolyConnectError,
     basis_poly,
     bilinear_lhs,
     coeff_hermite_in_shifted_jacobi,
@@ -193,3 +197,69 @@ def test_cli_exits_0_1_or_2_with_a_one_line_error(argv):
     errors = err.getvalue()
     assert errors == "" or (errors.startswith("error: ") and errors.count("\n") == 1
                             and errors.endswith("\n"))
+
+
+#: Every public callable but the exception classes.
+_PUBLIC_CALLABLES = [
+    name for name, obj in ((name, getattr(polyconnect, name)) for name in polyconnect.__all__)
+    if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception))
+]
+#: Small ints (as degrees they keep each call cheap), rationals, strings
+#: (some of them valid ids and rationals), bools, floats and None, and flat
+#: lists and dicts of them.
+_scalars = st.one_of(
+    st.integers(-3, 6),
+    st.sampled_from([F(-3, 2), F(-1, 2), F(1, 3), F(1, 2), F(5, 2)]),
+    st.sampled_from(["1/2", "-2", "3.1", "hermite", "laguerre", "jacobi-1mx"]),
+    st.text(max_size=3),
+    st.booleans(),
+    st.floats(),
+    st.none(),
+)
+_values = st.one_of(
+    _scalars,
+    st.lists(_scalars, max_size=3),
+    st.dictionaries(st.integers(-1, 6) | st.text(max_size=2), _scalars, max_size=3),
+)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: polyconnect.basis_poly(0, 0),
+        lambda: polyconnect.closed_form_connection(0, 0, 0),
+        lambda: polyconnect.connection_oracle(0, 0),
+        lambda: list(polyconnect.connection_table(0, 0, 1)),
+        lambda: polyconnect.evaluate_terminating(0),
+        lambda: polyconnect.split_even_odd(0),
+        lambda: polyconnect.series_to_json(0),
+        lambda: polyconnect.delta_seq([1]),
+        lambda: polyconnect.hermite([1]),
+        lambda: polyconnect.laguerre([1]),
+        lambda: polyconnect.shifted_jacobi(0, [1]),
+        lambda: polyconnect.jacobi_at_one_minus_x(0, [1]),
+    ],
+    ids=["basis_poly", "closed_form_connection", "connection_oracle", "connection_table",
+         "evaluate_terminating", "split_even_odd", "series_to_json", "delta_seq", "hermite",
+         "laguerre", "shifted_jacobi", "jacobi_at_one_minus_x"],
+)
+def test_wrong_types_that_escaped_as_raw_errors_raise_invalid_input(call):
+    """Each raised AttributeError or TypeError before it was checked."""
+    with pytest.raises(InvalidInputError):
+        call()
+
+
+@pytest.mark.parametrize("name", _PUBLIC_CALLABLES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_public_callable_returns_or_raises_polyconnect_error(name, data):
+    fn = getattr(polyconnect, name)
+    params = inspect.signature(fn).parameters.values()
+    required = sum(p.default is p.empty for p in params)
+    args = data.draw(st.lists(_values, min_size=required, max_size=len(params)))
+    try:
+        result = fn(*args)
+        if isinstance(result, Iterator):
+            list(result)
+    except PolyConnectError:
+        pass

@@ -1,8 +1,11 @@
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
 
 from polyconnect import (
+    DenominatorPoleError,
     ExpansionParams,
     InvalidInputError,
     LAGUERRE,
@@ -109,6 +112,13 @@ class TestWimpTerminating:
         with pytest.raises(InvalidInputError):
             fields_wimp_terminating(-1, [], [], [], [], [], [], 1, 1)
 
+    def test_loop_runs_to_n_past_the_vanishing_weight(self):
+        # the weight [alpha]_k = (-1)_k vanishes at k = 2, but the loop still
+        # reaches k = 2, where F(-2; -1; w) has its pole inside its range
+        message = "^denominator parameter -1 vanishes at index 2 <= truncation index 2$"
+        with pytest.raises(DenominatorPoleError, match=message):
+            fields_wimp_terminating(2, [], [], [], [], [-1], [], F(1, 2), F(-1, 3))
+
 
 class TestLukeTerminating:
     def test_worked_instance(self):
@@ -195,6 +205,23 @@ def test_sweeps_pass_and_are_deterministic(sweep):
     assert sweep(40, seed=11) == first
     # the keys the CLI reads, and the drawn case
     assert all(set(entry) == {"n", "match", "residual", "case"} for entry in first)
+
+
+#: sha256 of json.dumps of the first 20 entries' case dicts at seed 0, in
+#: order: pins their keys, key order and values, which no CLI digest covers.
+_CASE_DIGESTS = {
+    sweep_even_odd_split: "45a8809f650736d5e15c755fe11f277d99ad4c12c121108ce96994e1b1a6f6ae",
+    sweep_bilinear_plain: "46452d19ba3a94fe91982537a3b784dc10ebdab1099fbf0102f286bde8a2b438",
+    sweep_bilinear_weighted: "ceeb40db9266031a3e976910fec3e925a395fa51447323f63984b1fb88046dbc",
+    sweep_wimp_terminating: "33432d3d3d88171f3a6ae999b8e65869663850854314212d12421b450864320c",
+    sweep_luke_terminating: "9cb036ed3e0af1b6b192d7228891da4db403f98ae49ecf333e2f11e7902f1500",
+}
+
+
+@pytest.mark.parametrize("sweep", list(_CASE_DIGESTS), ids=lambda f: f.__name__)
+def test_sweep_cases_match_recorded_digest(sweep):
+    cases = [entry["case"] for entry in sweep(20, seed=0)]
+    assert hashlib.sha256(json.dumps(cases).encode()).hexdigest() == _CASE_DIGESTS[sweep]
 
 
 def test_sweep_caps_draws_and_validates_cases():

@@ -178,3 +178,30 @@ def test_degree_guards():
         laguerre(-1)
     with pytest.raises(InvalidInputError):
         hermite(-3)
+
+
+def test_family_cache_checks_unhashable_arguments_and_keeps_body_type_errors():
+    from polyconnect import polybases
+
+    @polybases._cached
+    def member(n):
+        polybases.check_index(n, "degree")
+        raise TypeError("from the body")
+
+    with pytest.raises(InvalidInputError, match="degree must be a nonnegative integer"):
+        member([1])
+    with pytest.raises(TypeError, match="from the body"):
+        member(1)
+    for family in (hermite, laguerre, shifted_jacobi, jacobi_at_one_minus_x):
+        assert family.cache_info().maxsize is None
+    hermite(2)
+    assert hermite.cache_info().currsize >= 1
+
+
+@pytest.mark.parametrize("degree", [2.0, F(2), True])
+def test_cached_member_still_rejects_an_equal_degree_that_is_not_an_int(degree):
+    jp = JacobiParams(0, 0)
+    for family, args in ((hermite, ()), (shifted_jacobi, (jp,)), (jacobi_at_one_minus_x, (jp,))):
+        family(int(degree), *args)
+        with pytest.raises(InvalidInputError, match="degree must be a nonnegative integer"):
+            family(degree, *args)

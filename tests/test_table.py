@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyconnect import (
+    BasisId,
     InvalidInputError,
     JacobiParams,
     Poly,
@@ -18,7 +19,6 @@ from polyconnect import (
     connection_oracle,
     connection_table,
     hermite,
-    jacobi_at_one_minus_x_basis,
     verify_theorem,
 )
 from polyconnect import connection
@@ -174,7 +174,7 @@ def test_verify_runs_oracle_and_reconstruct_only_on_mismatch(monkeypatch):
     failure = report.first_failure()
     assert (failure.n, failure.alpha, failure.beta, failure.first_mismatch) == (2, 0, 0, 0)
     assert coeff_hermite_in_shifted_jacobi(2, JP00, 0) == F(22, 3)
-    oracle = connection_oracle(hermite(2), jacobi_at_one_minus_x_basis(JP00))
+    oracle = connection_oracle(hermite(2), BasisId("jacobi-1mx", JP00))
     assert oracle.coefficients[0] == F(10, 3)
 
 

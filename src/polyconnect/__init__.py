@@ -25,8 +25,8 @@ _HOMES = {
         "pochhammer_list", "rational_to_str",
     ), "rationals"),
     **dict.fromkeys((
-        "HypSeries", "evaluate_terminating", "series_coefficients", "series_to_json",
-        "split_even_odd", "truncation_index",
+        "HypSeries", "evaluate_terminating", "series_coefficients", "split_even_odd",
+        "truncation_index",
     ), "hypseries"),
     **dict.fromkeys((
         "JacobiParams", "Poly", "hermite", "jacobi_at_one_minus_x", "laguerre",

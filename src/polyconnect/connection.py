@@ -38,8 +38,10 @@ too; ``connect`` and ``connection_oracle`` convert one degree as before.
 The certify path computes on integers and builds one Fraction per value it
 returns.  Each record's row(n, jp) gives the coefficients of a whole row.
 The Thm3.1 and Thm3.2 rows come from integer recurrences in k of order 3,
-run backward from k = n in O(n) steps; tests/test_row_recurrences.py proves
-them with Zeilberger certificates.  The Jacobi rows are evaluated entry by
+and the Thm3.4 row from one of order 4, each run backward from k = n in O(n)
+steps; tests/test_row_recurrences.py proves them, the first two with
+Zeilberger certificates.  The Thm3.3 rows, and the Thm3.4 rows for
+parameters where a member can fail to be built, are evaluated entry by
 entry: a coefficient c_nk is an integer prefactor numerator and denominator
 times a terminating 4F2 series.  Its parameters are written as integer pairs
 (p, q), such as (k - n, 2) for (k - n)/2, and hypseries.sum_pairs returns
@@ -321,18 +323,18 @@ def connection_oracle(p: Poly, target: BasisId) -> ConnectionResult:
     )
 
 
+def _regular(jp: JacobiParams) -> bool:
+    """Whether none of alpha, beta and lam is a negative integer."""
+    return not any(v < 0 and v.denominator == 1 for v in (jp.alpha, jp.beta, jp.lam))
+
+
 def _always_graded(*bases: BasisId) -> bool:
     """Whether every member of each basis exists and has full degree: true
-    for the families without parameters, and for the Jacobi families unless
-    alpha, beta or lam is a negative integer.  Only then can a member's
-    series meet a pole, its leading coefficient (k + lam)_k / k! vanish, or
-    a recurrence's a or d vanish (see Family)."""
-    return not any(
-        v < 0 and v.denominator == 1
-        for b in bases
-        if b.params is not None
-        for v in (b.params.alpha, b.params.beta, b.params.lam)
-    )
+    for the families without parameters, and for the Jacobi families with
+    _regular parameters.  Only otherwise can a member's series meet a pole,
+    its leading coefficient (k + lam)_k / k! vanish, or a recurrence's a or
+    d vanish (see Family)."""
+    return all(b.params is None or _regular(b.params) for b in bases)
 
 
 def connection_table(
@@ -658,6 +660,56 @@ def _hermite_in_laguerre_row(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(sign * math.perm(n, k) * big[k] << k) for k in range(n + 1))
 
 
+def _shifted_jacobi_in_hermite_row(n: int, jp: JacobiParams) -> tuple[Fraction, ...]:
+    """The Thm3.4 row c_{n,0..n} (coeff_shifted_jacobi_in_hermite) by a
+    recurrence in j, O(n) integer steps instead of an O(n)-term series per
+    entry.
+
+    With b = beta, l = lam and F(m) = (-n)_m (n+l)_m / ((b+1)_m 2^m), the
+    expansion x^m = m!/2^m sum_i H_{m-2i} / (i! (m-2i)!) gives c_{n,j} =
+    K G(j) / j! with G(j) = sum_i F(j+2i) / i! and K = (-1)^n (b+1)_n / n!.
+    F obeys 2(m+b+1) F(m+1) = (m-n)(m+n+l) F(m); summed against 1/i! it
+    becomes, for 0 <= j < n and with G(j) = 0 for j > n,
+
+        (j-n)(j+n+l) G(j) = 2(j+b+1) G(j+1) - 2(2j+l+2) G(j+2)
+                            + 4 G(j+3) - 4 G(j+4),
+
+    of order 4 (tests/test_row_recurrences.py checks it term by term).  With
+    b = B/q and l = L/q over one denominator q, e_i = (i-n)((i+n)q + L) and
+    P_j = e_j ... e_{n-1}, G(j) = G(n) N_j / P_j for the integers
+
+        N_j = 2((j+1)q+B) N_{j+1} - e_{j+1} [2((2j+2)q+L) N_{j+2}
+              - 4q e_{j+2} (N_{j+3} - e_{j+3} N_{j+4})],
+
+    run backward from N_n = 1.  K G(n) = (n+l)_n / 2^n, and P_j is
+    (-1)^(n-j) (n-j)! q^(n-j) (n+j+l)_{n-j}, so
+
+        c_{n,j} = (-1)^(n-j) C(n, j) q^j (n+l)_j N_j / (q^n 2^n n!).
+
+    e_j vanishes for some j < n only where lam is a negative integer, and
+    F's denominator (b+1)_m only where beta is; for such parameters, or a
+    negative integer alpha, the row is evaluated entry by entry, with its
+    errors.
+    """
+    if not _regular(jp):
+        return tuple(coeff_shifted_jacobi_in_hermite(n, jp, j) for j in range(n + 1))
+    (b, lam), q = lift((jp.beta, jp.lam))
+    e = [(i - n) * ((i + n) * q + lam) for i in range(n + 3)]
+    big = [0] * (n + 5)
+    big[n] = 1
+    for j in range(n - 1, -1, -1):
+        big[j] = 2 * ((j + 1) * q + b) * big[j + 1] - e[j + 1] * (
+            2 * ((2 * j + 2) * q + lam) * big[j + 2]
+            - 4 * q * e[j + 2] * (big[j + 3] - e[j + 3] * big[j + 4])
+        )
+    den = math.factorial(n) * q**n << n
+    row, top = [], 1  # top = q^j (n+l)_j
+    for j in range(n + 1):
+        row.append(Fraction((-1) ** (n - j) * math.comb(n, j) * top * big[j], den))
+        top *= (n + j) * q + lam
+    return tuple(row)
+
+
 class Theorem(Frozen):
     """One closed form: source family -> target family, row(n, jp) the
     coefficients of the target members of degree 0..n, and the provenance tag
@@ -685,9 +737,9 @@ class Theorem(Frozen):
         return self.source in JACOBI_FAMILIES or self.target in JACOBI_FAMILIES
 
 
-#: Theorem id -> record.  Thm3.1 and Thm3.2 rows come from recurrences in k;
-#: the Jacobi rows are evaluated entry by entry.  The lambdas look each
-#: function up when called, not when the table is built.
+#: Theorem id -> record.  Thm3.1, Thm3.2 and Thm3.4 rows come from
+#: recurrences in k; the Thm3.3 rows are evaluated entry by entry.  The
+#: lambdas look each function up when called, not when the table is built.
 THEOREMS = {
     t.id: t
     for t in (
@@ -702,8 +754,7 @@ THEOREMS = {
                 lambda n, jp: tuple(coeff_hermite_in_shifted_jacobi(n, jp, k, -1)
                                     for k in range(n + 1)), "Thm3.3-corrected"),
         Theorem("3.4", "shifted-jacobi", "hermite",
-                lambda n, jp: tuple(coeff_shifted_jacobi_in_hermite(n, jp, k)
-                                    for k in range(n + 1)), "Thm3.4"),
+                lambda n, jp: _shifted_jacobi_in_hermite_row(n, jp), "Thm3.4"),
     )
 }
 

@@ -261,12 +261,3 @@ def split_even_odd(series: HypSeries) -> tuple[HypSeries, Fraction, HypSeries]:
     )
     return even, prefactor, odd
 
-
-def series_to_json(series: HypSeries) -> dict:
-    check_instance(series, HypSeries)
-    return {
-        "num": [rational_to_str(a) for a in series.numerators],
-        "den": [rational_to_str(b) for b in series.denominators],
-        "arg": rational_to_str(series.argument),
-    }
-

@@ -22,7 +22,6 @@ from .rationals import (
     as_rationals,
     check_index,
     check_instance,
-    factorial,
     lift,
     pochhammer,
     rational_to_str,
@@ -211,9 +210,10 @@ def shifted_jacobi(n: int, jp: JacobiParams) -> Poly:
     """Shifted Jacobi polynomial ((-1)^n (beta+1)_n / n!) 2F1(-n, n+lam; beta+1; x)."""
     check_index(n, "degree")
     check_instance(jp, JacobiParams)
-    prefactor = Fraction((-1) ** n) * pochhammer(jp.beta + 1, n) / factorial(n)
+    rise = pochhammer(jp.beta + 1, n)
+    p, d = (-1) ** n * rise.numerator, rise.denominator * math.factorial(n)
     coeffs = series_coefficients((Fraction(-n), n + jp.lam), (jp.beta + 1,))
-    return prefactor * Poly(coeffs)
+    return Poly(Fraction(p * c.numerator, d * c.denominator) for c in coeffs)
 
 
 @_cached
@@ -221,7 +221,9 @@ def jacobi_at_one_minus_x(m: int, jp: JacobiParams) -> Poly:
     """The standard Jacobi polynomial evaluated at 1-x, as a polynomial in x."""
     check_index(m, "degree")
     check_instance(jp, JacobiParams)
-    prefactor = pochhammer(jp.alpha + 1, m) / factorial(m)
+    rise = pochhammer(jp.alpha + 1, m)
+    p, d = rise.numerator, rise.denominator * math.factorial(m)
     coeffs = series_coefficients((Fraction(-m), m + jp.lam), (jp.alpha + 1,))
-    half = Fraction(1, 2)
-    return prefactor * Poly(c * half**k for k, c in enumerate(coeffs))
+    return Poly(
+        Fraction(p * c.numerator, d * c.denominator << k) for k, c in enumerate(coeffs)
+    )

@@ -232,7 +232,6 @@ _values = st.one_of(
         lambda: list(polyconnect.connection_table(0, 0, 1)),
         lambda: polyconnect.evaluate_terminating(0),
         lambda: polyconnect.split_even_odd(0),
-        lambda: polyconnect.series_to_json(0),
         lambda: polyconnect.delta_seq([1]),
         lambda: polyconnect.hermite([1]),
         lambda: polyconnect.laguerre([1]),
@@ -240,8 +239,8 @@ _values = st.one_of(
         lambda: polyconnect.jacobi_at_one_minus_x(0, [1]),
     ],
     ids=["basis_poly", "closed_form_connection", "connection_oracle", "connection_table",
-         "evaluate_terminating", "split_even_odd", "series_to_json", "delta_seq", "hermite",
-         "laguerre", "shifted_jacobi", "jacobi_at_one_minus_x"],
+         "evaluate_terminating", "split_even_odd", "delta_seq", "hermite", "laguerre",
+         "shifted_jacobi", "jacobi_at_one_minus_x"],
 )
 def test_wrong_types_that_escaped_as_raw_errors_raise_invalid_input(call):
     """Each raised AttributeError or TypeError before it was checked."""

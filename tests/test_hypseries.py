@@ -10,7 +10,6 @@ from polyconnect import (
     NonTerminatingError,
     ZeroDenominatorParameterError,
     evaluate_terminating,
-    series_to_json,
     split_even_odd,
     truncation_index,
 )
@@ -141,9 +140,3 @@ def test_split_identity_on_fixed_grid():
         for x in SAMPLE_ARGS:
             s = HypSeries(nums, dens, x)
             assert _split_value(s) == evaluate_terminating(s)
-
-
-def test_series_to_json():
-    s = HypSeries((F(-1), F(-1, 2)), (F(1, 2), F(1)), F(1, 4))
-    data = series_to_json(s)
-    assert data == {"num": ["-1", "-1/2"], "den": ["1/2", "1"], "arg": "1/4"}

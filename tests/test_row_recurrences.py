@@ -1,8 +1,10 @@
-"""Proofs of the recurrences in k behind the Thm3.1 and Thm3.2 rows.
+"""Proofs of the recurrences in k behind the Thm3.1, Thm3.2 and Thm3.4 rows.
 
-closed_form_connection builds these two rows by recurrences along the row
-(connection._laguerre_in_hermite_row and _hermite_in_laguerre_row).  Each
-entry of a row is a terminating sum of a hypergeometric term,
+closed_form_connection builds these rows by recurrences along the row
+(connection._laguerre_in_hermite_row, _hermite_in_laguerre_row and
+_shifted_jacobi_in_hermite_row).  Thm3.4 has its own proof, at the end of
+this docstring.  Each entry of a Thm3.1 or Thm3.2 row is a terminating sum
+of a hypergeometric term,
 
     c_{n,k} = sum_{j=0}^{J} t(n, k, j),    J = floor((n - k) / 2),
 
@@ -62,6 +64,28 @@ c_{n,n} fix c_{n,k}.  The library runs the same recurrence on N_k, a
 rescaling of c_{n,k} (see the row functions' docstrings); its rows satisfy
 the certified recurrence and equal the literal series for every n <= 80.
 
+Thm3.4.  With b = beta, l = lam and F(m) = (-n)_m (n+l)_m / ((b+1)_m 2^m),
+the row is c_{n,j} = K G(j) / j! with G(j) = sum_i F(j+2i) / i! and
+K = (-1)^n (b+1)_n / n!, and the claim is, for 0 <= j < n,
+
+    D(j) = 2(j+b+1) G(j+1) - 2(2j+l+2) G(j+2) + 4 G(j+3) - 4 G(j+4)
+           - (j-n)(j+n+l) G(j) = 0.
+
+Let L_i be the i-th term of D(j), each G(j+s) written as sum_i F(j+s+2i)/i!.
+With m = j + 2i,
+
+    A_i = [2(m+b+1) F(m+1) - (m-n)(m+n+l) F(m)] / i!,
+    W_i = [2(2j+l+2i) F(m) - 4 F(m+1) + 4 F(m+2)] / (i-1)!,   W_0 = 0,
+
+the identity L_i = A_i + W_i - W_{i+1} holds for any values F(m): times i!
+it is linear in F(m), ..., F(m+4), with coefficients polynomial in
+(n, j, i, b, l) of degree at most 2 in each, so it holds once it holds on a
+3^5 grid for each of the five unit vectors.  A_i = 0 because F obeys the
+first-order recurrence 2(m+b+1) F(m+1) = (m-n)(m+n+l) F(m).  F(m) = 0 for
+m > n, so summed over 0 <= i <= I = floor((n-j)/2), beyond which every term
+vanishes, D(j) = W_0 - W_{I+1} = 0.  (j-n)(j+n+l) is nonzero for j < n
+unless lam is a negative integer, where the row is evaluated entry by entry.
+
 Only the standard library, pytest and hypothesis are used here.
 """
 
@@ -70,13 +94,19 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from polyconnect import (
     HERMITE,
     LAGUERRE,
+    BasisId,
+    JacobiParams,
+    PolyConnectError,
+    basis_poly,
     closed_form_connection,
     coeff_hermite_in_laguerre,
     coeff_laguerre_in_hermite,
+    coeff_shifted_jacobi_in_hermite,
 )
 from polyconnect import connection
 
@@ -212,7 +242,11 @@ def test_rows_equal_the_literal_series(theorem):
         assert row == tuple(c.coefficient(n, k) for k in range(n + 1)), n
 
 
-@pytest.mark.parametrize("source, target", [(LAGUERRE, HERMITE), (HERMITE, LAGUERRE)])
+@pytest.mark.parametrize("source, target", [
+    (LAGUERRE, HERMITE),
+    (HERMITE, LAGUERRE),
+    (BasisId("shifted-jacobi", JacobiParams(Fraction(1, 2), Fraction(1, 3))), HERMITE),
+])
 def test_recurrence_rows_never_sum_a_series(monkeypatch, source, target):
     def refuse(*args):
         raise AssertionError("sum_pairs called for a recurrence row")
@@ -222,3 +256,163 @@ def test_recurrence_rows_never_sum_a_series(monkeypatch, source, target):
         result = closed_form_connection(source, target, n)
         assert len(result.coefficients) == n + 1
         assert all(type(c) is Fraction for c in result.coefficients)
+
+
+# Thm3.4: (beta, lam) pairs, lam = 0 included, none a negative integer
+JACOBI_BL = [
+    (Fraction(0), Fraction(1)),
+    (Fraction(1, 3), Fraction(11, 6)),
+    (Fraction(-1, 2), Fraction(0)),
+    (Fraction(2), Fraction(4)),
+    (Fraction(5, 7), Fraction(3, 14)),
+    (Fraction(-2, 5), Fraction(-26, 15)),
+]
+
+
+def _rising(x: Fraction, m: int) -> Fraction:
+    return math.prod((x + i for i in range(m)), start=Fraction(1))
+
+
+def _thm34_f(n: int, b: Fraction, lam: Fraction) -> Callable[[int], Fraction]:
+    """m -> F(m) = (-n)_m (n+l)_m / ((b+1)_m 2^m)."""
+    return lambda m: _rising(Fraction(-n), m) * _rising(n + lam, m) / (
+        _rising(b + 1, m) * 2**m
+    )
+
+
+def _thm34_l(f, n, j, i, b, lam):
+    """i! L_i, the i-th term of D(j) times i!."""
+    m = j + 2 * i
+    return (2 * (j + b + 1) * f(m + 1) - 2 * (2 * j + lam + 2) * f(m + 2) + 4 * f(m + 3)
+            - 4 * f(m + 4) - (j - n) * (j + n + lam) * f(m))
+
+
+def _thm34_a(f, n, j, i, b, lam):
+    """i! A_i."""
+    m = j + 2 * i
+    return 2 * (m + b + 1) * f(m + 1) - (m - n) * (m + n + lam) * f(m)
+
+
+def _thm34_w(f, j, i, lam):
+    """(i-1)! W_i, so that i! W_i = i * this and i! W_{i+1} = _thm34_w(f, j, i+1, lam)."""
+    m = j + 2 * i
+    return 2 * (2 * j + lam + 2 * i) * f(m) - 4 * f(m + 1) + 4 * f(m + 2)
+
+
+def _thm34_defect(f, n, j, i, b, lam):
+    """i! (L_i - A_i - W_i + W_{i+1}): zero where the term-wise identity holds."""
+    return (_thm34_l(f, n, j, i, b, lam) - _thm34_a(f, n, j, i, b, lam)
+            - i * _thm34_w(f, j, i, lam) + _thm34_w(f, j, i + 1, lam))
+
+
+def test_thm34_terms_sum_to_the_literal_coefficients():
+    for b, lam in JACOBI_BL:
+        jp = JacobiParams(lam - b - 1, b)
+        for n in range(17):
+            f = _thm34_f(n, b, lam)
+            k = (-1) ** n * _rising(b + 1, n) / math.factorial(n)
+            for j in range(n + 1):
+                g = sum(f(j + 2 * i) / math.factorial(i) for i in range((n - j) // 2 + 1))
+                assert k * g / math.factorial(j) == coeff_shifted_jacobi_in_hermite(n, jp, j)
+
+
+def test_thm34_termwise_identity_holds_for_any_values():
+    # linear in F(m..m+4) with coefficients of degree <= 2 in each of
+    # (n, j, i, b, l): zero on a 3^5 grid for each unit vector, so zero
+    grid = (Fraction(-3, 2), Fraction(1, 3), Fraction(5))
+    points = 0
+    for n, j, i in ((n, j, i) for n in (7, 11, 20) for j in (0, 2, 5) for i in (0, 1, 4)):
+        for b in grid:
+            for lam in grid:
+                for s in range(5):
+                    def unit(m, at=j + 2 * i + s):
+                        return Fraction(m == at)
+                    assert _thm34_defect(unit, n, j, i, b, lam) == 0, (n, j, i, b, lam, s)
+                    points += 1
+    assert points == 3**5 * 5
+
+
+def test_thm34_summand_obeys_its_first_order_recurrence():
+    # A_i = 0: every m, past the support (m > n, where F vanishes) included
+    for b, lam in JACOBI_BL:
+        for n in range(13):
+            f = _thm34_f(n, b, lam)
+            for m in range(n + 6):
+                assert _thm34_a(f, n, m, 0, b, lam) == 0, (b, lam, n, m)
+                assert (f(m) == 0) == (m > n)
+
+
+def test_thm34_identity_and_boundary_terms():
+    # every instance for n <= 12: L_i = A_i + W_i - W_{i+1}, W_{I+1} = 0,
+    # so the terms of D(j) sum to zero
+    for b, lam in JACOBI_BL:
+        for n in range(13):
+            f = _thm34_f(n, b, lam)
+            for j in range(n):
+                top = (n - j) // 2
+                for i in range(top + 1):
+                    assert _thm34_defect(f, n, j, i, b, lam) == 0, (b, lam, n, j, i)
+                assert _thm34_w(f, j, top + 1, lam) == 0
+                assert sum(_thm34_l(f, n, j, i, b, lam) / math.factorial(i)
+                           for i in range(top + 1)) == 0
+
+
+def test_thm34_rows_satisfy_the_recurrence_and_equal_the_literal_series():
+    for b, lam in JACOBI_BL:
+        jp = JacobiParams(lam - b - 1, b)
+        k = 1
+        for n in range(41):
+            if n:
+                k *= -(b + n) / n  # K = (-1)^n (b+1)_n / n!
+            row = connection.THEOREMS["3.4"].row(n, jp)
+            assert row == tuple(coeff_shifted_jacobi_in_hermite(n, jp, j) for j in range(n + 1))
+            g = [math.factorial(j) * c / k for j, c in enumerate(row)] + [0] * 4
+            for j in range(n):
+                assert (j - n) * (j + n + lam) * g[j] == (
+                    2 * (j + b + 1) * g[j + 1] - 2 * (2 * j + lam + 2) * g[j + 2]
+                    + 4 * g[j + 3] - 4 * g[j + 4]
+                ), (b, lam, n, j)
+
+
+_rationals = st.fractions(min_value=-6, max_value=4, max_denominator=4)
+
+
+def _thm34_literal(n: int, jp: JacobiParams):
+    """closed_form_connection's Thm3.4 coefficients entry by entry, or the
+    class and message of its error (a degenerate source member's first)."""
+    try:
+        source = BasisId("shifted-jacobi", jp)
+        if not connection._always_graded(source):
+            basis_poly(source, n)
+        return tuple(coeff_shifted_jacobi_in_hermite(n, jp, j) for j in range(n + 1))
+    except PolyConnectError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    st.tuples(_rationals, _rationals),
+    _rationals.map(lambda a: (a, -1 - a)),  # lam = 0
+), st.integers(min_value=0, max_value=40))
+def test_thm34_recurrence_rows_equal_the_entry_rows(params, n):
+    jp = JacobiParams(*params)
+    assume(connection._regular(jp))  # a degenerate draw is the next test's case
+    row = connection.THEOREMS["3.4"].row(n, jp)
+    assert row == tuple(coeff_shifted_jacobi_in_hermite(n, jp, j) for j in range(n + 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    st.tuples(st.integers(-6, -1).map(Fraction), _rationals),
+    st.tuples(_rationals, st.integers(-6, -1).map(Fraction)),
+    st.tuples(_rationals, st.integers(-6, -1)).map(lambda t: (t[0], t[1] - 1 - t[0])),
+), st.integers(min_value=0, max_value=12))
+def test_thm34_degenerate_rows_keep_the_entry_values_and_errors(params, n):
+    jp = JacobiParams(*params)
+    assert not connection._regular(jp)
+    source = BasisId("shifted-jacobi", jp)
+    try:
+        got = closed_form_connection(source, HERMITE, n).coefficients
+    except PolyConnectError as exc:
+        got = type(exc), str(exc)
+    assert got == _thm34_literal(n, jp)

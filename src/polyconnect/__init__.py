@@ -21,8 +21,8 @@ _HOMES = {
         "ZeroDenominatorParameterError",
     ), "errors"),
     **dict.fromkeys((
-        "as_rational", "binomial", "factorial", "parse_rational", "pochhammer",
-        "pochhammer_list", "rational_to_str",
+        "as_rational", "factorial", "parse_rational", "pochhammer", "pochhammer_list",
+        "rational_to_str",
     ), "rationals"),
     **dict.fromkeys((
         "HypSeries", "evaluate_terminating", "series_coefficients", "split_even_odd",

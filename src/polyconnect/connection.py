@@ -24,34 +24,32 @@ shadowed by two exact conversions that use no closed form:
   or a_k or d_k vanish), every row is ``connection_oracle`` on its member
   instead, or the error that call raises.
 
-``verify_theorem`` compares each closed-form row with its table row.  Equal
-rows match with a zero residual, and verify builds no member for them
-(``closed_form_connection`` builds a Jacobi source member only for
-degenerate parameters, to check its degree).
-Only a row that differs runs ``connection_oracle`` on the source member,
-which must agree with the table, and then ``ConnectionResult.reconstruct``
-for the exact residual, so a "fail" verdict rests on two independent
-methods wherever the recurrence built the row (a degenerate row already is
-the oracle's).  The CLI's ``table --method oracle|both`` reads the table
-too; ``connect`` and ``connection_oracle`` convert one degree as before.
+Every row c_{n,0..n} has one format, ``Row``: integers R over one
+denominator d > 0, with c_{n,k} = R[k] / d.  Each THEOREMS record's
+row(n, jp) returns it.  The Thm3.1, Thm3.2 and Thm3.4 rows come from integer
+recurrences in k (of order 3, 3 and 4) run backward from k = n in O(n) steps,
+over 2^n n!, 1 and q^n 2^n n!; tests/test_row_recurrences.py proves them.
+The Thm3.3 rows, and the Thm3.4 rows for parameters where a member can fail
+to be built, are evaluated entry by entry and lifted over the lcm of their
+denominators: a coefficient is an integer prefactor times a terminating 4F2
+whose parameters are integer pairs (p, q) for p/q, and hypseries.sum_pairs
+returns its value as an unreduced pair (a, b), one gcd per entry in all.
+The coeff_* functions keep the literal series for every theorem.  Only
+_result builds Fractions from a row, one per coefficient of the
+ConnectionResult it returns.
 
-The certify path computes on integers and builds one Fraction per value it
-returns.  Each record's row(n, jp) gives the coefficients of a whole row.
-The Thm3.1 and Thm3.2 rows come from integer recurrences in k of order 3,
-and the Thm3.4 row from one of order 4, each run backward from k = n in O(n)
-steps; tests/test_row_recurrences.py proves them, the first two with
-Zeilberger certificates.  The Thm3.3 rows, and the Thm3.4 rows for
-parameters where a member can fail to be built, are evaluated entry by
-entry: a coefficient c_nk is an integer prefactor numerator and denominator
-times a terminating 4F2 series.  Its parameters are written as integer pairs
-(p, q), such as (k - n, 2) for (k - n)/2, and hypseries.sum_pairs returns
-the series value as an unreduced integer pair (a, b); the coefficient is
-Fraction(prefactor numerator * a, prefactor denominator * b), one gcd in
-all.  The single-coefficient functions coeff_* keep the literal series for
-every theorem.  The oracle and reconstruction work on the
-members' integer forms (rationals.lift), which the cached family members
-compute once per process; verify compares closed forms with the table's
-integer rows by cross-multiplication.
+``verify_theorem`` compares each closed-form row with its table row in
+integers, R_i e == S_i d.  Equal rows match with a zero residual, and verify
+builds no member and no ConnectionResult for them (a Jacobi source member
+is built only for degenerate parameters, to check its degree).  Only a row
+that differs runs ``connection_oracle`` on the source member, which must
+agree with the table, and then ``ConnectionResult.reconstruct`` for the
+exact residual, so a "fail" verdict rests on two independent methods
+wherever the recurrence built the row (a degenerate row already is the
+oracle's).  The CLI's ``table --method oracle|both`` reads the table too;
+``connect`` and ``connection_oracle`` convert one degree.  The oracle and
+reconstruction work on the members' integer forms (rationals.lift), which
+the cached family members compute once per process.
 
 The Thm3.3 coefficient formula is a repaired reading of a typographically
 defective display (its expansion sum is restored over m = 0..n).  It is
@@ -83,6 +81,10 @@ from .rationals import (
     rising,
 )
 from .records import Frozen, Record
+
+#: A connection row c_{n,0..n} in the one row format: integers R over one
+#: denominator d > 0, with c_{n,k} = R[k] / d.
+Row = tuple[Sequence[int], int]
 
 
 def _jacobi_recurrence(k: int, jp: JacobiParams) -> tuple[int, int, int, int]:
@@ -279,6 +281,20 @@ class ConnectionResult(Frozen):
         ]
 
 
+def _result(source: BasisId, target: BasisId, n: int, row: Row, provenance: str):
+    """The ConnectionResult of a degree-n row (R, d), one Fraction(R_k, d)
+    per coefficient: the only place a row becomes Fractions."""
+    num, den = row
+    return ConnectionResult(source, target, n, tuple(Fraction(r, den) for r in num), provenance)
+
+
+def _first_difference(row: Row, other: Row) -> Optional[int]:
+    """The first index at which two integer rows (R, d) and (S, e) of one
+    degree differ, R_i e != S_i d, or None where they are equal."""
+    (num, d), (other_num, e) = row, other
+    return next((i for i, (r, s) in enumerate(zip(num, other_num)) if r * e != s * d), None)
+
+
 def connection_oracle(p: Poly, target: BasisId) -> ConnectionResult:
     """Brute-force basis conversion by fraction-free triangular back-substitution.
 
@@ -314,13 +330,7 @@ def connection_oracle(p: Poly, target: BasisId) -> ConnectionResult:
         den //= g
     if any(residual):
         raise PolyConnectError("oracle back-substitution left a nonzero residual")
-    return ConnectionResult(
-        source=MONOMIAL,
-        target=target,
-        degree=degree,
-        coefficients=tuple(coefficients),
-        provenance=PROVENANCE_ORACLE,
-    )
+    return ConnectionResult(MONOMIAL, target, degree, tuple(coefficients), PROVENANCE_ORACLE)
 
 
 def _regular(jp: JacobiParams) -> bool:
@@ -354,29 +364,10 @@ def connection_table(
     check_index(n_max, "n_max")
     check_instance(source, BasisId)
     check_instance(target, BasisId)
-
-    def results():
-        for n, row in enumerate(_table_rows(source, target, n_max)):
-            if isinstance(row, PolyConnectError):
-                yield row
-                continue
-            num, den = row
-            yield ConnectionResult(
-                source=source,
-                target=target,
-                degree=n,
-                coefficients=tuple(Fraction(r, den) for r in num),
-                provenance=PROVENANCE_ORACLE,
-            )
-
-    return results()
-
-
-def _row_equals(coefficients: Sequence[Fraction], row: tuple[Sequence[int], int]) -> bool:
-    """Whether coefficients equal the integer row (R, d), entry for entry."""
-    num, den = row
-    return len(coefficients) == len(num) and all(
-        c.numerator * den == r * c.denominator for c, r in zip(coefficients, num)
+    return (
+        row if isinstance(row, PolyConnectError)
+        else _result(source, target, n, row, PROVENANCE_ORACLE)
+        for n, row in enumerate(_table_rows(source, target, n_max))
     )
 
 
@@ -578,10 +569,20 @@ def coeff_hermite_in_shifted_jacobi(
     the interpreted 4F2 at -1/4; the prefactor is the j = 0 term.
     """
     _check_pair(n, m, "n", "m")
-    if argument_sign not in (1, -1):
+    if type(argument_sign) is not int or argument_sign not in (1, -1):
         raise InvalidInputError(f"argument_sign must be 1 or -1, got {argument_sign!r}")
-    lp, lq = check_instance(jp, JacobiParams).lam.as_integer_ratio()
-    ap, aq = jp.alpha.as_integer_ratio()
+    check_instance(jp, JacobiParams)
+    return _hermite_in_jacobi_entry(
+        n, m, jp.lam.as_integer_ratio(), jp.alpha.as_integer_ratio(), argument_sign
+    )
+
+
+def _hermite_in_jacobi_entry(
+    n: int, m: int, lam: tuple[int, int], alpha: tuple[int, int], argument_sign: int
+) -> Fraction:
+    """coeff_hermite_in_shifted_jacobi without its checks, for lam = lp/lq
+    and alpha = ap/aq."""
+    (lp, lq), (ap, aq) = lam, alpha
     a, b = sum_pairs(
         _delta_pairs(2, m - n, 1) + _delta_pairs(2, -lp - (n + m) * lq, lq),
         _delta_pairs(2, -ap - n * aq, aq),
@@ -599,7 +600,17 @@ def coeff_hermite_in_shifted_jacobi(
     return Fraction((num << 2 * n) * a, den * b)
 
 
-def _laguerre_in_hermite_row(n: int) -> tuple[Fraction, ...]:
+def _hermite_in_jacobi_row(n: int, jp: JacobiParams, argument_sign: int) -> Row:
+    """The Thm3.3 row c_{n,0..n} (coeff_hermite_in_shifted_jacobi at
+    argument_sign), entry by entry, over the lcm of its denominators.  The
+    checks of that function that hold for a whole row run once, here."""
+    check_index(n, "n")
+    lam = check_instance(jp, JacobiParams).lam.as_integer_ratio()
+    alpha = jp.alpha.as_integer_ratio()
+    return lift(_hermite_in_jacobi_entry(n, m, lam, alpha, argument_sign) for m in range(n + 1))
+
+
+def _laguerre_in_hermite_row(n: int) -> Row:
     """The Thm3.1 row c_{n,0..n} (coeff_laguerre_in_hermite) by a recurrence
     in k, O(n) integer steps instead of an O(n)-term series per entry.
 
@@ -624,11 +635,10 @@ def _laguerre_in_hermite_row(n: int) -> tuple[Fraction, ...]:
     for k in range(n - 1, -1, -1):
         r = n - k - 1
         big[k] = 2 * (k + 1) * big[k + 1] + 2 * r * big[k + 2] + 4 * r * (r - 1) * big[k + 3]
-    den = math.factorial(n) << n
-    return tuple(Fraction((-1) ** k * math.comb(n, k) * big[k], den) for k in range(n + 1))
+    return [(-1) ** k * math.comb(n, k) * big[k] for k in range(n + 1)], math.factorial(n) << n
 
 
-def _hermite_in_laguerre_row(n: int) -> tuple[Fraction, ...]:
+def _hermite_in_laguerre_row(n: int) -> Row:
     """The Thm3.2 row c_{n,0..n} (coeff_hermite_in_laguerre) by a recurrence
     in k, O(n) integer steps instead of an O(n)-term series per entry.
 
@@ -657,10 +667,10 @@ def _hermite_in_laguerre_row(n: int) -> tuple[Fraction, ...]:
             + 8 * (k + 3) * r * (r - 1) * big[k + 3]
         )
     sign = -1 if n % 2 else 1
-    return tuple(Fraction(sign * math.perm(n, k) * big[k] << k) for k in range(n + 1))
+    return [sign * math.perm(n, k) * big[k] << k for k in range(n + 1)], 1
 
 
-def _shifted_jacobi_in_hermite_row(n: int, jp: JacobiParams) -> tuple[Fraction, ...]:
+def _shifted_jacobi_in_hermite_row(n: int, jp: JacobiParams) -> Row:
     """The Thm3.4 row c_{n,0..n} (coeff_shifted_jacobi_in_hermite) by a
     recurrence in j, O(n) integer steps instead of an O(n)-term series per
     entry.
@@ -692,7 +702,7 @@ def _shifted_jacobi_in_hermite_row(n: int, jp: JacobiParams) -> tuple[Fraction, 
     errors.
     """
     if not _regular(jp):
-        return tuple(coeff_shifted_jacobi_in_hermite(n, jp, j) for j in range(n + 1))
+        return lift(coeff_shifted_jacobi_in_hermite(n, jp, j) for j in range(n + 1))
     (b, lam), q = lift((jp.beta, jp.lam))
     e = [(i - n) * ((i + n) * q + lam) for i in range(n + 3)]
     big = [0] * (n + 5)
@@ -702,18 +712,17 @@ def _shifted_jacobi_in_hermite_row(n: int, jp: JacobiParams) -> tuple[Fraction, 
             2 * ((2 * j + 2) * q + lam) * big[j + 2]
             - 4 * q * e[j + 2] * (big[j + 3] - e[j + 3] * big[j + 4])
         )
-    den = math.factorial(n) * q**n << n
     row, top = [], 1  # top = q^j (n+l)_j
     for j in range(n + 1):
-        row.append(Fraction((-1) ** (n - j) * math.comb(n, j) * top * big[j], den))
+        row.append((-1) ** (n - j) * math.comb(n, j) * top * big[j])
         top *= (n + j) * q + lam
-    return tuple(row)
+    return row, math.factorial(n) * q**n << n
 
 
 class Theorem(Frozen):
-    """One closed form: source family -> target family, row(n, jp) the
-    coefficients of the target members of degree 0..n, and the provenance tag
-    of its results."""
+    """One closed form: source family -> target family, row(n, jp) the Row of
+    the coefficients of the target members of degree 0..n, and the provenance
+    tag of its results."""
 
     _fields = ("id", "source", "target", "row", "provenance")
     __slots__ = _fields
@@ -723,7 +732,7 @@ class Theorem(Frozen):
         id: str,
         source: str,
         target: str,
-        row: Callable[[int, Optional[JacobiParams]], tuple[Fraction, ...]],
+        row: Callable[[int, Optional[JacobiParams]], Row],
         provenance: str,
     ):
         object.__setattr__(self, "id", id)
@@ -737,9 +746,8 @@ class Theorem(Frozen):
         return self.source in JACOBI_FAMILIES or self.target in JACOBI_FAMILIES
 
 
-#: Theorem id -> record.  Thm3.1, Thm3.2 and Thm3.4 rows come from
-#: recurrences in k; the Thm3.3 rows are evaluated entry by entry.  The
-#: lambdas look each function up when called, not when the table is built.
+#: Theorem id -> record.  The lambdas look each row function up when called,
+#: not when the table is built.
 THEOREMS = {
     t.id: t
     for t in (
@@ -748,11 +756,9 @@ THEOREMS = {
         Theorem("3.2", "hermite", "laguerre",
                 lambda n, jp: _hermite_in_laguerre_row(n), "Thm3.2"),
         Theorem("3.3", "hermite", "jacobi-1mx",
-                lambda n, jp: tuple(coeff_hermite_in_shifted_jacobi(n, jp, k)
-                                    for k in range(n + 1)), "Thm3.3-interpreted"),
+                lambda n, jp: _hermite_in_jacobi_row(n, jp, 1), "Thm3.3-interpreted"),
         Theorem("3.3c", "hermite", "jacobi-1mx",
-                lambda n, jp: tuple(coeff_hermite_in_shifted_jacobi(n, jp, k, -1)
-                                    for k in range(n + 1)), "Thm3.3-corrected"),
+                lambda n, jp: _hermite_in_jacobi_row(n, jp, -1), "Thm3.3-corrected"),
         Theorem("3.4", "shifted-jacobi", "hermite",
                 lambda n, jp: _shifted_jacobi_in_hermite_row(n, jp), "Thm3.4"),
     )
@@ -773,11 +779,8 @@ def closed_form_connection(
     """Full closed-form coefficient list for one of the THEOREMS pairs: the
     record with id theorem, or by default the first record for the pair (so
     hermite -> jacobi-1mx is Thm3.3-interpreted unless "3.3c" is asked for).
-
     A Jacobi source member is built to check that it has degree n unless
-    _always_graded(source) holds, in which case it has by construction; the
-    families without parameters always are graded.
-    """
+    _always_graded(source) holds, in which case it has by construction."""
     check_index(n, "n")
     check_instance(source, BasisId)
     check_instance(target, BasisId)
@@ -787,16 +790,15 @@ def closed_form_connection(
             break
     else:
         raise UnsupportedPairError(f"no closed form for {source.family} -> {target.family}")
+    return _result(source, target, n, _closed_row(record, source, target, n), record.provenance)
+
+
+def _closed_row(record: Theorem, source: BasisId, target: BasisId, n: int) -> Row:
+    """record's degree-n row for (source, target), after the source degree
+    check that closed_form_connection describes."""
     if not _always_graded(source):
         basis_poly(source, n)
-    jp = source.params or target.params
-    return ConnectionResult(
-        source=source,
-        target=target,
-        degree=n,
-        coefficients=record.row(n, jp),
-        provenance=record.provenance,
-    )
+    return record.row(n, source.params or target.params)
 
 
 class VerificationEntry(Record):
@@ -939,13 +941,15 @@ def verify_theorem(
                 # drawn first so the table keeps step with n, but a row's
                 # error is raised only after the closed form's own errors
                 row = next(tables[i])
-                closed = closed_form_connection(source, target, n, theorem)
+                closed = _closed_row(record, source, target, n)
                 if isinstance(row, PolyConnectError):
                     raise row
-                if _row_equals(closed.coefficients, row):
+                first = _first_difference(closed, row)
+                if first is None:
                     entry.match = True
                 else:
-                    _check_mismatch(entry, closed, row, source, target)
+                    result = _result(source, target, n, closed, record.provenance)
+                    _check_mismatch(entry, result, row, first)
             except PolyConnectError as exc:
                 entry.error = str(exc)
             report.entries.append(entry)
@@ -953,13 +957,10 @@ def verify_theorem(
 
 
 def _check_mismatch(
-    entry: VerificationEntry,
-    closed: ConnectionResult,
-    row: tuple[Sequence[int], int],
-    source: BasisId,
-    target: BasisId,
+    entry: VerificationEntry, closed: ConnectionResult, row: Row, first_mismatch: int
 ) -> None:
-    """Fill in an entry whose closed form differs from its table row.
+    """Fill in an entry whose closed form differs from its table row, first
+    at index first_mismatch.
 
     Where the recurrence built the row, the oracle converts the source member
     again, independently; the two must agree before the closed form is
@@ -967,10 +968,10 @@ def _check_mismatch(
     again.  The residual is the closed form's reconstruction minus the
     source member.
     """
-    source_poly = basis_poly(source, entry.n)
-    if _always_graded(source, target):
-        oracle = connection_oracle(source_poly, target)
-        if not _row_equals(oracle.coefficients, row):
+    source_poly = basis_poly(closed.source, entry.n)
+    if _always_graded(closed.source, closed.target):
+        oracle = connection_oracle(source_poly, closed.target)
+        if _first_difference(lift(oracle.coefficients), row) is not None:
             raise PolyConnectError(
                 f"connection table and oracle disagree at degree {entry.n}"
             )
@@ -978,7 +979,4 @@ def _check_mismatch(
     entry.match = rebuilt == source_poly
     if not entry.match:
         entry.residual = rebuilt - source_poly
-    num, den = row
-    entry.first_mismatch = next(
-        k for k, (c, r) in enumerate(zip(closed.coefficients, num)) if c != Fraction(r, den)
-    )
+    entry.first_mismatch = first_mismatch

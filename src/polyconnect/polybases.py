@@ -78,6 +78,9 @@ class Poly:
         return self._coeffs[-1] if self._coeffs else Fraction(0)
 
     def coeff(self, k: int) -> Fraction:
+        """The coefficient of x^k; 0 for any k outside 0..degree."""
+        if isinstance(k, bool) or not isinstance(k, int):
+            raise InvalidInputError(f"k must be an integer, got {k!r}")
         return self._coeffs[k] if 0 <= k < len(self._coeffs) else Fraction(0)
 
     def __call__(self, x: RationalLike) -> Fraction:

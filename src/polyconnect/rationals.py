@@ -122,12 +122,3 @@ def factorial(n: int) -> Fraction:
     check_index(n, "n")
     return Fraction(math.factorial(n))
 
-
-def binomial(n: int, k: int) -> Fraction:
-    """n!/(k!(n-k)!) for nonnegative integers with k <= n."""
-    check_index(n, "n")
-    check_index(k, "k")
-    if k > n:
-        raise InvalidInputError(f"binomial requires k <= n, got n={n}, k={k}")
-    return Fraction(math.comb(n, k))
-

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -246,6 +247,12 @@ class TestCorrectedHermiteInShiftedJacobi:
             with pytest.raises(InvalidInputError, match="argument_sign"):
                 coeff_hermite_in_shifted_jacobi(1, JP00, 0, sign)
 
+    @pytest.mark.parametrize("sign", [True, 1.0, -1.0])
+    def test_argument_sign_must_be_the_int_one_or_minus_one(self, sign):
+        # equal to 1 or -1, but not the int: each passed, or escaped as a raw TypeError
+        with pytest.raises(InvalidInputError, match="argument_sign must be 1 or -1"):
+            coeff_hermite_in_shifted_jacobi(4, JacobiParams(F(1, 2), F(1, 3)), 1, sign)
+
     def test_theorem_id_must_fit_the_pair(self):
         with pytest.raises(UnsupportedPairError):
             closed_form_connection(LAGUERRE, HERMITE, 2, "3.3c")
@@ -334,6 +341,30 @@ class TestClosedFormConnection:
             closed_form_connection(LAGUERRE, BasisId("shifted-jacobi", JP00), 2)
         with pytest.raises(UnsupportedPairError):
             closed_form_connection(HERMITE, MONOMIAL, 2)
+
+    @pytest.mark.parametrize("theorem", sorted(connection.THEOREMS))
+    def test_rows_are_integers_over_one_positive_denominator(self, theorem):
+        # the literal coefficients as (R, d), or the first literal's error;
+        # the last two parameter sets are degenerate
+        literal = {
+            "3.1": lambda n, jp, k: coeff_laguerre_in_hermite(n, k),
+            "3.2": lambda n, jp, k: coeff_hermite_in_laguerre(n, k),
+            "3.3": lambda n, jp, k: coeff_hermite_in_shifted_jacobi(n, jp, k),
+            "3.3c": lambda n, jp, k: coeff_hermite_in_shifted_jacobi(n, jp, k, -1),
+            "3.4": lambda n, jp, k: coeff_shifted_jacobi_in_hermite(n, jp, k),
+        }[theorem]
+        for jp in (*DEFAULT_JACOBI_SWEEP, JacobiParams(-2, F(1, 3)), JacobiParams(F(1, 2), -3)):
+            for n in range(9):
+                try:
+                    expected = tuple(literal(n, jp, k) for k in range(n + 1))
+                except PolyConnectError as exc:
+                    with pytest.raises(type(exc), match=re.escape(str(exc))):
+                        connection.THEOREMS[theorem].row(n, jp)
+                    continue
+                num, den = connection.THEOREMS[theorem].row(n, jp)
+                assert type(den) is int and den > 0
+                assert all(type(r) is int for r in num)
+                assert tuple(F(r, den) for r in num) == expected
 
     @pytest.mark.parametrize("theorem", ["3.1", "3.2"])
     def test_triangular_with_nonzero_diagonal(self, theorem):

@@ -16,9 +16,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import polyconnect
 from polyconnect import (
+    HERMITE,
+    LAGUERRE,
     BasisId,
     HypSeries,
     InvalidInputError,
+    JacobiParams,
     Poly,
     PolyConnectError,
     basis_poly,
@@ -204,12 +207,14 @@ _PUBLIC_CALLABLES = [
     name for name, obj in ((name, getattr(polyconnect, name)) for name in polyconnect.__all__)
     if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception))
 ]
-#: Small ints (as degrees they keep each call cheap), rationals, strings
-#: (some of them valid ids and rationals), bools, floats and None, and flat
-#: lists and dicts of them.
+#: Small ints (as degrees they keep each call cheap), rationals, library
+#: values (so a call gets past its first type check), strings (some of them
+#: valid ids and rationals), bools, floats and None, and flat lists and
+#: dicts of them.
 _scalars = st.one_of(
     st.integers(-3, 6),
     st.sampled_from([F(-3, 2), F(-1, 2), F(1, 3), F(1, 2), F(5, 2)]),
+    st.sampled_from([JacobiParams(F(1, 2), F(1, 3)), HERMITE, LAGUERRE, Poly([1, 2])]),
     st.sampled_from(["1/2", "-2", "3.1", "hermite", "laguerre", "jacobi-1mx"]),
     st.text(max_size=3),
     st.booleans(),

@@ -30,7 +30,6 @@ from polyconnect import (
     Poly,
     PolyConnectError,
     basis_poly,
-    binomial,
     coeff_seq,
     coeff_hermite_in_laguerre,
     coeff_hermite_in_shifted_jacobi,
@@ -479,7 +478,7 @@ def literal_wimp_terminating(n, a, b, c, d, al, be, z, w):
         div = pochhammer_list(b, k) * pochhammer_list(be, k)
         if div == 0:
             raise PoleInParamsError(f"[b]_{k} [beta]_{k} = 0")
-        weight = binomial(n, k) * pochhammer_list(a, k) * pochhammer_list(al, k) * z**k / div
+        weight = math.comb(n, k) * pochhammer_list(a, k) * pochhammer_list(al, k) * z**k / div
         f1 = evaluate_terminating(HypSeries(
             (F(k - n),) + tuple(p + k for p in a + al), tuple(p + k for p in b + be), z
         ))

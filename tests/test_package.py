@@ -30,8 +30,8 @@ _PUBLIC = {
         "PolyConnectError", "UnsupportedPairError", "ZeroDenominatorParameterError",
     ],
     "rationals": [
-        "as_rational", "binomial", "factorial", "parse_rational", "pochhammer",
-        "pochhammer_list", "rational_to_str",
+        "as_rational", "factorial", "parse_rational", "pochhammer", "pochhammer_list",
+        "rational_to_str",
     ],
     "hypseries": [
         "HypSeries", "evaluate_terminating", "series_coefficients", "split_even_odd",
@@ -55,9 +55,9 @@ _PUBLIC = {
 }
 
 
-def test_all_lists_the_53_public_names():
+def test_all_lists_the_52_public_names():
     names = sorted(name for names in _PUBLIC.values() for name in names)
-    assert len(names) == 53
+    assert len(names) == 52
     assert polyconnect.__all__ == names
 
 

@@ -62,6 +62,13 @@ class TestPoly:
         assert (F(1, 2) * p).coefficients == (F(1, 2), F(1))
         assert p(F(1, 2)) == 2
 
+    def test_coeff_reads_any_int_index(self):
+        p = Poly([1, 2, 3])
+        assert [p.coeff(k) for k in (-1, 0, 1, 2, 3)] == [0, 1, 2, 3, 0]
+        for k in ("a", 1.5, True, None):
+            with pytest.raises(InvalidInputError, match="k must be an integer"):
+                p.coeff(k)
+
     def test_string_is_not_a_coefficient_list(self):
         # a str is iterable, but "12" is not the list [1, 2]
         with pytest.raises(InvalidInputError):

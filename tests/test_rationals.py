@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from polyconnect import (
     InvalidInputError,
     as_rational,
-    binomial,
     factorial,
     parse_rational,
     pochhammer,
@@ -59,9 +58,6 @@ def test_rising_is_the_literal_product(p, q, n, data):
 def test_factorial_binomial():
     assert factorial(0) == 1
     assert factorial(5) == 120
-    assert binomial(4, 2) == 6
-    with pytest.raises(InvalidInputError):
-        binomial(3, 5)
     with pytest.raises(InvalidInputError):
         factorial(-1)
     with pytest.raises(InvalidInputError):

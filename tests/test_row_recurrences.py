@@ -177,6 +177,14 @@ def _support(n: int, k: int) -> range:
     return range((n - k) // 2 + 1)
 
 
+def _row(theorem: str, n: int, jp=None) -> tuple:
+    """THEOREMS[theorem].row(n, jp), integers R over d > 0, as the
+    Fractions R_k / d."""
+    num, den = connection.THEOREMS[theorem].row(n, jp)
+    assert den > 0
+    return tuple(Fraction(r, den) for r in num)
+
+
 @pytest.mark.parametrize("theorem", THEOREM_IDS)
 def test_terms_sum_to_the_literal_coefficients(theorem):
     c = CERTIFIED[theorem]
@@ -226,7 +234,7 @@ def test_boundary_terms_vanish(theorem):
 def test_rows_satisfy_the_certified_recurrence(theorem):
     c = CERTIFIED[theorem]
     for n in range(41):
-        row = connection.THEOREMS[theorem].row(n, None) + (0, 0, 0)
+        row = _row(theorem, n) + (0, 0, 0)
         assert row[n] == c.coefficient(n, n)
         for k in range(n):
             p = c.operator(n, k)
@@ -238,7 +246,7 @@ def test_rows_satisfy_the_certified_recurrence(theorem):
 def test_rows_equal_the_literal_series(theorem):
     c = CERTIFIED[theorem]
     for n in range(81):
-        row = connection.THEOREMS[theorem].row(n, None)
+        row = _row(theorem, n)
         assert row == tuple(c.coefficient(n, k) for k in range(n + 1)), n
 
 
@@ -364,7 +372,7 @@ def test_thm34_rows_satisfy_the_recurrence_and_equal_the_literal_series():
         for n in range(41):
             if n:
                 k *= -(b + n) / n  # K = (-1)^n (b+1)_n / n!
-            row = connection.THEOREMS["3.4"].row(n, jp)
+            row = _row("3.4", n, jp)
             assert row == tuple(coeff_shifted_jacobi_in_hermite(n, jp, j) for j in range(n + 1))
             g = [math.factorial(j) * c / k for j, c in enumerate(row)] + [0] * 4
             for j in range(n):
@@ -397,7 +405,7 @@ def _thm34_literal(n: int, jp: JacobiParams):
 def test_thm34_recurrence_rows_equal_the_entry_rows(params, n):
     jp = JacobiParams(*params)
     assume(connection._regular(jp))  # a degenerate draw is the next test's case
-    row = connection.THEOREMS["3.4"].row(n, jp)
+    row = _row("3.4", n, jp)
     assert row == tuple(coeff_shifted_jacobi_in_hermite(n, jp, j) for j in range(n + 1))
 
 

@@ -34,6 +34,9 @@ CLOSED_PAIRS = (
     ("shifted-jacobi", "hermite"),
 )
 FORMATS = ("json", "csv")
+#: Further pairs for the Jacobi theorems only: alpha = -3/2 gives a Thm3.3 row
+#: a negative raw denominator, and (1/2, -3/2) has lam = 0.
+ROW_PARAMS = (("-3/2", "1/3"), ("1/2", "-3/2"))
 
 
 def _params(families, i):
@@ -79,9 +82,9 @@ def _table():
 
 
 def _verify_closed():
-    for theorem in ("3.1", "3.2", "3.3", "3.4"):
-        jacobi = theorem in ("3.3", "3.4")
-        for params in ([[]] + [[f"--alpha={a}", f"--beta={b}"] for a, b in PARAMS]
+    for theorem in ("3.1", "3.2", "3.3", "3.3c", "3.4"):
+        jacobi = theorem in ("3.3", "3.3c", "3.4")
+        for params in ([[]] + [[f"--alpha={a}", f"--beta={b}"] for a, b in PARAMS + ROW_PARAMS]
                        if jacobi else [[], ["--alpha=1", "--beta=1"]]):
             for n_max in (0, 5, 12):
                 for fmt in FORMATS:

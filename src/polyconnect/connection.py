@@ -29,14 +29,15 @@ denominator d > 0, with c_{n,k} = R[k] / d.  Each THEOREMS record's
 row(n, jp) returns it.  The Thm3.1, Thm3.2 and Thm3.4 rows come from integer
 recurrences in k (of order 3, 3 and 4) run backward from k = n in O(n) steps,
 over 2^n n!, 1 and q^n 2^n n!; tests/test_row_recurrences.py proves them.
-The Thm3.3 rows, and the Thm3.4 rows for parameters where a member can fail
-to be built, are evaluated entry by entry and lifted over the lcm of their
-denominators: a coefficient is an integer prefactor times a terminating 4F2
-whose parameters are integer pairs (p, q) for p/q, and hypseries.sum_pairs
-returns its value as an unreduced pair (a, b), one gcd per entry in all.
-The coeff_* functions keep the literal series for every theorem.  Only
-_result builds Fractions from a row, one per coefficient of the
-ConnectionResult it returns.
+Both Thm3.3 rows come from one O(n^2) integer pass, the 4F2 of every entry
+over one denominator (_hermite_in_jacobi_row).  Where a member can fail to
+be built (_regular false), the Thm3.3 and Thm3.4 rows are evaluated entry by
+entry and lifted over the lcm of their denominators: a coefficient is an
+integer prefactor times a terminating 4F2 whose parameters are integer pairs
+(p, q) for p/q, and hypseries.sum_pairs returns its value as an unreduced
+pair (a, b).  The coeff_* functions keep the literal series for every
+theorem.  Only _result builds Fractions from a row, one per coefficient of
+the ConnectionResult it returns.
 
 ``verify_theorem`` compares each closed-form row with its table row in
 integers, R_i e == S_i d.  Equal rows match with a zero residual, and verify
@@ -248,21 +249,23 @@ class ConnectionResult(Frozen):
     def reconstruct(self) -> Poly:
         """Sum of coefficients[k] * target member k.
 
-        With member k in integer form M_k / e_k, the term c_k M_k / e_k is the
-        integer vector M_k times the scalar c_k / e_k.  The scalars are lifted
-        over one denominator d, so the sum is one integer vector over d,
-        reduced once per output coefficient.
+        The coefficients are lifted once, c_k = C_k / d.  With member k in
+        integer form M_k / e_k and E the lcm of the e_k, the term c_k M_k / e_k
+        is the integer vector M_k times C_k (E / e_k), over d E.  So the sum is
+        one integer vector over d E, reduced once per output coefficient.
         """
+        nums, den = lift(self.coefficients)
         members = [
             basis_poly(self.target, k).integer_form if c else ((), 1)
-            for k, c in enumerate(self.coefficients)
+            for k, c in enumerate(nums)
         ]
-        scales, den = lift(Fraction(c, e) for c, (_, e) in zip(self.coefficients, members))
+        common = math.lcm(*(e for _, e in members))
         total = [0] * len(members)
-        for scale, (member, _) in zip(scales, members):
+        for c, (member, e) in zip(nums, members):
+            scale = c * (common // e)
             for i, m in enumerate(member):
                 total[i] += scale * m
-        return Poly(Fraction(t, den) for t in total)
+        return Poly(Fraction(t, den * common) for t in total)
 
     def to_json(self) -> dict:
         return {
@@ -302,12 +305,16 @@ def connection_oracle(p: Poly, target: BasisId) -> ConnectionResult:
     p = R/d at the start.  Working down from degree(p), with the target's
     degree-k member in integer form M = m/e, the coefficient is
     c_k = R[k] e / (d m[k]), the one Fraction built per coefficient.  The
-    update R/d - c_k M stays in integers (after Bareiss, Math. Comp. 22, 1968):
+    update R/d - c_k M stays in integers (after Bareiss, Math. Comp. 22, 1968),
+    with g = gcd(m[k], R[k]) the one scalar reduction per step:
 
-        R <- m[k] R - R[k] m,    d <- m[k] d,
+        R <- (m[k]/g) R - (R[k]/g) m,    d <- (m[k]/g) d.
 
-    followed by one multi-argument gcd reduction of (d, R).  The final
-    residual is exactly zero by construction, and checked to be.
+    So d is the starting denominator times the product of the m[k]/g, and the
+    residual grows with it; there is no gcd over the whole vector.  Members
+    whose leading numerator is +-1 (laguerre, monomial) never grow d; hermite
+    grows it by at most 2^k per step.  The final residual is exactly zero by
+    construction, and checked to be.
     """
     check_instance(p, Poly)
     check_instance(target, BasisId)
@@ -323,11 +330,10 @@ def connection_oracle(p: Poly, target: BasisId) -> ConnectionResult:
         m, e = member.integer_form
         lead = m[k]
         coefficients[k] = Fraction(top * e, den * lead)
+        g = math.gcd(lead, top)
+        lead, top = lead // g, top // g
         residual = [r * lead - top * mi for r, mi in zip(residual, m)]
         den *= lead
-        g = math.gcd(den, *residual)
-        residual = [r // g for r in residual]
-        den //= g
     if any(residual):
         raise PolyConnectError("oracle back-substitution left a nonzero residual")
     return ConnectionResult(MONOMIAL, target, degree, tuple(coefficients), PROVENANCE_ORACLE)
@@ -602,12 +608,48 @@ def _hermite_in_jacobi_entry(
 
 def _hermite_in_jacobi_row(n: int, jp: JacobiParams, argument_sign: int) -> Row:
     """The Thm3.3 row c_{n,0..n} (coeff_hermite_in_shifted_jacobi at
-    argument_sign), entry by entry, over the lcm of its denominators.  The
-    checks of that function that hold for a whole row run once, here."""
+    argument_sign s) in one integer pass, O(n^2) small-integer steps.
+
+    With [x/2]_j [(x+1)/2]_j = (x)_{2j} / 4^j, the 4F2's term j is
+
+        (m-n)_{2j} (-l-n-m)_{2j} / ((-a-n)_{2j} j!) (s/16)^j,
+
+    and its denominator does not depend on m.  With a = ap/aq, l = lp/lq and
+    v_j = 16^j lq^(2j) aq^(2j) (-a-n)_{2j} j!, the 4F2 is S_m / Q for Q = v_J,
+    J = floor(n/2), and the integer S_m = sum_j (s aq^2)^j N_j (v_J / v_j),
+    with N_j = lq^(2j) (m-n)_{2j} (-l-n-m)_{2j}, by Horner in j.  The
+    prefactor's denominator aq^(n-m) (l+m)_{n+1} lq^-(n+1) divides
+    aq^n prod_{k=1..2n} (lp + k lq) for m >= 1, as does that of its m = 0 limit
+    1/(l+1)_n.  So the row is over d = aq^n Q prod_{k=1..2n}(lp + k lq), its
+    sign made positive.  No factor vanishes for _regular parameters, where this
+    equals the entry-by-entry form; for others the row is that form, lifted
+    over the lcm of its denominators, with its errors.  The checks of
+    coeff_hermite_in_shifted_jacobi that hold for a whole row run once, here.
+    """
     check_index(n, "n")
     lam = check_instance(jp, JacobiParams).lam.as_integer_ratio()
     alpha = jp.alpha.as_integer_ratio()
-    return lift(_hermite_in_jacobi_entry(n, m, lam, alpha, argument_sign) for m in range(n + 1))
+    if not _regular(jp):
+        return lift(_hermite_in_jacobi_entry(n, m, lam, alpha, argument_sign) for m in range(n + 1))
+    (lp, lq), (ap, aq) = lam, alpha
+    ratio = [1] * (n // 2 + 1)  # ratio[j] = v_J / v_j
+    for j in range(n // 2 - 1, -1, -1):
+        i = n - 2 * j
+        ratio[j] = ratio[j + 1] * 16 * lq * lq * (j + 1) * (ap + i * aq) * (ap + (i - 1) * aq)
+    f = [lp + k * lq for k in range(2 * n + 1)]
+    back = [1] * (n + 1)  # back[m] = prod_{m<i<=n} (ap + i aq) f_{n+i}
+    for m in range(n - 1, -1, -1):
+        back[m] = back[m + 1] * (ap + (m + 1) * aq) * f[n + m + 1]
+    step, row, front = argument_sign * aq * aq, [], lq**n << 2 * n
+    for m in range(n + 1):  # front = (-1)^m n!/(n-m)! aq^m prod_{0<k<m} f_k 4^n lq^n
+        total = ratio[(n - m) // 2]
+        for i in range(n - m - (n - m) % 2 - 2, -1, -2):
+            u, v = lp + (n + m - i) * lq, m - n + i
+            total = ratio[i // 2] + step * v * (v + 1) * u * (u - lq) * total
+        row.append(front * (f[2 * m] if m else 1) * back[m] * total)
+        front *= (m - n) * aq * (f[m] if m else 1)
+    den = aq**n * ratio[0] * math.prod(f[1:])
+    return (row, den) if den > 0 else ([-r for r in row], -den)
 
 
 def _laguerre_in_hermite_row(n: int) -> Row:

@@ -227,16 +227,17 @@ def test_split_even_odd_matches_literal_fraction_body(nums, dens, x):
 
 
 def literal_oracle(p, target):
-    """Fraction back-substitution through Poly arithmetic, one step per degree."""
+    """Plain-Fraction back-substitution, one step per degree: every member is
+    built, highest degree first, as connection_oracle builds them."""
     degree = 0 if p.is_zero else p.degree
     coefficients = [F(0)] * (degree + 1)
-    residual = p
+    residual = list(p.coefficients) or [F(0)]
     for k in range(degree, -1, -1):
-        member = basis_poly(target, k)
-        c = residual.coeff(k) / member.coeff(k)
+        member = basis_poly(target, k).coefficients
+        c = residual[k] / member[k]
         coefficients[k] = c
-        residual = residual - c * member
-    assert residual.is_zero
+        residual = [r - c * m for r, m in zip(residual, member)]
+    assert not any(residual)
     return tuple(coefficients)
 
 
@@ -269,6 +270,32 @@ def test_oracle_reconstructs_and_matches_literal_back_substitution(p, target):
     result = connection_oracle(p, target)
     assert result.reconstruct() == p
     assert result.coefficients == literal_oracle(p, target)
+
+
+#: Jacobi parameters with alpha, beta or lam a negative integer, where some
+#: member cannot be built or loses its degree.
+degenerate_params = st.one_of(
+    st.tuples(st.integers(-6, -1).map(F), rationals),
+    st.tuples(rationals, st.integers(-6, -1).map(F)),
+    st.tuples(rationals, st.integers(-12, -1)).map(lambda t: (t[0], t[1] - 1 - t[0])),
+)
+
+
+@st.composite
+def any_targets(draw):
+    """All five target families, Jacobi ones with regular or degenerate parameters."""
+    target = draw(targets())
+    if target.params is not None and draw(st.booleans()):
+        return BasisId(target.family, JacobiParams(*draw(degenerate_params)))
+    return target
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(rationals, max_size=26).map(Poly), any_targets())
+def test_oracle_matches_literal_back_substitution_or_raises_its_error(p, target):
+    """Equal coefficients up to degree 25, or the same error class and message."""
+    got = _result(lambda: connection_oracle(p, target).coefficients)
+    assert got == _result(literal_oracle, p, target)
 
 
 @settings(deadline=None)

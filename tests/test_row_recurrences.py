@@ -86,6 +86,11 @@ m > n, so summed over 0 <= i <= I = floor((n-j)/2), beyond which every term
 vanishes, D(j) = W_0 - W_{I+1} = 0.  (j-n)(j+n+l) is nonzero for j < n
 unless lam is a negative integer, where the row is evaluated entry by entry.
 
+Thm3.3.  Both rows (_hermite_in_jacobi_row) are not a recurrence but the
+entry-by-entry closed form written over one denominator.  The last two tests
+check that on regular parameters they equal coeff_hermite_in_shifted_jacobi,
+over d > 0, and that degenerate rows keep its values and errors.
+
 Only the standard library, pytest and hypothesis are used here.
 """
 
@@ -94,7 +99,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polyconnect import (
     HERMITE,
@@ -105,6 +110,7 @@ from polyconnect import (
     basis_poly,
     closed_form_connection,
     coeff_hermite_in_laguerre,
+    coeff_hermite_in_shifted_jacobi,
     coeff_laguerre_in_hermite,
     coeff_shifted_jacobi_in_hermite,
 )
@@ -424,3 +430,49 @@ def test_thm34_degenerate_rows_keep_the_entry_values_and_errors(params, n):
     except PolyConnectError as exc:
         got = type(exc), str(exc)
     assert got == _thm34_literal(n, jp)
+
+
+def _thm33_entries(n: int, jp: JacobiParams, sign: int):
+    """coeff_hermite_in_shifted_jacobi entry by entry, or the class and
+    message of its first error."""
+    try:
+        return tuple(coeff_hermite_in_shifted_jacobi(n, jp, m, sign) for m in range(n + 1))
+    except PolyConnectError as exc:
+        return type(exc), str(exc)
+
+
+_below_minus_one = st.fractions(min_value=-6, max_value=-1, max_denominator=4)
+_negative_lam = _below_minus_one.filter(lambda lam: lam.denominator > 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.tuples(_rationals, _rationals),
+    st.tuples(_below_minus_one, _rationals),  # alpha < -1
+    st.tuples(_rationals, _negative_lam).map(lambda t: (t[0], t[1] - 1 - t[0])),
+    _rationals.map(lambda a: (a, -1 - a)),  # lam = 0
+), st.sampled_from([1, -1]), st.integers(min_value=0, max_value=30))
+@example((Fraction(-3, 2), Fraction(1, 3)), 1, 12)  # a negative raw denominator
+@example((Fraction(-3, 2), Fraction(1, 3)), -1, 12)
+@example((Fraction(1, 2), Fraction(-3, 2)), -1, 12)  # lam = 0
+def test_thm33_rows_equal_the_entry_rows(params, sign, n):
+    jp = JacobiParams(*params)
+    assume(connection._regular(jp))  # a degenerate draw is the next test's case
+    assert _row("3.3" if sign == 1 else "3.3c", n, jp) == _thm33_entries(n, jp, sign)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    st.tuples(st.integers(-6, -1).map(Fraction), _rationals),
+    st.tuples(_rationals, st.integers(-6, -1).map(Fraction)),
+    st.tuples(_rationals, st.integers(-6, -1)).map(lambda t: (t[0], t[1] - 1 - t[0])),
+), st.sampled_from(["3.3", "3.3c"]), st.integers(min_value=0, max_value=12))
+def test_thm33_degenerate_rows_keep_the_entry_values_and_errors(params, theorem, n):
+    jp = JacobiParams(*params)
+    assert not connection._regular(jp)
+    target = BasisId("jacobi-1mx", jp)
+    try:
+        got = closed_form_connection(HERMITE, target, n, theorem).coefficients
+    except PolyConnectError as exc:
+        got = type(exc), str(exc)
+    assert got == _thm33_entries(n, jp, 1 if theorem == "3.3" else -1)

@@ -618,10 +618,10 @@ def _hermite_in_jacobi_row(n: int, jp: JacobiParams, argument_sign: int) -> Row:
     v_j = 16^j lq^(2j) aq^(2j) (-a-n)_{2j} j!, the 4F2 is S_m / Q for Q = v_J,
     J = floor(n/2), and the integer S_m = sum_j (s aq^2)^j N_j (v_J / v_j),
     with N_j = lq^(2j) (m-n)_{2j} (-l-n-m)_{2j}, by Horner in j.  The
-    prefactor's denominator aq^(n-m) (l+m)_{n+1} lq^-(n+1) divides
-    aq^n prod_{k=1..2n} (lp + k lq) for m >= 1, as does that of its m = 0 limit
-    1/(l+1)_n.  So the row is over d = aq^n Q prod_{k=1..2n}(lp + k lq), its
-    sign made positive.  No factor vanishes for _regular parameters, where this
+    prefactor's integer denominator aq^(n-m) prod_{k=m..m+n} (lp + k lq)
+    divides aq^n prod_{k=1..2n} (lp + k lq) for m >= 1, as does that of its
+    m = 0 limit 1/(l+1)_n.  So the row is over d = aq^n Q prod_{k=1..2n}
+    (lp + k lq), its sign made positive.  No factor vanishes for _regular parameters, where this
     equals the entry-by-entry form; for others the row is that form, lifted
     over the lcm of its denominators, with its errors.  The checks of
     coeff_hermite_in_shifted_jacobi that hold for a whole row run once, here.
@@ -642,10 +642,11 @@ def _hermite_in_jacobi_row(n: int, jp: JacobiParams, argument_sign: int) -> Row:
         back[m] = back[m + 1] * (ap + (m + 1) * aq) * f[n + m + 1]
     step, row, front = argument_sign * aq * aq, [], lq**n << 2 * n
     for m in range(n + 1):  # front = (-1)^m n!/(n-m)! aq^m prod_{0<k<m} f_k 4^n lq^n
-        total = ratio[(n - m) // 2]
-        for i in range(n - m - (n - m) % 2 - 2, -1, -2):
-            u, v = lp + (n + m - i) * lq, m - n + i
-            total = ratio[i // 2] + step * v * (v + 1) * u * (u - lq) * total
+        top = (n - m) // 2
+        total = ratio[top]
+        for j in range(top - 1, -1, -1):  # N_{j+1} / N_j = v (v+1) u (u-lq)
+            u, v = lp + (n + m - 2 * j) * lq, m - n + 2 * j
+            total = ratio[j] + step * v * (v + 1) * u * (u - lq) * total
         row.append(front * (f[2 * m] if m else 1) * back[m] * total)
         front *= (m - n) * aq * (f[m] if m else 1)
     den = aq**n * ratio[0] * math.prod(f[1:])

@@ -389,6 +389,12 @@ def test_thm34_rows_satisfy_the_recurrence_and_equal_the_literal_series():
 
 
 _rationals = st.fractions(min_value=-6, max_value=4, max_denominator=4)
+#: (alpha, beta) with alpha, beta or lam a negative integer.
+_degenerate = st.one_of(
+    st.tuples(st.integers(-6, -1).map(Fraction), _rationals),
+    st.tuples(_rationals, st.integers(-6, -1).map(Fraction)),
+    st.tuples(_rationals, st.integers(-6, -1)).map(lambda t: (t[0], t[1] - 1 - t[0])),
+)
 
 
 def _thm34_literal(n: int, jp: JacobiParams):
@@ -416,11 +422,7 @@ def test_thm34_recurrence_rows_equal_the_entry_rows(params, n):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(
-    st.tuples(st.integers(-6, -1).map(Fraction), _rationals),
-    st.tuples(_rationals, st.integers(-6, -1).map(Fraction)),
-    st.tuples(_rationals, st.integers(-6, -1)).map(lambda t: (t[0], t[1] - 1 - t[0])),
-), st.integers(min_value=0, max_value=12))
+@given(_degenerate, st.integers(min_value=0, max_value=12))
 def test_thm34_degenerate_rows_keep_the_entry_values_and_errors(params, n):
     jp = JacobiParams(*params)
     assert not connection._regular(jp)
@@ -462,11 +464,7 @@ def test_thm33_rows_equal_the_entry_rows(params, sign, n):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(
-    st.tuples(st.integers(-6, -1).map(Fraction), _rationals),
-    st.tuples(_rationals, st.integers(-6, -1).map(Fraction)),
-    st.tuples(_rationals, st.integers(-6, -1)).map(lambda t: (t[0], t[1] - 1 - t[0])),
-), st.sampled_from(["3.3", "3.3c"]), st.integers(min_value=0, max_value=12))
+@given(_degenerate, st.sampled_from(["3.3", "3.3c"]), st.integers(min_value=0, max_value=12))
 def test_thm33_degenerate_rows_keep_the_entry_values_and_errors(params, theorem, n):
     jp = JacobiParams(*params)
     assert not connection._regular(jp)

@@ -19,11 +19,10 @@ from .connection import (
     FAMILIES,
     JACOBI_FAMILIES,
     THEOREMS,
-    ConnectionResult,
+    _oracle_connection,
     basis,
     basis_poly,
     closed_form_connection,
-    connection_oracle,
     connection_table,
     verify_theorem,
 )
@@ -75,7 +74,10 @@ def _cmd_poly(ns) -> int:
 def _connections(ns) -> list:
     """The closed-form and/or oracle results (--method) for the degree --n of
     connect, or for each degree up to --n-max of table, whose oracle rows come
-    from connection_table; both name --source as their source.  Rows are
+    from connection_table; both name --source as their source.  The closed
+    forms and connect's oracle conversion are memoized per process
+    (closed_form_connection, connection._oracle_connection), so a repeated
+    request converts nothing again; table rows are built afresh.  Rows are
     drawn degree by degree, after each degree's closed form, so the first
     error raised is the one converting each degree on its own would raise."""
     families = (ns.source, ns.target)
@@ -83,7 +85,7 @@ def _connections(ns) -> list:
     source, target = (basis(family, jp) for family in families)
     if ns.command == "connect":
         degrees = (ns.n,)
-        rows = (connection_oracle(basis_poly(source, n), target) for n in degrees)
+        rows = (_oracle_connection(source, target, n) for n in degrees)
     else:
         degrees = range(check_index(ns.n_max, "--n-max") + 1)
         rows = connection_table(source, target, degrees[-1])
@@ -95,8 +97,7 @@ def _connections(ns) -> list:
             row = next(rows)
             if isinstance(row, PolyConnectError):
                 raise row
-            results.append(ConnectionResult(
-                source, row.target, row.degree, row.coefficients, row.provenance))
+            results.append(row)
     return results
 
 

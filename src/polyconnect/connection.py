@@ -50,7 +50,10 @@ wherever the recurrence built the row (a degenerate row already is the
 oracle's).  The CLI's ``table --method oracle|both`` reads the table too;
 ``connect`` and ``connection_oracle`` convert one degree.  The oracle and
 reconstruction work on the members' integer forms (rationals.lift), which
-the cached family members compute once per process.
+the cached family members compute once per process.  ``closed_form_connection``
+and the one-degree oracle conversion that ``connect`` serves
+(_oracle_connection) are memoized per process too, with no bound; verify and
+tables always convert afresh.
 
 The Thm3.3 coefficient formula is a repaired reading of a typographically
 defective display (its expansion sum is restored over m = 0..n).  It is
@@ -69,6 +72,7 @@ from .hypseries import sum_pairs
 from .polybases import (
     JacobiParams,
     Poly,
+    _cached,
     hermite,
     jacobi_at_one_minus_x,
     laguerre,
@@ -226,11 +230,15 @@ class ConnectionResult(Frozen):
     """Coefficient list expanding a degree-n source member in a target family.
 
     coefficients[k] multiplies the target's degree-k member; provenance names
-    the closed form used, or "Oracle" for the brute-force conversion.
+    the closed form used, or "Oracle" for the brute-force conversion.  The
+    coefficients' Row (R, d) is kept outside the fields, so it takes no part
+    in equality, hash, repr or pickling: _result fills it with the row the
+    result was made from, and reconstruct lifts the coefficients on first use
+    otherwise.
     """
 
     _fields = ("source", "target", "degree", "coefficients", "provenance")
-    __slots__ = _fields
+    __slots__ = (*_fields, "_row")
 
     def __init__(
         self,
@@ -245,16 +253,20 @@ class ConnectionResult(Frozen):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "_row", None)
 
     def reconstruct(self) -> Poly:
         """Sum of coefficients[k] * target member k.
 
-        The coefficients are lifted once, c_k = C_k / d.  With member k in
-        integer form M_k / e_k and E the lcm of the e_k, the term c_k M_k / e_k
-        is the integer vector M_k times C_k (E / e_k), over d E.  So the sum is
-        one integer vector over d E, reduced once per output coefficient.
+        The coefficients are the row c_k = C_k / d, lifted once if no row came
+        with them.  With member k in integer form M_k / e_k and E the lcm of
+        the e_k, the term c_k M_k / e_k is the integer vector M_k times
+        C_k (E / e_k), over d E.  So the sum is one integer vector over d E,
+        reduced once per output coefficient.
         """
-        nums, den = lift(self.coefficients)
+        if self._row is None:
+            object.__setattr__(self, "_row", lift(self.coefficients))
+        nums, den = self._row
         members = [
             basis_poly(self.target, k).integer_form if c else ((), 1)
             for k, c in enumerate(nums)
@@ -286,9 +298,13 @@ class ConnectionResult(Frozen):
 
 def _result(source: BasisId, target: BasisId, n: int, row: Row, provenance: str):
     """The ConnectionResult of a degree-n row (R, d), one Fraction(R_k, d)
-    per coefficient: the only place a row becomes Fractions."""
+    per coefficient: the only place a row becomes Fractions.  The result
+    keeps the row, for its reconstruct."""
     num, den = row
-    return ConnectionResult(source, target, n, tuple(Fraction(r, den) for r in num), provenance)
+    result = ConnectionResult(
+        source, target, n, tuple(Fraction(r, den) for r in num), provenance)
+    object.__setattr__(result, "_row", row)
+    return result
 
 
 def _first_difference(row: Row, other: Row) -> Optional[int]:
@@ -337,6 +353,15 @@ def connection_oracle(p: Poly, target: BasisId) -> ConnectionResult:
     if any(residual):
         raise PolyConnectError("oracle back-substitution left a nonzero residual")
     return ConnectionResult(MONOMIAL, target, degree, tuple(coefficients), PROVENANCE_ORACLE)
+
+
+@_cached
+def _oracle_connection(source: BasisId, target: BasisId, n: int) -> ConnectionResult:
+    """connection_oracle(basis_poly(source, n), target), labelled with source:
+    the oracle conversion of one degree that connect serves, memoized per
+    process like the family members (see polybases._cached)."""
+    oracle = connection_oracle(basis_poly(source, n), target)
+    return ConnectionResult(source, target, n, oracle.coefficients, oracle.provenance)
 
 
 def _regular(jp: JacobiParams) -> bool:
@@ -816,6 +841,7 @@ def _theorem(theorem: object) -> Theorem:
     return record
 
 
+@_cached
 def closed_form_connection(
     source: BasisId, target: BasisId, n: int, theorem: Optional[str] = None
 ) -> ConnectionResult:
@@ -823,7 +849,9 @@ def closed_form_connection(
     record with id theorem, or by default the first record for the pair (so
     hermite -> jacobi-1mx is Thm3.3-interpreted unless "3.3c" is asked for).
     A Jacobi source member is built to check that it has degree n unless
-    _always_graded(source) holds, in which case it has by construction."""
+    _always_graded(source) holds, in which case it has by construction.
+    Results are memoized per process like the family members (see
+    polybases._cached); verify_theorem builds its rows afresh."""
     check_index(n, "n")
     check_instance(source, BasisId)
     check_instance(target, BasisId)

@@ -318,30 +318,41 @@ class TestContract:
 
 
 def test_one_process_serving_many_requests_matches_fresh_processes(capsys):
-    """One process serves invalid requests, then every command; each outcome
-    equals that of a process serving the request alone."""
+    """One process serves invalid requests, then every command, and then the
+    connect and table requests again, which the conversion memos serve; each
+    outcome equals that of a process serving the request alone."""
     from polyconnect import cli
 
+    degenerate = ["connect", "--source", "shifted-jacobi", "--target", "hermite",
+                  "--alpha=-6", "--beta=-1", "--n", "3", "--method", "closed"]
+    connect = ["connect", "--source", "hermite", "--target", "laguerre", "--n", "3"]
+    tables = [
+        ["table", "--source", "laguerre", "--target", "hermite", "--n-max", "3",
+         "--method", "oracle", "--format", "json"],
+        ["table", "--source", "laguerre", "--target", "hermite", "--n-max", "3"],
+    ]
     requests = [
         ["table", "--source", "laguerre", "--n-max", "2", "--method", "both"],
         ["connect", "--source", "hermite", "--target", "laguerre", "--n", "x"],
         ["poly", "--family", "shifted-jacobi", "--n", "2", "--alpha", "-3/2"],
         ["poly", "--family", "shifted-jacobi", "--n", "2", "--alpha", "-3/2", "--beta", "1"],
-        ["connect", "--source", "hermite", "--target", "laguerre", "--n", "3"],
+        degenerate,
+        connect,
         ["verify", "--theorem", "3.3", "--n-max", "2", "--format", "csv"],
         ["verify", "--theorem", "2.1", "--cases", "3", "--seed", "2"],
-        ["table", "--source", "laguerre", "--target", "hermite", "--n-max", "3",
-         "--method", "oracle", "--format", "json"],
-        ["table", "--source", "laguerre", "--target", "hermite", "--n-max", "3"],
+        *tables,
         ["poly", "--family", "hermite", "--n", "3"],
         ["verify", "-h"],
+        connect,
+        *tables,
+        degenerate,
     ]
     shared = []
     for argv in requests:
         rc = cli.run(argv)
         captured = capsys.readouterr()
         shared.append((rc, captured.out, captured.err))
-    assert [rc for rc, _, _ in shared] == [2, 2, 2, 0, 0, 1, 0, 0, 0, 0, 0]
+    assert [rc for rc, _, _ in shared] == [2, 2, 2, 0, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 2]
     fresh = [run_cli(*argv) for argv in requests]
     assert shared == [(p.returncode, p.stdout, p.stderr) for p in fresh]
 

@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 from fractions import Fraction as F
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from polyconnect import (
     BasisId,
+    ConnectionResult,
     DEFAULT_JACOBI_SWEEP,
     HERMITE,
     InvalidInputError,
@@ -373,6 +375,57 @@ class TestClosedFormConnection:
             coeffs = closed_form_connection(source, target, n).coefficients
             assert len(coeffs) == n + 1
             assert coeffs[n] != 0
+
+
+class TestConversionMemos:
+    """closed_form_connection and connection._oracle_connection are memoized
+    per process (polybases._cached); a hit must be what the body returns."""
+
+    def test_a_degenerate_request_raises_the_same_error_again(self):
+        source = BasisId("shifted-jacobi", JacobiParams(-6, -1))
+        for convert in (closed_form_connection, connection._oracle_connection):
+            with pytest.raises(PolyConnectError) as first:
+                convert(source, HERMITE, 3)
+            with pytest.raises(type(first.value), match=re.escape(str(first.value))):
+                convert(source, HERMITE, 3)
+            assert convert.cache_info().currsize == 0
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.sampled_from([*connection.THEOREMS.values(), None]),
+        st.sampled_from(sorted(connection.FAMILIES)),
+        st.sampled_from(sorted(connection.FAMILIES)),
+        rationals,
+        rationals,
+        st.integers(min_value=0, max_value=12),
+    )
+    def test_hits_equal_the_bodies(self, record, source, target, alpha, beta, n):
+        if record is not None:
+            source, target = record.source, record.target
+        jp = JacobiParams(alpha, beta)
+        pair = (connection.basis(source, jp), connection.basis(target, jp), n)
+        for convert in (closed_form_connection, connection._oracle_connection):
+            expected = _outcome(lambda: convert.__wrapped__(*pair))
+            for _ in range(2):  # the second call hits wherever the first returned
+                assert _outcome(lambda: convert(*pair)) == expected
+
+    def test_results_keep_their_row_outside_the_fields(self):
+        target = BasisId("jacobi-1mx", JacobiParams(F(-1, 2), 1))
+        result = closed_form_connection(HERMITE, target, 6, "3.3c")
+        plain = ConnectionResult(*(getattr(result, name) for name in result._fields))
+        assert result._row is not None and plain._row is None
+        assert result == plain and hash(result) == hash(plain) and repr(result) == repr(plain)
+        assert pickle.loads(pickle.dumps(result)) == result
+        assert result.reconstruct() == plain.reconstruct() == hermite(6)
+
+
+def _outcome(call):
+    """The value of call(), or the class and message of the PolyConnectError
+    it raises."""
+    try:
+        return call()
+    except PolyConnectError as exc:
+        return type(exc), str(exc)
 
 
 def test_inverse_pair_small():

@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polyconnect import (
+    BasisId,
     DenominatorPoleError,
+    HERMITE,
     InvalidInputError,
     JacobiParams,
     MONOMIAL,
     Poly,
     basis_poly,
+    closed_form_connection,
     factorial,
     hermite,
     jacobi_at_one_minus_x,
@@ -18,6 +21,7 @@ from polyconnect import (
     series_coefficients,
     shifted_jacobi,
 )
+from polyconnect import connection
 
 
 def hermite_by_recurrence(n):
@@ -208,7 +212,14 @@ def test_family_cache_checks_unhashable_arguments_and_keeps_body_type_errors():
 @pytest.mark.parametrize("degree", [2.0, F(2), True])
 def test_cached_member_still_rejects_an_equal_degree_that_is_not_an_int(degree):
     jp = JacobiParams(0, 0)
-    for family, args in ((hermite, ()), (shifted_jacobi, (jp,)), (jacobi_at_one_minus_x, (jp,))):
-        family(int(degree), *args)
-        with pytest.raises(InvalidInputError, match="degree must be a nonnegative integer"):
-            family(degree, *args)
+    jacobi = BasisId("shifted-jacobi", jp)
+    for cached in (
+        lambda n: hermite(n),
+        lambda n: shifted_jacobi(n, jp),
+        lambda n: jacobi_at_one_minus_x(n, jp),
+        lambda n: closed_form_connection(jacobi, HERMITE, n),
+        lambda n: connection._oracle_connection(HERMITE, jacobi, n),
+    ):
+        cached(int(degree))
+        with pytest.raises(InvalidInputError, match=r"(degree|n) must be a nonnegative integer"):
+            cached(degree)

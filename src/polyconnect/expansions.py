@@ -26,13 +26,16 @@ a -n numerator parameter; ``fields_wimp_luke_terminating`` is Luke's form,
 Fields-Wimp with alpha = (c) and beta = (), made finite by a nonpositive
 integer in [a].  Each returns both sides, so a counterexample shows.
 
-Every right side is taken in integers and reduced once, into the returned
-Fraction.  The bilinear ones lift a and b to one denominator each, write each
-Pochhammer factor as rationals.rising on its (p, q) pair and nest the inner
-and middle sums backward over their term ratios (_nest); both Fields-Wimp
-sides take their series from hypseries.sum_pairs.  Outer terms are added over
-the lcm of their denominators (_add), which grows with the support, never as
-the product of every term's denominator.
+Both bilinear sides and every right side are taken in integers and reduced
+once, into the returned Fraction.  The bilinear ones lift a and b to one
+denominator each (_lifted).  The left side adds a_m b_m (zw)^m, over m! when
+weighted, across the common support; the right sides write each Pochhammer
+factor as rationals.rising on its (p, q) pair and nest the inner and middle
+sums backward over their term ratios (_nest).  Both Fields-Wimp sides take
+their series from hypseries.sum_pairs, and each right-side term, weight and
+both series, is one integer pair.  Terms are added over the lcm of their
+denominators (_add), which grows with the support, never as the product of
+every term's denominator.
 """
 
 import math
@@ -82,7 +85,7 @@ def delta_seq(index: int, value: RationalLike = 1) -> dict[int, Fraction]:
 
 
 def coeff_seq_to_json(seq: CoeffSeq) -> dict:
-    return {str(i): rational_to_str(v) for i, v in sorted(coeff_seq(seq).items())}
+    return {str(i): str(v) for i, v in sorted(coeff_seq(seq).items())}
 
 
 class ExpansionParams(Frozen):
@@ -109,10 +112,13 @@ def bilinear_lhs(
 ) -> Fraction:
     """Direct side of the bilinear identities: sum of a_m b_m (zw)^m, divided
     by m! when with_factorial is set."""
-    a, b = coeff_seq(a), coeff_seq(b)
-    zw = as_rational(z) * as_rational(w)
-    weight = factorial if with_factorial else lambda m: 1
-    return sum((a[m] * b[m] * zw**m / weight(m) for m in a.keys() & b.keys()), Fraction(0))
+    (A, da), (B, db) = _lifted(a), _lifted(b)
+    (zn, zd), (wn, wd) = (as_rational(v).as_integer_ratio() for v in (z, w))
+    num, den = 0, 1
+    for m in A.keys() & B.keys():
+        weight = math.factorial(m) if with_factorial else 1
+        num, den = _add(num, den, A[m] * B[m] * (zn * wn) ** m, (zd * wd) ** m * weight)
+    return Fraction(num, den * da * db)
 
 
 def _lifted(seq: Mapping[int, RationalLike]) -> tuple[dict[int, int], int]:
@@ -221,9 +227,9 @@ def fields_ismail_13_rhs(
     return Fraction(num, den * da * db)
 
 
-def _pairs(params: Iterable[Union[int, Fraction]], k: int = 0) -> list[tuple[int, int]]:
-    """The parameters plus k, as integer (p, q) pairs for sum_pairs."""
-    return [(p + k * q, q) for p, q in (v.as_integer_ratio() for v in params)]
+def _pairs(params: Iterable[Union[int, Fraction]]) -> list[tuple[int, int]]:
+    """The parameters as integer (p, q) pairs for sum_pairs."""
+    return [v.as_integer_ratio() for v in params]
 
 
 def _fields_wimp(
@@ -234,17 +240,22 @@ def _fields_wimp(
     P = A + al, Q = B + be, R = C + be and S = D + al, for any pole-free al
     and be: the sum over k <= top of [P]_k (-z)^k / ([Q]_k k!) times
     F(k+P; k+Q; z) F(-k, R; S; w).  Raises pole(k) at the first k with
-    [Q]_k = 0.  The weights come from pochhammer_list, where the benchmark's
-    traced runs count them."""
+    [Q]_k = 0.  The weights [P]_k and [Q]_k come from pochhammer_list, where
+    the benchmark's traced runs count them.  The parameters and arguments are
+    taken as integer pairs once; at each k the weight's two products, (-z)^k,
+    k! and both series values make one integer pair, added with _add."""
+    (zn, zd), (wn, wd) = z.as_integer_ratio(), w.as_integer_ratio()
+    Pp, Qp, Rp, Sp = map(_pairs, (P, Q, R, S))
     num, den = 0, 1
     for k in range(top + 1):
         div = pochhammer_list(Q, k)
         if div == 0:
             raise pole(k)
-        weight = pochhammer_list(P, k) * (-z) ** k / (div * math.factorial(k))
-        p1, q1 = sum_pairs(_pairs(P, k), _pairs(Q, k), *z.as_integer_ratio())
-        p2, q2 = sum_pairs(_pairs((-k,) + R), _pairs(S), *w.as_integer_ratio())
-        num, den = _add(num, den, weight.numerator * p1 * p2, weight.denominator * q1 * q2)
+        rise = pochhammer_list(P, k)
+        p1, q1 = sum_pairs([(p + k * q, q) for p, q in Pp], [(p + k * q, q) for p, q in Qp], zn, zd)
+        p2, q2 = sum_pairs([(-k, 1)] + Rp, Sp, wn, wd)
+        num, den = _add(num, den, rise.numerator * div.denominator * (-zn) ** k * p1 * p2,
+                        rise.denominator * div.numerator * zd**k * math.factorial(k) * q1 * q2)
     return Fraction(num, den)
 
 

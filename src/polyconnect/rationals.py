@@ -108,14 +108,20 @@ def pochhammer(a: RationalLike, n: int) -> Fraction:
 
 
 def pochhammer_list(params: Iterable[RationalLike], k: int) -> Fraction:
-    """Product of pochhammer(a, k) over a parameter list; 1 for the empty list."""
+    """Product of pochhammer(a, k) over a parameter list; 1 for the empty list.
+
+    Every parameter is coerced first; pochhammer is then called once per
+    parameter up to the first zero factor, and the factors' numerators and
+    denominators are multiplied as integers and reduced once."""
     check_index(k, "k")
-    result = Fraction(1)
+    num = den = 1
     for a in as_rationals(params):
-        result *= pochhammer(a, k)
-        if result == 0:
-            break
-    return result
+        factor = pochhammer(a, k)
+        if not factor:
+            return factor
+        num *= factor.numerator
+        den *= factor.denominator
+    return Fraction(num, den)
 
 
 def factorial(n: int) -> Fraction:

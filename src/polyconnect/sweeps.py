@@ -23,7 +23,7 @@ from .expansions import (
     fields_wimp_terminating,
 )
 from .hypseries import HypSeries, evaluate_terminating, split_even_odd
-from .rationals import check_index, rational_to_str
+from .rationals import check_index
 
 _F = Fraction
 
@@ -51,14 +51,14 @@ MAX_DRAWS_PER_CASE = 100
 
 
 def _to_json(value):
-    """A drawn input as JSON: an int (a degree) as is, a rational as its
+    """A drawn input as JSON: an int (a degree) as is, a Fraction as its
     string, a parameter tuple as a list of them, a sequence by
     coeff_seq_to_json."""
     if isinstance(value, dict):
         return coeff_seq_to_json(value)
     if isinstance(value, tuple):
-        return [rational_to_str(v) for v in value]
-    return value if isinstance(value, int) else rational_to_str(value)
+        return [str(v) for v in value]
+    return value if isinstance(value, int) else str(value)
 
 
 def _sweep(cases: int, seed: int, draw) -> list[dict]:
@@ -78,7 +78,7 @@ def _sweep(cases: int, seed: int, draw) -> list[dict]:
         entries.append({
             "n": len(entries),
             "match": lhs == rhs,
-            "residual": rational_to_str(lhs - rhs),
+            "residual": str(lhs - rhs),
             "case": {name: _to_json(value) for name, value in case.items()},
         })
     if len(entries) < cases:

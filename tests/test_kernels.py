@@ -13,7 +13,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polyconnect import (
     HERMITE,
@@ -30,6 +30,7 @@ from polyconnect import (
     Poly,
     PolyConnectError,
     basis_poly,
+    bilinear_lhs,
     coeff_seq,
     coeff_hermite_in_laguerre,
     coeff_hermite_in_shifted_jacobi,
@@ -50,6 +51,7 @@ from polyconnect import (
     truncation_index,
     ZeroDenominatorParameterError,
 )
+from polyconnect import rationals as rationals_module
 from polyconnect.cli import run
 from polyconnect.hypseries import sum_pairs
 from polyconnect.rationals import as_rationals
@@ -73,6 +75,10 @@ def literal_pochhammer(a, n):
     for i in range(n):
         result *= a + i
     return result
+
+
+def literal_pochhammer_list(params, k):
+    return math.prod((literal_pochhammer(a, k) for a in params), start=F(1))
 
 
 def literal_sum(nums, dens, x):
@@ -493,10 +499,10 @@ def literal_wimp_terminating(n, a, b, c, d, al, be, z, w):
     lhs = evaluate_terminating(HypSeries((F(-n),) + a + c, b + d, z * w))
     rhs = F(0)
     for k in range(n + 1):
-        div = pochhammer_list(b, k) * pochhammer_list(be, k)
+        div = literal_pochhammer_list(b + be, k)
         if div == 0:
             raise PoleInParamsError(f"[b]_{k} [beta]_{k} = 0")
-        weight = math.comb(n, k) * pochhammer_list(a, k) * pochhammer_list(al, k) * z**k / div
+        weight = math.comb(n, k) * literal_pochhammer_list(a + al, k) * z**k / div
         f1 = evaluate_terminating(HypSeries(
             (F(k - n),) + tuple(p + k for p in a + al), tuple(p + k for p in b + be), z
         ))
@@ -512,10 +518,10 @@ def literal_wimp_luke_terminating(a, b, cr, d, c, z, w):
     lhs = evaluate_terminating(HypSeries(a + cr, b + d, z * w))
     rhs = F(0)
     for n in range(n_max + 1):
-        div = pochhammer_list(b, n) * math.factorial(n)
+        div = literal_pochhammer_list(b, n) * math.factorial(n)
         if div == 0:
             raise DenominatorPoleError(f"[b]_{n} = 0")
-        weight = pochhammer_list(a, n) * literal_pochhammer(c, n) * (-z) ** n / div
+        weight = literal_pochhammer_list(a + (c,), n) * (-z) ** n / div
         f1 = evaluate_terminating(HypSeries(
             (n + c,) + tuple(p + n for p in a), tuple(p + n for p in b), z
         ))
@@ -621,6 +627,78 @@ def test_wimp_luke_matches_literal_fraction_body(cut, a, b, cr, d, c, z, w):
     assert _result(fields_wimp_luke_terminating, *args) == _result(
         literal_wimp_luke_terminating, *args
     )
+
+
+def _vanishes(a, k):
+    """Whether (a)_k = 0: a is an integer in [1 - k, 0]."""
+    return a.denominator == 1 and -k < a <= 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(wimp_params, max_size=4), st.integers(min_value=0, max_value=6))
+def test_pochhammer_list_is_the_literal_product_with_one_call_per_factor(params, k):
+    values = as_rationals(params)
+    calls = []
+
+    def counting(a, n):
+        calls.append(a)
+        return pochhammer(a, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rationals_module, "pochhammer", counting)
+        got = pochhammer_list(params, k)
+    assert got == literal_pochhammer_list(values, k)
+    assert type(got) is F
+    # up to and including the first zero factor
+    first_zero = next((i for i, a in enumerate(values) if _vanishes(a, k)), len(values) - 1)
+    assert calls == list(values[:first_zero + 1])
+
+
+@pytest.mark.parametrize("bad", [0.5, "x"], ids=["float", "string"])
+def test_pochhammer_list_coerces_every_parameter_before_the_first_zero_factor(bad):
+    with pytest.raises(InvalidInputError):
+        pochhammer_list([-1, bad], 2)
+    with pytest.raises(InvalidInputError):
+        pochhammer_list(["-6/2", 1, bad], 4)
+
+
+def literal_bilinear_lhs(a, b, z, w, with_factorial):
+    a, b = coeff_seq(a), coeff_seq(b)
+    zw = F(z) * F(w)
+    total = F(0)
+    for m in a.keys() & b.keys():
+        term = a[m] * b[m] * zw**m
+        total += term / math.factorial(m) if with_factorial else term
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences, sequences, rationals, rationals, st.booleans())
+@example({}, {}, F(1, 2), F(3), True)
+@example({}, {2: F(1)}, F(1), F(1), False)
+@example({0: F(5), 2: F(-1, 3)}, {1: F(7), 3: F(2)}, F(-2), F(1, 3), True)
+@example({4: F(1, 2), 5: 0}, {4: F(-3), 5: F(2)}, F(0), F(5), False)
+def test_bilinear_lhs_matches_literal_fraction_body(a, b, z, w, with_factorial):
+    got = bilinear_lhs(a, b, z, w, with_factorial)
+    assert got == literal_bilinear_lhs(a, b, z, w, with_factorial)
+    assert type(got) is F
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((None, "12", 0.5, 0.5), "expected a mapping of index to rational, got None"),
+        (({0: 1}, "12", 0.5, 0.5), "expected a mapping of index to rational, got '12'"),
+        (({0: 1}, {}, 0.5, 0.25), "not an exact rational: 0.5"),
+        (({0: 1}, {}, 1, 0.25), "not an exact rational: 0.25"),
+    ],
+    ids=["a-first", "then-b", "then-z", "then-w"],
+)
+@pytest.mark.parametrize("with_factorial", [False, True])
+def test_bilinear_lhs_checks_a_then_b_then_the_arguments(args, message, with_factorial):
+    with pytest.raises(InvalidInputError) as info:
+        bilinear_lhs(*args, with_factorial)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFY_COMMANDS))

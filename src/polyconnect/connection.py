@@ -31,13 +31,14 @@ recurrences in k (of order 3, 3 and 4) run backward from k = n in O(n) steps,
 over 2^n n!, 1 and q^n 2^n n!; tests/test_row_recurrences.py proves them.
 Both Thm3.3 rows come from one O(n^2) integer pass, the 4F2 of every entry
 over one denominator (_hermite_in_jacobi_row).  Where a member can fail to
-be built (_regular false), the Thm3.3 and Thm3.4 rows are evaluated entry by
-entry and lifted over the lcm of their denominators: a coefficient is an
-integer prefactor times a terminating 4F2 whose parameters are integer pairs
-(p, q) for p/q, and hypseries.sum_pairs returns its value as an unreduced
-pair (a, b).  The coeff_* functions keep the literal series for every
-theorem.  Only _result builds Fractions from a row, one per coefficient of
-the ConnectionResult it returns.
+be built (_regular false), the Thm3.3 and Thm3.4 rows are their public
+coeff_* functions evaluated entry by entry and lifted over the lcm of their
+denominators.  The coeff_* functions keep the literal series for every
+theorem: a coefficient is an integer prefactor times a terminating series
+whose parameters are integer pairs (p, q) for p/q, not reduced, and
+hypseries.sum_pairs returns its value as an unreduced pair (a, b).  Only
+_result builds Fractions from a row, one per coefficient of the
+ConnectionResult it returns.
 
 ``verify_theorem`` compares each closed-form row with its table row in
 integers, R_i e == S_i d.  Equal rows match with a zero residual, and verify
@@ -493,7 +494,8 @@ def _next_row(x_rec, x_den, quad, row, prev):
 
 def _delta_pairs(r: int, p: int, q: int) -> list[tuple[int, int]]:
     """The parameters D(r, p/q) = [p/q/r, (p/q+1)/r, ..., (p/q+r-1)/r] as
-    (numerator, denominator) pairs, not reduced."""
+    (numerator, denominator) pairs, as sum_pairs reads them: (p + j q, r q),
+    in lowest terms or not."""
     return [(p + j * q, r * q) for j in range(r)]
 
 
@@ -602,18 +604,8 @@ def coeff_hermite_in_shifted_jacobi(
     _check_pair(n, m, "n", "m")
     if type(argument_sign) is not int or argument_sign not in (1, -1):
         raise InvalidInputError(f"argument_sign must be 1 or -1, got {argument_sign!r}")
-    check_instance(jp, JacobiParams)
-    return _hermite_in_jacobi_entry(
-        n, m, jp.lam.as_integer_ratio(), jp.alpha.as_integer_ratio(), argument_sign
-    )
-
-
-def _hermite_in_jacobi_entry(
-    n: int, m: int, lam: tuple[int, int], alpha: tuple[int, int], argument_sign: int
-) -> Fraction:
-    """coeff_hermite_in_shifted_jacobi without its checks, for lam = lp/lq
-    and alpha = ap/aq."""
-    (lp, lq), (ap, aq) = lam, alpha
+    lp, lq = check_instance(jp, JacobiParams).lam.as_integer_ratio()
+    ap, aq = jp.alpha.as_integer_ratio()
     a, b = sum_pairs(
         _delta_pairs(2, m - n, 1) + _delta_pairs(2, -lp - (n + m) * lq, lq),
         _delta_pairs(2, -ap - n * aq, aq),
@@ -646,17 +638,16 @@ def _hermite_in_jacobi_row(n: int, jp: JacobiParams, argument_sign: int) -> Row:
     prefactor's integer denominator aq^(n-m) prod_{k=m..m+n} (lp + k lq)
     divides aq^n prod_{k=1..2n} (lp + k lq) for m >= 1, as does that of its
     m = 0 limit 1/(l+1)_n.  So the row is over d = aq^n Q prod_{k=1..2n}
-    (lp + k lq), its sign made positive.  No factor vanishes for _regular parameters, where this
-    equals the entry-by-entry form; for others the row is that form, lifted
-    over the lcm of its denominators, with its errors.  The checks of
-    coeff_hermite_in_shifted_jacobi that hold for a whole row run once, here.
+    (lp + k lq), its sign made positive.  No factor vanishes for _regular
+    parameters, where this equals the entry-by-entry form; for others the row
+    is coeff_hermite_in_shifted_jacobi entry by entry, lifted over the lcm of
+    its denominators, with its errors.
     """
-    check_index(n, "n")
-    lam = check_instance(jp, JacobiParams).lam.as_integer_ratio()
-    alpha = jp.alpha.as_integer_ratio()
     if not _regular(jp):
-        return lift(_hermite_in_jacobi_entry(n, m, lam, alpha, argument_sign) for m in range(n + 1))
-    (lp, lq), (ap, aq) = lam, alpha
+        return lift(
+            coeff_hermite_in_shifted_jacobi(n, jp, m, argument_sign) for m in range(n + 1)
+        )
+    (lp, lq), (ap, aq) = jp.lam.as_integer_ratio(), jp.alpha.as_integer_ratio()
     ratio = [1] * (n // 2 + 1)  # ratio[j] = v_J / v_j
     for j in range(n // 2 - 1, -1, -1):
         i = n - 2 * j
@@ -814,8 +805,8 @@ class Theorem(Frozen):
         return self.source in JACOBI_FAMILIES or self.target in JACOBI_FAMILIES
 
 
-#: Theorem id -> record.  The lambdas look each row function up when called,
-#: not when the table is built.
+#: Theorem id -> record.  The lambdas only adapt each row function to the
+#: row(n, jp) signature.
 THEOREMS = {
     t.id: t
     for t in (
@@ -983,7 +974,9 @@ def verify_theorem(
         try:
             sets = tuple(param_sets if param_sets is not None else DEFAULT_JACOBI_SWEEP)
         except TypeError:
-            sets = (param_sets,)
+            raise InvalidInputError(
+                f"param_sets must hold JacobiParams, got {param_sets!r}"
+            ) from None
         if not sets:
             raise InvalidInputError(f"theorem {theorem} needs at least one Jacobi parameter set")
         for jp in sets:
@@ -993,11 +986,12 @@ def verify_theorem(
         raise InvalidInputError(f"theorem {theorem} takes no Jacobi parameters")
     report = VerificationReport(
         theorem=record.provenance.removeprefix("Thm"),
-        params=tuple(s for s in sets if s is not None) if record.needs_params else None,
+        params=sets if record.needs_params else None,
     )
-    tables = {}
+    bases = [(jp, basis(record.source, jp), basis(record.target, jp)) for jp in sets]
+    tables = [_table_rows(source, target, n_max) for _, source, target in bases]
     for n in range(n_max + 1):
-        for i, jp in enumerate(sets):
+        for (jp, source, target), table in zip(bases, tables):
             entry = VerificationEntry(
                 n=n,
                 match=False,
@@ -1006,12 +1000,9 @@ def verify_theorem(
                 beta=None if jp is None else jp.beta,
             )
             try:
-                source, target = basis(record.source, jp), basis(record.target, jp)
-                if i not in tables:
-                    tables[i] = _table_rows(source, target, n_max)
                 # drawn first so the table keeps step with n, but a row's
                 # error is raised only after the closed form's own errors
-                row = next(tables[i])
+                row = next(table)
                 closed = _closed_row(record, source, target, n)
                 if isinstance(row, PolyConnectError):
                     raise row

@@ -15,16 +15,17 @@ connection coefficients (the ones with denominator parameters -N/2 and
 past the truncation.
 
 The kernels work on integers: a term ratio is a ratio of two integers once
-every parameter is written p/q.  Both kernels read the cut and the poles off
-those (p, q) pairs in one helper, _cut, so they raise the same errors in the
-same order.
+every parameter is written p/q, in lowest terms or not.  Both kernels read
+the cut and the poles off those (p, q) pairs in one helper, _cut, so they
+raise the same errors in the same order.
 
 * series_coefficients returns the term coefficients, one Fraction (and so
   one gcd) each; the family constructors need the list itself.
-* sum_pairs takes the parameters as (p, q) pairs and the argument as an
-  integer pair, and returns the value as an integer pair (a, b) without
-  building a Fraction or reducing anything: a backward nested sum over the
-  term ratios.  Its clients fold (a, b) into their own integer factors and
+* sum_pairs takes the parameters as (p, q) pairs, such as the halves
+  (k - n, 2) the closed forms write, and the argument as an integer pair,
+  and returns the value as an integer pair (a, b) without building a
+  Fraction or reducing anything: a backward nested sum over the term
+  ratios.  Its clients fold (a, b) into their own integer factors and
   reduce once: the closed-form connection coefficients, with their
   prefactor, and both sides of the Fields-Wimp expansion
   (expansions.fields_wimp_terminating and fields_wimp_luke_terminating),
@@ -97,10 +98,11 @@ def truncation_index(numerators: Iterable[RationalLike]) -> int:
 def _cut(num_pq: Sequence[tuple[int, int]], den_pq: Sequence[tuple[int, int]]) -> int:
     """The truncation index K of the numerator pairs, checked against the
     denominator pairs: raises NonTerminating if no numerator is a nonpositive
-    integer, DenominatorPole if some denominator b has -b < K.  Pairs are in
-    lowest terms with q > 0, so p/q is a nonpositive integer exactly when
-    q == 1 and p <= 0."""
-    cuts = [-p for p, q in num_pq if q == 1 and p <= 0]
+    integer, DenominatorPole if some denominator b has -b < K.  A pair (p, q)
+    has q > 0 but need not be in lowest terms: p/q is a nonpositive integer
+    exactly when p <= 0 and q divides p, and its value is p // q, which the
+    messages print."""
+    cuts = [-(p // q) for p, q in num_pq if p <= 0 and p % q == 0]
     if not cuts:
         raise NonTerminatingError(
             "no numerator parameter is a nonpositive integer: "
@@ -108,10 +110,10 @@ def _cut(num_pq: Sequence[tuple[int, int]], den_pq: Sequence[tuple[int, int]]) -
         )
     k_max = min(cuts)
     for p, q in den_pq:
-        if q == 1 and p <= 0 and -p < k_max:
+        if p <= 0 and p % q == 0 and -(p // q) < k_max:
             raise DenominatorPoleError(
-                f"denominator parameter {p} vanishes at index "
-                f"{-p + 1} <= truncation index {k_max}"
+                f"denominator parameter {p // q} vanishes at index "
+                f"{1 - p // q} <= truncation index {k_max}"
             )
     return k_max
 
@@ -154,17 +156,9 @@ def series_coefficients(
     return tuple(coeffs)
 
 
-def _lowest_terms(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    out = []
-    for p, q in pairs:
-        g = math.gcd(p, q)
-        out.append((p // g, q // g))
-    return out
-
-
 def sum_pairs(
-    num_pq: Iterable[tuple[int, int]],
-    den_pq: Iterable[tuple[int, int]],
+    num_pq: Sequence[tuple[int, int]],
+    den_pq: Sequence[tuple[int, int]],
     x_num: int,
     x_den: int,
 ) -> tuple[int, int]:
@@ -172,11 +166,12 @@ def sum_pairs(
     integer pairs (p, q), q > 0, and argument x_num/x_den, x_den > 0, so the
     value is a/b.
 
-    The pairs are brought to lowest terms first, so (-4, 2) is read as the
-    nonpositive integer -2 and its cut is found.  The cut and the pole check
-    are those of series_coefficients (_cut), with the same errors.  With
-    u_k/v_k the term ratio of series_coefficients times x, the sum is nested
-    backward,
+    The pairs need not be in lowest terms: (-4, 2) is read as the
+    nonpositive integer -2, and its cut is found.  The cut and the pole check
+    are those of series_coefficients (_cut), with the same errors.  A pair
+    scaled by g scales both sides of its term ratio by g, so the value does
+    not change, only the size of a and b.  With u_k/v_k the term ratio of
+    series_coefficients times x, the sum is nested backward,
 
         T_K = 1,    T_k = 1 + (u_k/v_k) T_(k+1),    value = T_0,
 
@@ -184,7 +179,6 @@ def sum_pairs(
     negative; it is never zero, since v_k vanishes only for a denominator
     pole at or before the cut, which _cut rejects.
     """
-    num_pq, den_pq = _lowest_terms(num_pq), _lowest_terms(den_pq)
     k_max = _cut(num_pq, den_pq)
     num_scale = x_num * math.prod(q for _, q in den_pq)
     den_scale = x_den * math.prod(q for _, q in num_pq)

@@ -100,7 +100,9 @@ def test_bilinear_forms_reject_non_mappings_and_bad_params(call):
 
 
 @pytest.mark.parametrize(
-    "param_sets", [5, [(1, 2)], "ab", [None]], ids=["int", "tuple-item", "string", "none-item"]
+    "param_sets",
+    [5, [(1, 2)], "ab", [None], JacobiParams(0, 0)],
+    ids=["int", "tuple-item", "string", "none-item", "bare-record"],
 )
 def test_verify_theorem_rejects_param_sets_that_are_not_jacobi_params(param_sets):
     with pytest.raises(InvalidInputError, match="param_sets must hold JacobiParams"):

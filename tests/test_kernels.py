@@ -183,14 +183,52 @@ def test_sum_pairs_raises_as_evaluate_terminating(nums, dens):
 
 
 @pytest.mark.parametrize("n, k", [(4, 0), (6, 2), (9, 3), (5, 5)])
-def test_sum_pairs_reduces_unreduced_pairs(n, k):
+def test_sum_pairs_reads_unreduced_pairs(n, k):
     # (k - n)/2 and (k + 1 - n)/2 as written in the Thm3.1 coefficient: one of
     # (k - n, 2), (k + 1 - n, 2) is an even numerator over 2, a nonpositive
-    # integer only once reduced, and without it the series has no cut.
+    # integer though not in lowest terms, and the series is cut there.
     unreduced = sum_pairs(((k - n, 2), (k + 1 - n, 2)), ((k + 1, 2), (k + 2, 2)), 1, 4)
     nums = (F(k - n, 2), F(k + 1 - n, 2))
     dens = (F(k + 1, 2), F(k + 2, 2))
     assert F(*unreduced) == evaluate_terminating(HypSeries(nums, dens, F(1, 4)))
+
+
+def _scaled(params, scales):
+    return [(p * g, q * g) for (p, q), g in zip(_pairs(params), scales)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        terminating_params(),
+        st.tuples(st.lists(rationals, max_size=3), st.lists(rationals, max_size=3)),
+    ),
+    rationals,
+    st.data(),
+)
+def test_sum_pairs_reads_scaled_pairs(params, x, data):
+    # every pair (p, q) scaled to (g p, g q), g in 1..4: the reduced series'
+    # value, or its error class and message
+    nums, dens = params
+    scales = st.integers(min_value=1, max_value=4)
+    num_pq = _scaled(nums, data.draw(st.lists(scales, min_size=len(nums), max_size=len(nums))))
+    den_pq = _scaled(dens, data.draw(st.lists(scales, min_size=len(dens), max_size=len(dens))))
+    try:
+        expected = evaluate_terminating(HypSeries(nums, dens, x))
+    except PolyConnectError as exc:
+        with pytest.raises(PolyConnectError) as got:
+            sum_pairs(num_pq, den_pq, *x.as_integer_ratio())
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return
+    assert F(*sum_pairs(num_pq, den_pq, *x.as_integer_ratio())) == expected
+
+
+def test_sum_pairs_pole_message_prints_the_reduced_value():
+    # the denominator (-4, 2) is -2, not -4: its pole is at index 3
+    with pytest.raises(DenominatorPoleError) as got:
+        sum_pairs(((-3, 1),), ((-4, 2),), 1, 1)
+    assert str(got.value) == "denominator parameter -2 vanishes at index 3 <= truncation index 3"
 
 
 @given(

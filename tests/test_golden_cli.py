@@ -7,7 +7,9 @@ registry refactor, which had to leave every one of them unchanged; the 60
 monomial basis were recorded again when that output began to name the
 requested source instead of "monomial".  Every
 Jacobi parameter pair used here is regular for the degrees asked, so no
-command reaches the ungraded-member path.  Regenerate the file with
+command reaches the ungraded-member path; tests/degenerate_grid.py and its
+golden_degenerate.txt pin those paths, with exit code, stdout digest and
+stderr per command.  Regenerate the file with
 ``PYTHONPATH=src python tests/test_golden_cli.py`` only for a deliberate
 wire change, and say so in CHANGES.md.
 """
@@ -20,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from degenerate_grid import GOLDEN as DEGENERATE_GOLDEN, commands, outcome
 from polyconnect.cli import run
 
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
@@ -123,6 +126,14 @@ def test_stdout_matches_recorded_digests(group):
     commands = [" ".join(argv) for argv in GROUPS[group]()]
     assert sorted(commands) == sorted(recorded)
     changed = [cmd for cmd in commands if _digest(cmd.split(" ")) != recorded[cmd]]
+    assert changed == []
+
+
+def test_degenerate_grid_matches_recorded_outcomes():
+    recorded = DEGENERATE_GOLDEN.read_text().splitlines()
+    argvs = list(commands())
+    assert len(argvs) == len(recorded)
+    changed = [" ".join(argv) for argv, line in zip(argvs, recorded) if outcome(argv) != line]
     assert changed == []
 
 

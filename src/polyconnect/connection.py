@@ -50,8 +50,8 @@ exact residual, so a "fail" verdict rests on two independent methods
 wherever the recurrence built the row (a degenerate row already is the
 oracle's).  The CLI's ``table --method oracle|both`` reads the table too;
 ``connect`` and ``connection_oracle`` convert one degree.  The oracle and
-reconstruction work on the members' integer forms (rationals.lift), which
-the cached family members compute once per process.  ``closed_form_connection``
+reconstruction work on integer rows (Poly.integer_form), the form every
+member but laguerre's and reconstruct's Poly are born in.  ``closed_form_connection``
 and the one-degree oracle conversion that ``connect`` serves
 (_oracle_connection) are memoized per process too, with no bound; verify and
 tables always convert afresh.
@@ -222,7 +222,7 @@ def basis(family: str, jp: Optional[JacobiParams]) -> BasisId:
 def basis_poly(basis: BasisId, k: int) -> Poly:
     """The degree-k member of a basis family; it must have degree exactly k."""
     member = FAMILIES[check_instance(basis, BasisId).family].member(k, basis.params)
-    if len(member.coefficients) != k + 1:
+    if member.degree != k:
         raise InvalidInputError(f"{basis.family} family is not graded at degree {k}")
     return member
 
@@ -263,7 +263,7 @@ class ConnectionResult(Frozen):
         with them.  With member k in integer form M_k / e_k and E the lcm of
         the e_k, the term c_k M_k / e_k is the integer vector M_k times
         C_k (E / e_k), over d E.  So the sum is one integer vector over d E,
-        reduced once per output coefficient.
+        reduced by one gcd into the row of the Poly returned.
         """
         if self._row is None:
             object.__setattr__(self, "_row", lift(self.coefficients))
@@ -278,7 +278,7 @@ class ConnectionResult(Frozen):
             scale = c * (common // e)
             for i, m in enumerate(member):
                 total[i] += scale * m
-        return Poly(Fraction(t, den * common) for t in total)
+        return Poly._from_row(total, den * common)
 
     def to_json(self) -> dict:
         return {
@@ -310,8 +310,11 @@ def _result(source: BasisId, target: BasisId, n: int, row: Row, provenance: str)
 
 def _first_difference(row: Row, other: Row) -> Optional[int]:
     """The first index at which two integer rows (R, d) and (S, e) of one
-    degree differ, R_i e != S_i d, or None where they are equal."""
+    degree differ, or None: R_i (e/g) != S_i (d/g) for g = gcd(d, e), where
+    one side's multiplier is often 1."""
     (num, d), (other_num, e) = row, other
+    g = math.gcd(d, e)
+    d, e = d // g, e // g
     return next((i for i, (r, s) in enumerate(zip(num, other_num)) if r * e != s * d), None)
 
 
@@ -1033,7 +1036,8 @@ def _check_mismatch(
     source_poly = basis_poly(closed.source, entry.n)
     if _always_graded(closed.source, closed.target):
         oracle = connection_oracle(source_poly, closed.target)
-        if _first_difference(lift(oracle.coefficients), row) is not None:
+        nums, d = row
+        if any(c.numerator * d != r * c.denominator for c, r in zip(oracle.coefficients, nums)):
             raise PolyConnectError(
                 f"connection table and oracle disagree at degree {entry.n}"
             )

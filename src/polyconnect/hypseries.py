@@ -19,8 +19,8 @@ every parameter is written p/q, in lowest terms or not.  Both kernels read
 the cut and the poles off those (p, q) pairs in one helper, _cut, so they
 raise the same errors in the same order.
 
-* series_coefficients returns the term coefficients, one Fraction (and so
-  one gcd) each; the family constructors need the list itself.
+* series_coefficients returns the term coefficients, one Fraction each:
+  laguerre keeps the list, the Jacobi constructors lift it to one row.
 * sum_pairs takes the parameters as (p, q) pairs, such as the halves
   (k - n, 2) the closed forms write, and the argument as an integer pair,
   and returns the value as an integer pair (a, b) without building a

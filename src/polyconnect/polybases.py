@@ -7,11 +7,15 @@ Normalizations:
   * jacobi_at_one_minus_x(m, jp): ((a+1)_m / m!) 2F1(-m, m+l; a+1; x/2),
     the standard Jacobi polynomial evaluated at 1-x,
 with a = jp.alpha, b = jp.beta, l = a + b + 1 throughout.
+
+laguerre, whose series list is its coefficients, is born as Fractions; the
+other members as integer rows, which is all the oracle reads (see Poly).
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache, wraps
+from itertools import zip_longest
 from typing import Iterable, Optional, Union
 
 from .errors import InvalidInputError
@@ -32,10 +36,11 @@ from .records import Frozen
 class Poly:
     """Dense univariate polynomial with exact rational coefficients.
 
-    Coefficients are stored ascending by degree with trailing zeros stripped;
-    the zero polynomial stores nothing and reports degree -inf.  Instances
-    are immutable and hashable; the integer form is built on first use and
-    kept, so a cached family member is lifted once per process.
+    Coefficients are ascending by degree with trailing zeros stripped; the
+    zero polynomial has none and degree -inf.  Both forms are canonical: the
+    Fraction tuple (coefficients), filled by Poly(...), and the reduced row
+    (integer_form, a connection.Row), filled by _from_row and arithmetic.
+    The other is built on first read and kept.  Immutable and hashable.
     """
 
     __slots__ = ("_coeffs", "_integer_form")
@@ -48,12 +53,30 @@ class Poly:
         self._integer_form: Optional[tuple[tuple[int, ...], int]] = None
 
     @staticmethod
+    def _from_row(nums: Iterable[int], den: int) -> "Poly":
+        """The Poly nums / den, den != 0, born in integer form: trailing
+        zeros stripped, the sign moved to the numerators, one gcd."""
+        nums = list(nums)
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+        if g != 1:
+            den, nums = den // g, [x // g for x in nums]
+        poly = Poly.__new__(Poly)
+        poly._coeffs, poly._integer_form = None, (tuple(nums), den)
+        return poly
+
+    @staticmethod
     def monomial(degree: int, coefficient: RationalLike = 1) -> "Poly":
         check_index(degree, "monomial degree")
-        return Poly([Fraction(0)] * degree + [as_rational(coefficient)])
+        p, q = as_rational(coefficient).as_integer_ratio()
+        return Poly._from_row([0] * degree + [p], q)
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
+        if self._coeffs is None:
+            nums, den = self._integer_form
+            self._coeffs = tuple(Fraction(x, den) for x in nums)
         return self._coeffs
 
     @property
@@ -66,55 +89,57 @@ class Poly:
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return self.degree < 0
 
     @property
     def degree(self):
-        """Exact degree; -inf for the zero polynomial."""
-        return len(self._coeffs) - 1 if self._coeffs else float("-inf")
+        """Exact degree, read off whichever form exists; -inf for zero."""
+        terms = self._integer_form[0] if self._coeffs is None else self._coeffs
+        return len(terms) - 1 if terms else float("-inf")
 
     @property
     def leading_coefficient(self) -> Fraction:
-        return self._coeffs[-1] if self._coeffs else Fraction(0)
+        return Fraction(0) if self.is_zero else self.coefficients[-1]
 
     def coeff(self, k: int) -> Fraction:
         """The coefficient of x^k; 0 for any k outside 0..degree."""
         if isinstance(k, bool) or not isinstance(k, int):
             raise InvalidInputError(f"k must be an integer, got {k!r}")
-        return self._coeffs[k] if 0 <= k < len(self._coeffs) else Fraction(0)
+        return self.coefficients[k] if 0 <= k <= self.degree else Fraction(0)
 
     def __call__(self, x: RationalLike) -> Fraction:
         x = as_rational(x)
         total = Fraction(0)
-        for c in reversed(self._coeffs):
+        for c in reversed(self.coefficients):
             total = total * x + c
         return total
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Poly([c + (b[i] if i < len(b) else 0) for i, c in enumerate(a)])
+        (a, d), (b, e) = self.integer_form, other.integer_form
+        den = math.lcm(d, e)
+        f, g = den // d, den // e
+        return Poly._from_row([f * x + g * y for x, y in zip_longest(a, b, fillvalue=0)], den)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self._coeffs])
+        nums, den = self.integer_form
+        return Poly._from_row([-x for x in nums], den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: Union["Poly", RationalLike]) -> "Poly":
+        a, d = self.integer_form
         if isinstance(other, Poly):
-            if self.is_zero or other.is_zero:
-                return Poly()
-            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
-        scalar = as_rational(other)
-        return Poly([c * scalar for c in self._coeffs])
+            b, e = other.integer_form
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return Poly._from_row(out, d * e)
+        p, q = as_rational(other).as_integer_ratio()
+        return Poly._from_row([p * x for x in a], d * q)
 
     def __rmul__(self, other: RationalLike) -> "Poly":
         return self * other
@@ -122,17 +147,19 @@ class Poly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
+        if self._coeffs is None or other._coeffs is None:
+            return self.integer_form == other.integer_form
         return self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash(self._coeffs)
+        return hash(self.integer_form)
 
     def __repr__(self):
-        return f"Poly([{', '.join(rational_to_str(c) for c in self._coeffs)}])"
+        return f"Poly([{', '.join(rational_to_str(c) for c in self.coefficients)}])"
 
     def to_json(self) -> list[str]:
         """JSON form: array of rational strings, ascending degree."""
-        return [rational_to_str(c) for c in self._coeffs]
+        return [rational_to_str(c) for c in self.coefficients]
 
     @staticmethod
     def from_json(data: list[str]) -> "Poly":
@@ -200,16 +227,15 @@ def laguerre(n: int) -> Poly:
 @_cached
 def hermite(n: int) -> Poly:
     """Hermite polynomial from the explicit sum
-    n! * sum_k (-1)^k (2x)^(n-2k) / (k!(n-2k)!)."""
+    n! * sum_k (-1)^k (2x)^(n-2k) / (k!(n-2k)!), an integer row: the term
+    of x^m, m = n - 2k, times -m(m-1) / (4(k+1)) is the term of x^(m-2)."""
     check_index(n, "degree")
-    coeffs = [Fraction(0)] * (n + 1)
-    nfact = math.factorial(n)
+    row, term = [0] * (n + 1), 1 << n
     for k in range(n // 2 + 1):
         m = n - 2 * k
-        coeffs[m] = Fraction(
-            (-1) ** k * nfact * 2**m, math.factorial(k) * math.factorial(m)
-        )
-    return Poly(coeffs)
+        row[m] = term
+        term = -term * m * (m - 1) // (4 * (k + 1))
+    return Poly._from_row(row, 1)
 
 
 @_cached
@@ -219,18 +245,18 @@ def shifted_jacobi(n: int, jp: JacobiParams) -> Poly:
     check_instance(jp, JacobiParams)
     rise = pochhammer(jp.beta + 1, n)
     p, d = (-1) ** n * rise.numerator, rise.denominator * math.factorial(n)
-    coeffs = series_coefficients((Fraction(-n), n + jp.lam), (jp.beta + 1,))
-    return Poly(Fraction(p * c.numerator, d * c.denominator) for c in coeffs)
+    coeffs, e = lift(series_coefficients((Fraction(-n), n + jp.lam), (jp.beta + 1,)))
+    return Poly._from_row([p * c for c in coeffs], d * e)
 
 
 @_cached
 def jacobi_at_one_minus_x(m: int, jp: JacobiParams) -> Poly:
-    """The standard Jacobi polynomial evaluated at 1-x, as a polynomial in x."""
+    """The standard Jacobi polynomial evaluated at 1-x, as a polynomial in x:
+    the lifted series list R / e, R_k times p 2^(K-k), over d e 2^K."""
     check_index(m, "degree")
     check_instance(jp, JacobiParams)
     rise = pochhammer(jp.alpha + 1, m)
     p, d = rise.numerator, rise.denominator * math.factorial(m)
-    coeffs = series_coefficients((Fraction(-m), m + jp.lam), (jp.alpha + 1,))
-    return Poly(
-        Fraction(p * c.numerator, d * c.denominator << k) for k, c in enumerate(coeffs)
-    )
+    coeffs, e = lift(series_coefficients((Fraction(-m), m + jp.lam), (jp.alpha + 1,)))
+    top = len(coeffs) - 1
+    return Poly._from_row([p * c << top - k for k, c in enumerate(coeffs)], d * e << top)

@@ -44,17 +44,19 @@ from polyconnect import (
     fields_wimp_terminating,
     hermite,
     hermite_bm_sequence,
+    jacobi_at_one_minus_x,
     pochhammer,
     pochhammer_list,
     series_coefficients,
+    shifted_jacobi,
     split_even_odd,
     truncation_index,
     ZeroDenominatorParameterError,
 )
-from polyconnect import rationals as rationals_module
+from polyconnect import connection, rationals as rationals_module
 from polyconnect.cli import run
 from polyconnect.hypseries import sum_pairs
-from polyconnect.rationals import as_rationals
+from polyconnect.rationals import as_rationals, lift
 
 DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
 
@@ -354,6 +356,156 @@ def test_integer_form_is_the_coefficients_over_their_lcm(p):
 
 def test_family_member_integer_form_is_built_once():
     assert basis_poly(HERMITE, 7).integer_form is basis_poly(HERMITE, 7).integer_form
+
+
+#: Coefficient lists with small, wide and zero entries; trailing zeros are
+#: appended separately.
+coefficient_lists = st.lists(
+    st.one_of(rationals, st.fractions(max_denominator=2**70), st.just(F(0))), max_size=12
+)
+#: Nonzero row scales, negative ones included: a row-born Poly must reduce
+#: the row and move the sign to the numerators.
+row_scales = st.one_of(st.sampled_from([1, -1, 2, -6]), st.integers(-(2**80), 2**80).filter(bool))
+
+
+def _row_born(values, scale=1):
+    """The Poly of values born through the row path, from their lifted row
+    times scale: unreduced, and with a negative denominator for scale < 0."""
+    nums, den = lift(values)
+    return Poly._from_row([scale * x for x in nums], scale * den)
+
+
+def _forms(p):
+    return (p.coefficients, p.integer_form, p.degree, p.is_zero, p.leading_coefficient,
+            p.to_json(), repr(p))
+
+
+@settings(max_examples=300)
+@given(coefficient_lists, st.integers(0, 3), row_scales, row_scales)
+def test_row_born_poly_equals_fraction_built(values, zeros, scale, other_scale):
+    """Compared before any Fraction of the row-born sides is read, so == and
+    hash go through the rows; then every read agrees."""
+    values = values + [F(0)] * zeros
+    expected = Poly(values)
+    p, q = _row_born(values, scale), _row_born(values, other_scale)
+    assert p == expected and expected == p and p == q
+    assert hash(p) == hash(expected) == hash(q)
+    assert p.integer_form == expected.integer_form
+    assert p != Poly(values + [F(1)])
+    assert _forms(p) == _forms(expected)
+    assert p.coefficients is p.coefficients and p.integer_form is p.integer_form
+    assert expected.coefficients is expected.coefficients
+    assert expected.integer_form is expected.integer_form
+
+
+def literal_add(p, q):
+    a, b = p.coefficients, q.coefficients
+    if len(a) < len(b):
+        a, b = b, a
+    return Poly([c + (b[i] if i < len(b) else 0) for i, c in enumerate(a)])
+
+
+def literal_neg(p):
+    return Poly([-c for c in p.coefficients])
+
+
+def literal_sub(p, q):
+    return literal_add(p, literal_neg(q))
+
+
+def literal_mul(p, other):
+    if isinstance(other, Poly):
+        if p.is_zero or other.is_zero:
+            return Poly()
+        out = [F(0)] * (len(p.coefficients) + len(other.coefficients) - 1)
+        for i, a in enumerate(p.coefficients):
+            for j, b in enumerate(other.coefficients):
+                out[i + j] += a * b
+        return Poly(out)
+    return Poly([c * other for c in p.coefficients])
+
+
+@settings(max_examples=300)
+@given(coefficient_lists, coefficient_lists, st.one_of(rationals, st.integers(-9, 9)),
+       st.booleans(), st.booleans())
+def test_poly_arithmetic_matches_literal_fraction_bodies(a, b, scalar, a_row, b_row):
+    """On operands born either way; both forms of each result agree."""
+    p = _row_born(a) if a_row else Poly(a)
+    q = _row_born(b) if b_row else Poly(b)
+    cases = [(p + q, literal_add(p, q)), (p - q, literal_sub(p, q)), (-p, literal_neg(p)),
+             (p * q, literal_mul(p, q)), (p * scalar, literal_mul(p, scalar)),
+             (scalar * p, literal_mul(p, scalar))]
+    for got, expected in cases:
+        assert got == expected
+        assert (got.integer_form, got.coefficients) == (expected.integer_form, expected.coefficients)
+
+
+def literal_hermite(n):
+    coeffs = [F(0)] * (n + 1)
+    nfact = math.factorial(n)
+    for k in range(n // 2 + 1):
+        m = n - 2 * k
+        coeffs[m] = F((-1) ** k * nfact * 2**m, math.factorial(k) * math.factorial(m))
+    return Poly(coeffs)
+
+
+def literal_shifted_jacobi(n, jp):
+    rise = pochhammer(jp.beta + 1, n)
+    p, d = (-1) ** n * rise.numerator, rise.denominator * math.factorial(n)
+    coeffs = series_coefficients((F(-n), n + jp.lam), (jp.beta + 1,))
+    return Poly(F(p * c.numerator, d * c.denominator) for c in coeffs)
+
+
+def literal_jacobi_at_one_minus_x(m, jp):
+    rise = pochhammer(jp.alpha + 1, m)
+    p, d = rise.numerator, rise.denominator * math.factorial(m)
+    coeffs = series_coefficients((F(-m), m + jp.lam), (jp.alpha + 1,))
+    return Poly(F(p * c.numerator, d * c.denominator << k) for k, c in enumerate(coeffs))
+
+
+#: alpha and beta values with alpha, beta or lam a negative integer in many
+#: pairs: ungraded members, zero members and series poles.
+MEMBER_PARAMS = [F(v) for v in ("-6", "-3", "-5/2", "-2", "-1", "-1/2", "0", "1/2", "1", "7/3")]
+
+
+def _member(fn, *args):
+    """Every read of a member, or its error's class and message."""
+    result = _result(fn, *args)
+    return _forms(result) if isinstance(result, Poly) else result
+
+
+def test_members_match_literal_fraction_bodies():
+    """Up to degree 14, over regular and degenerate parameters: the same
+    Fractions, row, degree and reads, or the same error.  Ungraded members
+    are among them."""
+    assert shifted_jacobi(3, JacobiParams(-6, 0)).degree == 2
+    for n in range(15):
+        assert _member(hermite, n) == _member(literal_hermite, n)
+        for alpha in MEMBER_PARAMS:
+            for beta in MEMBER_PARAMS:
+                jp = JacobiParams(alpha, beta)
+                assert _member(shifted_jacobi, n, jp) == _member(literal_shifted_jacobi, n, jp)
+                assert (_member(jacobi_at_one_minus_x, n, jp)
+                        == _member(literal_jacobi_at_one_minus_x, n, jp))
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.tuples(st.integers(-(10**12), 10**12), st.sampled_from([0, 0, 0, 1, -1])),
+             max_size=10),
+    st.sampled_from([1, 2, 6, 2**40 * 15]),
+    st.integers(1, 60),
+    st.integers(1, 60),
+)
+def test_first_difference_matches_literal_cross_multiplication(entries, shared, a, b):
+    """Rows over d = shared a and e = shared b, with equal values t / shared
+    except where an entry is bumped."""
+    d, e = shared * a, shared * b
+    row = ([t * a for t, _ in entries], d)
+    other = ([t * b + bump for t, bump in entries], e)
+    literal = next((i for i, (r, s) in enumerate(zip(row[0], other[0])) if r * e != s * d), None)
+    assert connection._first_difference(row, other) == literal
+    assert connection._first_difference(other, row) == literal
 
 
 def literal_delta(phi):

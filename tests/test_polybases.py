@@ -184,6 +184,19 @@ def test_shifted_jacobi_matches_rescaled_symmetric_jacobi(n):
     assert shifted_jacobi(n, jp) == (-1) ** n * rescaled
 
 
+@pytest.mark.parametrize("member", [
+    lambda: hermite(9),
+    lambda: laguerre(9),
+    lambda: shifted_jacobi(9, JacobiParams(F(1, 2), F(1, 3))),
+    lambda: jacobi_at_one_minus_x(9, JacobiParams(F(1, 2), F(1, 3))),
+    lambda: Poly.monomial(9, F(2, 3)),
+])
+def test_each_form_of_a_member_is_built_once(member):
+    p = member()
+    assert p.integer_form is p.integer_form
+    assert p.coefficients is p.coefficients
+
+
 def test_degree_guards():
     with pytest.raises(InvalidInputError):
         laguerre(-1)

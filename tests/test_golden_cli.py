@@ -104,7 +104,36 @@ def _verify_lemmas():
                            "--seed", str(seed), "--format", fmt]
 
 
+#: Jacobi parameters of the large-degree group, regular at every degree.
+LARGE_PARAMS = ("1/2", "1/3")
+
+
+def _large():
+    """Large integers on the wire: degree 40 conversions, degree 20 tables,
+    degree 160 Jacobi members and a Thm3.3 verify that fails."""
+    def params(families):
+        jacobi = any(f in JACOBI for f in families)
+        return [f"--alpha={LARGE_PARAMS[0]}", f"--beta={LARGE_PARAMS[1]}"] if jacobi else []
+
+    for source in FAMILIES:
+        for target in FAMILIES:
+            for fmt in FORMATS:
+                yield ["connect", "--source", source, "--target", target, "--n", "40",
+                       *params((source, target)), "--method", "oracle", "--format", fmt]
+    for source, target in CLOSED_PAIRS:
+        for fmt in FORMATS:
+            yield ["connect", "--source", source, "--target", target, "--n", "40",
+                   *params((source, target)), "--method", "both", "--format", fmt]
+    for source, target in CLOSED_PAIRS:
+        yield ["table", "--source", source, "--target", target, "--n-max", "20",
+               *params((source, target)), "--method", "both"]
+    for family in JACOBI:
+        yield ["poly", "--family", family, "--n", "160", *params((family,))]
+    yield ["verify", "--theorem", "3.3", "--n-max", "20"]
+
+
 GROUPS = {
+    "large": _large,
     "poly": _poly,
     "connect": _connect,
     "table": _table,

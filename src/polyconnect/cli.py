@@ -19,6 +19,7 @@ from .connection import (
     FAMILIES,
     JACOBI_FAMILIES,
     THEOREMS,
+    _first_difference,
     _oracle_connection,
     basis,
     basis_poly,
@@ -65,9 +66,8 @@ def _emit(ns, header, rows, payload=None, indent=2) -> None:
 
 def _cmd_poly(ns) -> int:
     jp = _jacobi_params(ns, (ns.family,), f"family {ns.family}")
-    p = basis_poly(basis(ns.family, jp), ns.n)
-    rows = ((k, rational_to_str(c)) for k, c in enumerate(p.coefficients))
-    _emit(ns, ("degree", "coefficient"), rows, p.to_json(), indent=None)
+    coefficients = basis_poly(basis(ns.family, jp), ns.n).to_json()
+    _emit(ns, ("degree", "coefficient"), enumerate(coefficients), coefficients, indent=None)
     return 0
 
 
@@ -107,18 +107,23 @@ def _connection_rows(results):
 
 def _cmd_connect(ns) -> int:
     results = _connections(ns)
-    if ns.method == "both":
+    payload = None  # built for --format json only
+    if ns.format == "json" and ns.method == "both":
         closed, oracle = results
+        # agree compares the rows in integers; equal rows are rendered once
+        rows = closed._integer_row(), oracle._integer_row()
+        agree = len(rows[0][0]) == len(rows[1][0]) and _first_difference(*rows) is None
+        texts = closed._strings()
         payload = {
             "source": closed.source.to_json(),
             "target": closed.target.to_json(),
             "degree": ns.n,
-            "closed": [rational_to_str(c) for c in closed.coefficients],
-            "oracle": [rational_to_str(c) for c in oracle.coefficients],
-            "agree": closed.coefficients == oracle.coefficients,
+            "closed": texts,
+            "oracle": texts if agree else oracle._strings(),
+            "agree": agree,
             "provenance": closed.provenance,
         }
-    else:
+    elif ns.format == "json":
         payload = results[0].to_json()
     _emit(ns, _CONNECTION_HEADER, _connection_rows(results), payload)
     return 0

@@ -36,9 +36,10 @@ coeff_* functions evaluated entry by entry and lifted over the lcm of their
 denominators.  The coeff_* functions keep the literal series for every
 theorem: a coefficient is an integer prefactor times a terminating series
 whose parameters are integer pairs (p, q) for p/q, not reduced, and
-hypseries.sum_pairs returns its value as an unreduced pair (a, b).  Only
-_result builds Fractions from a row, one per coefficient of the
-ConnectionResult it returns.
+hypseries.sum_pairs returns its value as an unreduced pair (a, b).  A
+ConnectionResult made from a row (_result) keeps only the row, renders it
+straight to strings (rationals.ratio_str) and builds Fractions only when
+its coefficients are read.
 
 ``verify_theorem`` compares each closed-form row with its table row in
 integers, R_i e == S_i d.  Equal rows match with a zero residual, and verify
@@ -51,10 +52,10 @@ wherever the recurrence built the row (a degenerate row already is the
 oracle's).  The CLI's ``table --method oracle|both`` reads the table too;
 ``connect`` and ``connection_oracle`` convert one degree.  The oracle and
 reconstruction work on integer rows (Poly.integer_form), the form every
-member but laguerre's and reconstruct's Poly are born in.  ``closed_form_connection``
-and the one-degree oracle conversion that ``connect`` serves
-(_oracle_connection) are memoized per process too, with no bound; verify and
-tables always convert afresh.
+member but laguerre's and reconstruct's Poly are born in; the oracle's
+result is a row too.  ``closed_form_connection`` and the one-degree oracle
+conversion that ``connect`` serves (_oracle_connection) are memoized per
+process too, with no bound; verify and tables always convert afresh.
 
 The Thm3.3 coefficient formula is a repaired reading of a typographically
 defective display (its expansion sum is restored over m = 0..n).  It is
@@ -80,9 +81,11 @@ from .polybases import (
     shifted_jacobi,
 )
 from .rationals import (
+    as_rationals,
     check_index,
     check_instance,
     lift,
+    ratio_str,
     rational_to_str,
     rising,
 )
@@ -232,14 +235,14 @@ class ConnectionResult(Frozen):
 
     coefficients[k] multiplies the target's degree-k member; provenance names
     the closed form used, or "Oracle" for the brute-force conversion.  The
-    coefficients' Row (R, d) is kept outside the fields, so it takes no part
-    in equality, hash, repr or pickling: _result fills it with the row the
-    result was made from, and reconstruct lifts the coefficients on first use
-    otherwise.
+    constructor coerces the coefficients (rationals.as_rationals).  As Poly,
+    a result has two forms, the Fractions and their Row (R, d), each built on
+    first use and kept; to_json and to_csv_rows render the row.  The row is
+    outside the fields: no part of equality, hash, repr or pickling.
     """
 
     _fields = ("source", "target", "degree", "coefficients", "provenance")
-    __slots__ = (*_fields, "_row")
+    __slots__ = ("source", "target", "degree", "_coefficients", "provenance", "_row")
 
     def __init__(
         self,
@@ -249,12 +252,29 @@ class ConnectionResult(Frozen):
         coefficients: tuple[Fraction, ...],
         provenance: str,
     ):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "_row", None)
+        self._set(source, target, degree, as_rationals(coefficients), provenance, None)
+
+    def _set(self, *values) -> None:  # the slots, in order
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        if self._coefficients is None:
+            nums, den = self._row
+            object.__setattr__(self, "_coefficients", tuple(Fraction(r, den) for r in nums))
+        return self._coefficients
+
+    def _strings(self) -> list[str]:
+        """The coefficients' wire strings, rendered from the row."""
+        nums, den = self._integer_row()
+        return [ratio_str(r, den) for r in nums]
+
+    def _integer_row(self) -> Row:
+        """The coefficients' row, lifted once if no row came with them."""
+        if self._row is None:
+            object.__setattr__(self, "_row", lift(self._coefficients))
+        return self._row
 
     def reconstruct(self) -> Poly:
         """Sum of coefficients[k] * target member k.
@@ -265,9 +285,7 @@ class ConnectionResult(Frozen):
         C_k (E / e_k), over d E.  So the sum is one integer vector over d E,
         reduced by one gcd into the row of the Poly returned.
         """
-        if self._row is None:
-            object.__setattr__(self, "_row", lift(self.coefficients))
-        nums, den = self._row
+        nums, den = self._integer_row()
         members = [
             basis_poly(self.target, k).integer_form if c else ((), 1)
             for k, c in enumerate(nums)
@@ -285,26 +303,20 @@ class ConnectionResult(Frozen):
             "source": self.source.to_json(),
             "target": self.target.to_json(),
             "degree": self.degree,
-            "coefficients": [rational_to_str(c) for c in self.coefficients],
+            "coefficients": self._strings(),
             "provenance": self.provenance,
         }
 
     def to_csv_rows(self) -> list[tuple]:
         """Rows for the "n,k,coefficient,provenance" table."""
-        return [
-            (self.degree, k, rational_to_str(c), self.provenance)
-            for k, c in enumerate(self.coefficients)
-        ]
+        return [(self.degree, k, text, self.provenance) for k, text in enumerate(self._strings())]
 
 
 def _result(source: BasisId, target: BasisId, n: int, row: Row, provenance: str):
-    """The ConnectionResult of a degree-n row (R, d), one Fraction(R_k, d)
-    per coefficient: the only place a row becomes Fractions.  The result
-    keeps the row, for its reconstruct."""
-    num, den = row
-    result = ConnectionResult(
-        source, target, n, tuple(Fraction(r, den) for r in num), provenance)
-    object.__setattr__(result, "_row", row)
+    """The ConnectionResult of a degree-n row (R, d), holding only the row:
+    its Fractions are built when its coefficients are first read."""
+    result = ConnectionResult.__new__(ConnectionResult)
+    result._set(source, target, n, None, provenance, row)
     return result
 
 
@@ -324,9 +336,9 @@ def connection_oracle(p: Poly, target: BasisId) -> ConnectionResult:
     The residual is an integer vector R over one common denominator d, so
     p = R/d at the start.  Working down from degree(p), with the target's
     degree-k member in integer form M = m/e, the coefficient is
-    c_k = R[k] e / (d m[k]), the one Fraction built per coefficient.  The
-    update R/d - c_k M stays in integers (after Bareiss, Math. Comp. 22, 1968),
-    with g = gcd(m[k], R[k]) the one scalar reduction per step:
+    c_k = R[k] e / (d m[k]).  The update R/d - c_k M stays in integers (after
+    Bareiss, Math. Comp. 22, 1968), with g = gcd(m[k], R[k]) the one scalar
+    reduction per step:
 
         R <- (m[k]/g) R - (R[k]/g) m,    d <- (m[k]/g) d.
 
@@ -334,14 +346,16 @@ def connection_oracle(p: Poly, target: BasisId) -> ConnectionResult:
     residual grows with it; there is no gcd over the whole vector.  Members
     whose leading numerator is +-1 (laguerre, monomial) never grow d; hermite
     grows it by at most 2^k per step.  The final residual is exactly zero by
-    construction, and checked to be.
+    construction, and checked to be.  The result is a Row: with d_k the d
+    after step k, c_k = (R[k]/g) e / d_k, and the final d_0 is d_k times the
+    m[j]/g of the later steps j < k, so c_k is (R[k]/g) e (d_0/d_k) over |d_0|.
     """
     check_instance(p, Poly)
     check_instance(target, BasisId)
     degree = 0 if p.is_zero else p.degree
     residual, den = p.integer_form
     residual = residual or (0,)
-    coefficients = [Fraction(0)] * (degree + 1)
+    coefficients, leads = [0] * (degree + 1), [1] * (degree + 1)
     for k in range(degree, -1, -1):
         member = basis_poly(target, k)
         top = residual[k]
@@ -349,14 +363,18 @@ def connection_oracle(p: Poly, target: BasisId) -> ConnectionResult:
             continue
         m, e = member.integer_form
         lead = m[k]
-        coefficients[k] = Fraction(top * e, den * lead)
         g = math.gcd(lead, top)
         lead, top = lead // g, top // g
+        coefficients[k], leads[k] = top * e, lead
         residual = [r * lead - top * mi for r, mi in zip(residual, m)]
         den *= lead
     if any(residual):
         raise PolyConnectError("oracle back-substitution left a nonzero residual")
-    return ConnectionResult(MONOMIAL, target, degree, tuple(coefficients), PROVENANCE_ORACLE)
+    scale = -1 if den < 0 else 1  # d_0 / d_k, signed, for k = 0, 1, ...
+    for k, lead in enumerate(leads):
+        coefficients[k] *= scale
+        scale *= lead
+    return _result(MONOMIAL, target, degree, (coefficients, abs(den)), PROVENANCE_ORACLE)
 
 
 @_cached
@@ -365,7 +383,7 @@ def _oracle_connection(source: BasisId, target: BasisId, n: int) -> ConnectionRe
     the oracle conversion of one degree that connect serves, memoized per
     process like the family members (see polybases._cached)."""
     oracle = connection_oracle(basis_poly(source, n), target)
-    return ConnectionResult(source, target, n, oracle.coefficients, oracle.provenance)
+    return _result(source, target, n, oracle._row, oracle.provenance)
 
 
 def _regular(jp: JacobiParams) -> bool:
@@ -427,11 +445,10 @@ def _table_rows(source: BasisId, target: BasisId, n_max: int):
     if not _always_graded(source, target):
         for n in range(n_max + 1):
             try:
-                oracle = connection_oracle(basis_poly(source, n), target)
+                row = connection_oracle(basis_poly(source, n), target)._row
             except PolyConnectError as exc:
-                yield exc
-            else:
-                yield lift(oracle.coefficients)
+                row = exc
+            yield row
         return
     source_rec = FAMILIES[source.family].recurrence
     target_rec = FAMILIES[target.family].recurrence
@@ -1036,8 +1053,7 @@ def _check_mismatch(
     source_poly = basis_poly(closed.source, entry.n)
     if _always_graded(closed.source, closed.target):
         oracle = connection_oracle(source_poly, closed.target)
-        nums, d = row
-        if any(c.numerator * d != r * c.denominator for c, r in zip(oracle.coefficients, nums)):
+        if _first_difference(oracle._row, row) is not None:
             raise PolyConnectError(
                 f"connection table and oracle disagree at degree {entry.n}"
             )

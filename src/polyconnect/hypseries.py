@@ -57,7 +57,7 @@ from .rationals import (
     as_rationals,
     check_instance,
     lift,
-    rational_to_str,
+    ratio_str,
 )
 from .records import Frozen
 
@@ -106,7 +106,7 @@ def _cut(num_pq: Sequence[tuple[int, int]], den_pq: Sequence[tuple[int, int]]) -
     if not cuts:
         raise NonTerminatingError(
             "no numerator parameter is a nonpositive integer: "
-            + ", ".join(rational_to_str(Fraction(p, q)) for p, q in num_pq)
+            + ", ".join(ratio_str(p, q) for p, q in num_pq)
         )
     k_max = min(cuts)
     for p, q in den_pq:

@@ -28,6 +28,7 @@ from .rationals import (
     check_instance,
     lift,
     pochhammer,
+    ratio_str,
     rational_to_str,
 )
 from .records import Frozen
@@ -40,7 +41,8 @@ class Poly:
     zero polynomial has none and degree -inf.  Both forms are canonical: the
     Fraction tuple (coefficients), filled by Poly(...), and the reduced row
     (integer_form, a connection.Row), filled by _from_row and arithmetic.
-    The other is built on first read and kept.  Immutable and hashable.
+    The other is built on first read and kept, except by to_json and repr,
+    which render a row-born Poly from its row.  Immutable and hashable.
     """
 
     __slots__ = ("_coeffs", "_integer_form")
@@ -127,6 +129,8 @@ class Poly:
         return Poly._from_row([-x for x in nums], den)
 
     def __sub__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other: Union["Poly", RationalLike]) -> "Poly":
@@ -155,11 +159,15 @@ class Poly:
         return hash(self.integer_form)
 
     def __repr__(self):
-        return f"Poly([{', '.join(rational_to_str(c) for c in self.coefficients)}])"
+        return f"Poly([{', '.join(self.to_json())}])"
 
     def to_json(self) -> list[str]:
-        """JSON form: array of rational strings, ascending degree."""
-        return [rational_to_str(c) for c in self.coefficients]
+        """JSON form: array of rational strings, ascending degree, rendered
+        from the row when no Fraction has been built."""
+        if self._coeffs is None:
+            nums, den = self._integer_form
+            return [ratio_str(x, den) for x in nums]
+        return [rational_to_str(c) for c in self._coeffs]
 
     @staticmethod
     def from_json(data: list[str]) -> "Poly":

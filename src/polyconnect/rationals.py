@@ -2,7 +2,8 @@
 
 Every scalar in this library is an arbitrary-precision ``fractions.Fraction``,
 which is always kept in canonical form (positive denominator, fully reduced).
-Nothing here ever rounds.
+Nothing here ever rounds.  ratio_str is the one wire form of a rational, so
+an integer row's entries reach stdout without a Fraction being built.
 """
 
 import math
@@ -50,9 +51,16 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(p, q)
 
 
+def ratio_str(num: int, den: int) -> str:
+    """The wire form of num/den, den > 0, reduced by one gcd: bare "n" when
+    den divides num, else "p/q"; str(Fraction(num, den)) without the Fraction."""
+    g = math.gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
 def rational_to_str(value: RationalLike) -> str:
     """Compact wire form: bare "n" when the denominator is 1, else "p/q"."""
-    return str(as_rational(value))
+    return ratio_str(*as_rational(value).as_integer_ratio())
 
 
 def check_index(value: int, name: str) -> int:

@@ -19,6 +19,7 @@ from polyconnect import (
     HERMITE,
     LAGUERRE,
     BasisId,
+    ConnectionResult,
     HypSeries,
     InvalidInputError,
     JacobiParams,
@@ -253,6 +254,18 @@ def test_wrong_types_that_escaped_as_raw_errors_raise_invalid_input(call):
     """Each raised AttributeError or TypeError before it was checked."""
     with pytest.raises(InvalidInputError):
         call()
+
+
+@pytest.mark.parametrize("coefficients", [(1.5,), ("x",), None], ids=["float", "string", "none"])
+def test_connection_result_coerces_its_coefficients(coefficients):
+    """Coefficients that are not exact rationals are refused when the result
+    is made, not met later as a float in reconstruct or a raw AttributeError
+    or TypeError from reconstruct or to_csv_rows."""
+    with pytest.raises(InvalidInputError):
+        ConnectionResult(HERMITE, HERMITE, 0, coefficients, "p")
+    result = ConnectionResult(HERMITE, HERMITE, 1, [1, "-1/2"], "p")
+    assert result.coefficients == (F(1), F(-1, 2))
+    assert result.to_csv_rows() == [(1, 0, "1", "p"), (1, 1, "-1/2", "p")]
 
 
 @pytest.mark.parametrize("name", _PUBLIC_CALLABLES)

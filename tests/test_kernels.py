@@ -9,6 +9,7 @@ import hashlib
 import io
 import json
 import math
+import pickle
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -56,7 +57,7 @@ from polyconnect import (
 from polyconnect import connection, rationals as rationals_module
 from polyconnect.cli import run
 from polyconnect.hypseries import sum_pairs
-from polyconnect.rationals import as_rationals, lift
+from polyconnect.rationals import as_rationals, lift, ratio_str
 
 DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "digests.json"
 
@@ -326,12 +327,15 @@ def any_targets(draw):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(rationals, max_size=26).map(Poly), any_targets())
 def test_oracle_reconstructs_and_matches_literal_back_substitution(p, target):
-    """Up to degree 25: the literal's coefficients, and a result that
-    rebuilds p, or the literal's error class and message."""
+    """Up to degree 25: a row over a positive denominator, born without
+    Fractions, with the literal's coefficients, and a result that rebuilds p,
+    or the literal's error class and message."""
     result = _result(connection_oracle, p, target)
     if isinstance(result, ConnectionResult):
+        nums, den = result._row
+        assert den > 0 and result._coefficients is None
         assert result.reconstruct() == p
-        result = result.coefficients
+        result = tuple(F(r, den) for r in nums)
     assert result == _result(literal_oracle, p, target)
 
 
@@ -391,11 +395,45 @@ def test_row_born_poly_equals_fraction_built(values, zeros, scale, other_scale):
     assert p == expected and expected == p and p == q
     assert hash(p) == hash(expected) == hash(q)
     assert p.integer_form == expected.integer_form
+    assert (p.to_json(), repr(p)) == (expected.to_json(), repr(expected)) and p._coeffs is None
     assert p != Poly(values + [F(1)])
     assert _forms(p) == _forms(expected)
     assert p.coefficients is p.coefficients and p.integer_form is p.integer_form
     assert expected.coefficients is expected.coefficients
     assert expected.integer_form is expected.integer_form
+
+
+#: Integers of every size and sign, zero included.
+wire_integers = st.one_of(st.integers(-50, 50), st.integers(-(2**300), 2**300))
+
+
+@settings(max_examples=500)
+@given(wire_integers, wire_integers.map(abs).filter(bool), st.integers(1, 2**90))
+def test_ratio_str_is_str_of_the_fraction(num, den, scale):
+    """Reduced or not: the pair times a common factor renders the same."""
+    assert ratio_str(num, den) == ratio_str(num * scale, den * scale) == str(F(num, den))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficient_lists, row_scales, targets())
+def test_row_born_connection_result_equals_eager(values, scale, target):
+    """A result made from an unreduced row renders from it before any
+    Fraction is built, and then reads, compares, hashes, prints and pickles
+    as one built from the Fractions."""
+    nums, den = lift(values)
+    row = ([abs(scale) * x for x in nums], abs(scale) * den)
+    eager = ConnectionResult(HERMITE, target, len(values), tuple(values), "Thm3.2")
+
+    def lazy():
+        return connection._result(HERMITE, target, len(values), row, "Thm3.2")
+
+    result = lazy()
+    assert result.to_json() == eager.to_json() and result.to_csv_rows() == eager.to_csv_rows()
+    assert result._coefficients is None
+    assert lazy() == eager and eager == lazy() and hash(lazy()) == hash(eager)
+    assert repr(lazy()) == repr(eager) and pickle.loads(pickle.dumps(lazy())) == eager
+    assert result.coefficients == eager.coefficients and result.coefficients is result.coefficients
+    assert result.to_json() == eager.to_json() and result.to_csv_rows() == eager.to_csv_rows()
 
 
 def literal_add(p, q):

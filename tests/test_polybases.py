@@ -78,6 +78,13 @@ class TestPoly:
         with pytest.raises(InvalidInputError):
             Poly("12")
 
+    @pytest.mark.parametrize("other", [1, F(1, 2), "x", None])
+    def test_subtracting_a_non_poly_is_unsupported_as_adding_one_is(self, other):
+        # the message names the operator used, as for +
+        name = type(other).__name__
+        with pytest.raises(TypeError, match=rf"^unsupported operand type\(s\) for -: 'Poly' and '{name}'$"):
+            Poly([1]) - other
+
     def test_json(self):
         p = Poly([0, -12, 0, 8])
         assert p.to_json() == ["0", "-12", "0", "8"]

@@ -6,13 +6,18 @@ stderr only.  Exit codes: 0 success or verification pass, 1 verification
 mismatch, 2 invalid input, a verification whose entries raised errors but
 never mismatched (for both verification outcomes the report is still
 emitted), or stdout closed before the output was written.
+
+JSON is written by this module's own writer (_json), byte-identical to
+json.dumps: json.dumps serves indent=2 only from its pure-Python encoder
+(the C encoder takes indent=None alone), and the writer renders the same
+text through str.join and the C string escaper json.dumps uses.
 """
 
-import json
 import os
 import re
 import sys
 import types
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from .connection import (
@@ -51,23 +56,65 @@ def _jacobi_params(ns, families, subject: str) -> Optional[JacobiParams]:
     return jp
 
 
-def _emit(ns, header, rows, payload=None, indent=2) -> None:
+def _json(value, newline: str = "") -> str:
+    """The text of json.dumps(value, indent=2) where newline is "\n" plus the
+    indentation value starts at, and of json.dumps(value) where it is "".
+    Takes dicts with str keys, lists, tuples, strs, ints, bools and None;
+    anything else, a float included, raises TypeError.  Strings are escaped
+    by json's own C escaper, and a list of strings is one str.join."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline and newline + "  "
+    separator = "," + inner if newline else ", "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            body = separator.join(map(_quote, value))
+        except TypeError:  # not all strings
+            body = separator.join([_json(item, inner) for item in value])
+        return "[" + inner + body + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = separator.join([_quote(key) + ": " + _json(item, inner) for key, item in value.items()])
+        return "{" + inner + body + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _emit(ns, header, rows, payload=None, indent=True) -> None:
     """Write one result to stdout: the rows under header as CSV, or the
-    payload as JSON (by default the rows as objects keyed by header).  No
-    field is ever None or holds a comma, quote or line break (ints, bools,
-    rational strings, names), so CSV needs no quoting: str joined by commas."""
+    payload as JSON (by default the rows as objects keyed by header),
+    indented by 2 or on one line.  The JSON is _json's, the bytes of
+    json.dumps, whose C encoder serves indent=None only: indent=2 would run
+    its pure-Python encoder.  No field is ever None
+    or holds a comma, quote or line break (ints, bools, rational strings,
+    names), so CSV needs no quoting: each row is str of each field joined by
+    commas, one "%s" template per call."""
     if ns.format == "csv":
-        sys.stdout.writelines(",".join(map(str, row)) + "\n" for row in (header, *rows))
+        line = ",".join(["%s"] * len(header)) + "\n"
+        sys.stdout.writelines(line % row for row in (header, *rows))
         return
     if payload is None:
         payload = [dict(zip(header, row)) for row in rows]
-    print(json.dumps(payload, indent=indent))
+    # print writes the line break on its own: under PYTHONUNBUFFERED a pipe
+    # closed mid-text cuts the text's write short without an error, and the
+    # line break's write is the one that meets the closed pipe
+    print(_json(payload, "\n" if indent else ""))
 
 
 def _cmd_poly(ns) -> int:
     jp = _jacobi_params(ns, (ns.family,), f"family {ns.family}")
     coefficients = basis_poly(basis(ns.family, jp), ns.n).to_json()
-    _emit(ns, ("degree", "coefficient"), enumerate(coefficients), coefficients, indent=None)
+    _emit(ns, ("degree", "coefficient"), enumerate(coefficients), coefficients, indent=False)
     return 0
 
 
@@ -285,7 +332,8 @@ def _parse(argv):
     cut = args.index("--") if "--" in args else len(args)
     # every token before "--" is read before any is acted on, so an ambiguous
     # prefix is an error even after -h
-    found = [_option(token, (*_HELP, *options)) for token in args[:cut]]
+    names = (*_HELP, *options)
+    found = [_option(token, names) for token in args[:cut]]
     indices = iter(range(cut))
     for i in indices:
         name, value = found[i] or (None, None)

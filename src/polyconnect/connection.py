@@ -235,14 +235,16 @@ class ConnectionResult(Frozen):
 
     coefficients[k] multiplies the target's degree-k member; provenance names
     the closed form used, or "Oracle" for the brute-force conversion.  The
-    constructor coerces the coefficients (rationals.as_rationals).  As Poly,
-    a result has two forms, the Fractions and their Row (R, d), each built on
-    first use and kept; to_json and to_csv_rows render the row.  The row is
-    outside the fields: no part of equality, hash, repr or pickling.
+    constructor checks source, target, degree and provenance and coerces the
+    coefficients (rationals.as_rationals).  As Poly, a result has two forms,
+    the Fractions and their Row (R, d), each built on first use and kept;
+    to_json and to_csv_rows render the row once and keep the strings.  The
+    row and the strings are outside the fields: no part of equality, hash,
+    repr or pickling.
     """
 
     _fields = ("source", "target", "degree", "coefficients", "provenance")
-    __slots__ = ("source", "target", "degree", "_coefficients", "provenance", "_row")
+    __slots__ = ("source", "target", "degree", "_coefficients", "provenance", "_row", "_texts")
 
     def __init__(
         self,
@@ -252,7 +254,11 @@ class ConnectionResult(Frozen):
         coefficients: tuple[Fraction, ...],
         provenance: str,
     ):
-        self._set(source, target, degree, as_rationals(coefficients), provenance, None)
+        check_instance(source, BasisId)
+        check_instance(target, BasisId)
+        check_index(degree, "degree")
+        check_instance(provenance, str)
+        self._set(source, target, degree, as_rationals(coefficients), provenance, None, None)
 
     def _set(self, *values) -> None:  # the slots, in order
         for name, value in zip(self.__slots__, values):
@@ -265,10 +271,13 @@ class ConnectionResult(Frozen):
             object.__setattr__(self, "_coefficients", tuple(Fraction(r, den) for r in nums))
         return self._coefficients
 
-    def _strings(self) -> list[str]:
-        """The coefficients' wire strings, rendered from the row."""
-        nums, den = self._integer_row()
-        return [ratio_str(r, den) for r in nums]
+    def _strings(self) -> tuple[str, ...]:
+        """The coefficients' wire strings, rendered from the row once and kept,
+        so a memoized result is never rendered again."""
+        if self._texts is None:
+            nums, den = self._integer_row()
+            object.__setattr__(self, "_texts", tuple([ratio_str(r, den) for r in nums]))
+        return self._texts
 
     def _integer_row(self) -> Row:
         """The coefficients' row, lifted once if no row came with them."""
@@ -303,7 +312,7 @@ class ConnectionResult(Frozen):
             "source": self.source.to_json(),
             "target": self.target.to_json(),
             "degree": self.degree,
-            "coefficients": self._strings(),
+            "coefficients": list(self._strings()),
             "provenance": self.provenance,
         }
 
@@ -316,7 +325,7 @@ def _result(source: BasisId, target: BasisId, n: int, row: Row, provenance: str)
     """The ConnectionResult of a degree-n row (R, d), holding only the row:
     its Fractions are built when its coefficients are first read."""
     result = ConnectionResult.__new__(ConnectionResult)
-    result._set(source, target, n, None, provenance, row)
+    result._set(source, target, n, None, provenance, row, None)
     return result
 
 

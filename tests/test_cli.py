@@ -1,8 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from polyconnect import cli
 
 
 def run_cli(*args):
@@ -11,6 +16,23 @@ def run_cli(*args):
         capture_output=True,
         text=True,
     )
+
+
+def _closed_pipe_outcome(form, env):
+    """The first bytes, exit code and stderr of a table far larger than a
+    pipe buffer whose reader closes the pipe after those bytes."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "polyconnect", "table", "--source", "laguerre",
+         "--target", "hermite", "--n-max", "150", "--method", "oracle", "--format", form],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, **env},
+    )
+    head = proc.stdout.read(26)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return head, proc.wait(timeout=60), err
 
 
 class TestPoly:
@@ -266,18 +288,15 @@ class TestContract:
     def test_closed_stdout_exit_two_without_traceback(self):
         # the table is far larger than a pipe buffer, so the writer meets the
         # closed pipe mid-table, not only in the flush at exit
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "polyconnect", "table", "--source", "laguerre",
-             "--target", "hermite", "--n-max", "150", "--method", "oracle"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-        )
-        assert proc.stdout.read(100).startswith(b"n,k,coefficient,provenance")
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert proc.wait(timeout=60) == 2
-        assert err == b""
+        buffered = {"PYTHONUNBUFFERED": ""}
+        assert _closed_pipe_outcome("csv", buffered) == (b"n,k,coefficient,provenance", 2, b"")
+
+    @pytest.mark.parametrize("form", ["csv", "json"])
+    def test_closed_unbuffered_stdout_exit_two(self, form):
+        """Unbuffered, a write the closed pipe cuts short raises nothing; a
+        later write meets the closed pipe, so the exit is 2 all the same."""
+        head = b"n,k,coefficient,provenance" if form == "csv" else b'[\n  {\n    "n": 0,\n    "k":'
+        assert _closed_pipe_outcome(form, {"PYTHONUNBUFFERED": "1"}) == (head, 2, b"")
 
     def test_negative_degree_exit_two(self):
         proc = run_cli("poly", "--family", "hermite", "--n", "-1")
@@ -390,3 +409,39 @@ def test_no_csv_field_needs_quoting(argv, capsys):
     reference = io.StringIO()
     csv.writer(reference, lineterminator="\n").writerows(rows)
     assert reference.getvalue() == out
+
+
+_texts = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\U0001f600'),
+                           st.characters()))
+_scalars = st.one_of(_texts, st.integers(), st.integers(-(10**400), 10**400), st.booleans(),
+                     st.none())
+_payloads = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(_texts, max_size=4),
+        st.dictionaries(_texts, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_payloads)
+def test_json_writer_equals_json_dumps(value):
+    """The CLI's JSON writer gives the bytes of json.dumps, indented by 2 and
+    on one line, on this Python's json module."""
+    assert cli._json(value, "\n") == json.dumps(value, indent=2)
+    assert cli._json(value) == json.dumps(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, Fraction(1, 2), {"x"}, {1: "x"}, {"a": [None, 2.0]}, ["x", Fraction(1)]],
+    ids=["float", "fraction", "set", "int-key", "nested-float", "after-a-string"],
+)
+@pytest.mark.parametrize("newline", ["\n", ""], ids=["indented", "one-line"])
+def test_json_writer_refuses_other_types(value, newline):
+    with pytest.raises(TypeError):
+        cli._json(value, newline)

@@ -414,9 +414,33 @@ class TestConversionMemos:
         result = closed_form_connection(HERMITE, target, 6, "3.3c")
         plain = ConnectionResult(*(getattr(result, name) for name in result._fields))
         assert result._row is not None and plain._row is None
+        rendered = result.to_json()
+        assert result._texts is not None and plain._texts is None
         assert result == plain and hash(result) == hash(plain) and repr(result) == repr(plain)
-        assert pickle.loads(pickle.dumps(result)) == result
+        copy = pickle.loads(pickle.dumps(result))
+        assert copy == result and hash(copy) == hash(result) and copy._texts is None
+        assert copy.to_json() == plain.to_json() == rendered
         assert result.reconstruct() == plain.reconstruct() == hermite(6)
+
+    def test_results_render_their_strings_once(self, monkeypatch, capsys):
+        """A memoized result renders each entry once, however often to_json,
+        to_csv_rows and the CLI requests serving it read its strings; the
+        list to_json returns is the caller's own."""
+        from polyconnect import cli
+
+        calls = []
+        render = connection.ratio_str
+        monkeypatch.setattr(connection, "ratio_str", lambda *row: calls.append(row) or render(*row))
+        result = closed_form_connection(HERMITE, LAGUERRE, 5)
+        argv = ["connect", "--source", "hermite", "--target", "laguerre", "--n", "5",
+                "--method", "closed", "--format"]
+        for _ in range(2):
+            result.to_json()["coefficients"].append("x")
+            assert len(result.to_json()["coefficients"]) == len(result.to_csv_rows()) == 6
+            for form in ("json", "csv"):
+                assert cli.run([*argv, form]) == 0
+                assert "-3840" in capsys.readouterr().out
+        assert len(calls) == 6
 
 
 def _outcome(call):

@@ -268,6 +268,28 @@ def test_connection_result_coerces_its_coefficients(coefficients):
     assert result.to_csv_rows() == [(1, 0, "1", "p"), (1, 1, "-1/2", "p")]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("hermite", LAGUERRE, 1, (1, 2), "p"),
+        (HERMITE, None, 1, (1, 2), "p"),
+        (HERMITE, LAGUERRE, -1, (1, 2), "p"),
+        (HERMITE, LAGUERRE, "2", (1, 2), "p"),
+        (HERMITE, LAGUERRE, True, (1, 2), "p"),
+        (HERMITE, LAGUERRE, 1, (1, 2), None),
+    ],
+    ids=["source-str", "target-none", "degree-negative", "degree-str", "degree-bool",
+         "provenance-none"],
+)
+def test_connection_result_checks_its_fields(args):
+    """A source or target that is not a BasisId, a degree that is not a
+    nonnegative int and a provenance that is not a str are refused when the
+    result is made, not met later as a raw AttributeError from to_json or
+    written as they are into the JSON and CSV."""
+    with pytest.raises(InvalidInputError):
+        ConnectionResult(*args)
+
+
 @pytest.mark.parametrize("name", _PUBLIC_CALLABLES)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())

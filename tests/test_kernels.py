@@ -343,7 +343,8 @@ def test_oracle_reconstructs_and_matches_literal_back_substitution(p, target):
 @given(st.lists(rationals, max_size=13), targets())
 def test_reconstruct_matches_literal_sum(coefficients, target):
     assume(all(_graded(target, k) for k in range(len(coefficients))))
-    result = ConnectionResult(MONOMIAL, target, len(coefficients) - 1, tuple(coefficients), "Oracle")
+    degree = max(len(coefficients) - 1, 0)  # a degree is never negative, even for no coefficients
+    result = ConnectionResult(MONOMIAL, target, degree, tuple(coefficients), "Oracle")
     expected = Poly()
     for k, c in enumerate(coefficients):
         expected = expected + c * basis_poly(target, k)

@@ -90,41 +90,36 @@ def _json(value, newline: str = "") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(ns, header, rows, payload=None, indent=True) -> None:
-    """Write one result to stdout: the rows under header as CSV, or the
-    payload as JSON (by default the rows as objects keyed by header),
-    indented by 2 or on one line.  The JSON is _json's, the bytes of
-    json.dumps, whose C encoder serves indent=None only: indent=2 would run
-    its pure-Python encoder.  No field is ever None
-    or holds a comma, quote or line break (ints, bools, rational strings,
-    names), so CSV needs no quoting: each row is str of each field joined by
-    commas, one "%s" template per call."""
+def _emit(ns, header, rows, payload=None, indent=True) -> list:
+    """Write one result to stdout, one write call per string, and return the
+    strings: the rows under header as CSV, one per row, or the payload as
+    _json's JSON (by default the rows as objects keyed by header), indented
+    by 2 or on one line, then its line break, which under PYTHONUNBUFFERED
+    meets a pipe closed mid-text (that cuts the text's write short without
+    an error).  No field is ever None or holds a comma, quote or line break
+    (ints, bools, rational strings, names), so CSV needs no quoting: each
+    row is str of each field joined by commas, one "%s" template per call."""
     if ns.format == "csv":
         line = ",".join(["%s"] * len(header)) + "\n"
-        sys.stdout.writelines(line % row for row in (header, *rows))
-        return
-    if payload is None:
-        payload = [dict(zip(header, row)) for row in rows]
-    # print writes the line break on its own: under PYTHONUNBUFFERED a pipe
-    # closed mid-text cuts the text's write short without an error, and the
-    # line break's write is the one that meets the closed pipe
-    print(_json(payload, "\n" if indent else ""))
+        texts = [line % row for row in (header, *rows)]
+    else:
+        if payload is None:
+            payload = [dict(zip(header, row)) for row in rows]
+        texts = [_json(payload, "\n" if indent else ""), "\n"]
+    sys.stdout.writelines(texts)
+    return texts
 
 
-def _cmd_poly(ns) -> int:
+def _cmd_poly(ns) -> list:
     jp = _jacobi_params(ns, (ns.family,), f"family {ns.family}")
     coefficients = basis_poly(basis(ns.family, jp), ns.n).to_json()
-    _emit(ns, ("degree", "coefficient"), enumerate(coefficients), coefficients, indent=False)
-    return 0
+    return _emit(ns, ("degree", "coefficient"), enumerate(coefficients), coefficients, indent=False)
 
 
 def _connections(ns) -> list:
     """The closed-form and/or oracle results (--method) for the degree --n of
     connect, or for each degree up to --n-max of table, whose oracle rows come
-    from connection_table; both name --source as their source.  The closed
-    forms and connect's oracle conversion are memoized per process
-    (closed_form_connection, connection._oracle_connection), so a repeated
-    request converts nothing again; table rows are built afresh.  Rows are
+    from connection_table; both name --source as their source.  Rows are
     drawn degree by degree, after each degree's closed form, so the first
     error raised is the one converting each degree on its own would raise."""
     families = (ns.source, ns.target)
@@ -152,7 +147,7 @@ def _connection_rows(results):
     return (row for result in results for row in result.to_csv_rows())
 
 
-def _cmd_connect(ns) -> int:
+def _cmd_connect(ns) -> list:
     results = _connections(ns)
     payload = None  # built for --format json only
     if ns.format == "json" and ns.method == "both":
@@ -172,14 +167,11 @@ def _cmd_connect(ns) -> int:
         }
     elif ns.format == "json":
         payload = results[0].to_json()
-    _emit(ns, _CONNECTION_HEADER, _connection_rows(results), payload)
-    return 0
+    return _emit(ns, _CONNECTION_HEADER, _connection_rows(results), payload)
 
 
-def _cmd_table(ns) -> int:
-    results = _connections(ns)
-    _emit(ns, _CONNECTION_HEADER, _connection_rows(results))
-    return 0
+def _cmd_table(ns) -> list:
+    return _emit(ns, _CONNECTION_HEADER, _connection_rows(_connections(ns)))
 
 
 def _cmd_verify(ns) -> int:
@@ -237,7 +229,8 @@ _METHODS, _FORMATS = ("closed", "oracle", "both"), ("json", "csv")
 #: command -> (handler, what it does, {option: (kind, default)}): kind is int,
 #: str or the tuple of accepted values; the default _REQUIRED marks an option
 #: that must be given.  A handler reads each option as the namespace
-#: attribute named like it without "--", "-" read as "_".
+#: attribute named like it without "--", "-" read as "_".  It returns the exit
+#: code, or (poly, connect and table) the strings _emit wrote, exit 0.
 _COMMANDS = {
     "poly": (_cmd_poly, "construct a polynomial family member", {
         "--family": _FAMILY, "--n": (int, _REQUIRED), **_JACOBI, "--format": (_FORMATS, "json")}),
@@ -359,18 +352,37 @@ def _parse(argv):
     })
 
 
+#: argv -> what its poly, connect or table request wrote with exit 0: run's
+#: per-process, unbounded memo.  verify and exit 2 are never kept.
+_RESPONSES = {}
+
+
 def run(argv) -> int:
     """Parse argv and run one command, or print the help it asks for;
-    returns the process exit code."""
+    returns the process exit code.  An argv in _RESPONSES is written again
+    from there before any parsing, in the same write calls as the first time."""
+    argv = key = tuple(argv)
+    try:
+        texts = _RESPONSES.get(key)
+    except TypeError:  # a token that cannot be hashed: run uncached
+        texts = key = None
+    if texts is not None:
+        sys.stdout.writelines(texts)
+        return 0
     try:
         ns = _parse(argv)
         if isinstance(ns, str):
             sys.stdout.write(ns)
             return 0
-        return _COMMANDS[ns.command][0](ns)
+        code = _COMMANDS[ns.command][0](ns)
     except PolyConnectError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if isinstance(code, list):
+        if key is not None:
+            _RESPONSES[key] = code
+        code = 0
+    return code
 
 
 def main() -> None:

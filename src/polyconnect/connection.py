@@ -53,9 +53,8 @@ oracle's).  The CLI's ``table --method oracle|both`` reads the table too;
 ``connect`` and ``connection_oracle`` convert one degree.  The oracle and
 reconstruction work on integer rows (Poly.integer_form), the form every
 member but laguerre's and reconstruct's Poly are born in; the oracle's
-result is a row too.  ``closed_form_connection`` and the one-degree oracle
-conversion that ``connect`` serves (_oracle_connection) are memoized per
-process too, with no bound; verify and tables always convert afresh.
+result is a row too.  Every call converts afresh: a process serving
+repeated CLI requests keeps their responses instead (cli.run).
 
 The Thm3.3 coefficient formula is a repaired reading of a typographically
 defective display (its expansion sum is restored over m = 0..n).  It is
@@ -74,7 +73,6 @@ from .hypseries import sum_pairs
 from .polybases import (
     JacobiParams,
     Poly,
-    _cached,
     hermite,
     jacobi_at_one_minus_x,
     laguerre,
@@ -238,13 +236,12 @@ class ConnectionResult(Frozen):
     constructor checks source, target, degree and provenance and coerces the
     coefficients (rationals.as_rationals).  As Poly, a result has two forms,
     the Fractions and their Row (R, d), each built on first use and kept;
-    to_json and to_csv_rows render the row once and keep the strings.  The
-    row and the strings are outside the fields: no part of equality, hash,
-    repr or pickling.
+    to_json and to_csv_rows render the row.  The row is outside the fields:
+    no part of equality, hash, repr or pickling.
     """
 
     _fields = ("source", "target", "degree", "coefficients", "provenance")
-    __slots__ = ("source", "target", "degree", "_coefficients", "provenance", "_row", "_texts")
+    __slots__ = ("source", "target", "degree", "_coefficients", "provenance", "_row")
 
     def __init__(
         self,
@@ -258,7 +255,7 @@ class ConnectionResult(Frozen):
         check_instance(target, BasisId)
         check_index(degree, "degree")
         check_instance(provenance, str)
-        self._set(source, target, degree, as_rationals(coefficients), provenance, None, None)
+        self._set(source, target, degree, as_rationals(coefficients), provenance, None)
 
     def _set(self, *values) -> None:  # the slots, in order
         for name, value in zip(self.__slots__, values):
@@ -271,13 +268,10 @@ class ConnectionResult(Frozen):
             object.__setattr__(self, "_coefficients", tuple(Fraction(r, den) for r in nums))
         return self._coefficients
 
-    def _strings(self) -> tuple[str, ...]:
-        """The coefficients' wire strings, rendered from the row once and kept,
-        so a memoized result is never rendered again."""
-        if self._texts is None:
-            nums, den = self._integer_row()
-            object.__setattr__(self, "_texts", tuple([ratio_str(r, den) for r in nums]))
-        return self._texts
+    def _strings(self) -> list[str]:
+        """The coefficients' wire strings, rendered from the row."""
+        nums, den = self._integer_row()
+        return [ratio_str(r, den) for r in nums]
 
     def _integer_row(self) -> Row:
         """The coefficients' row, lifted once if no row came with them."""
@@ -312,7 +306,7 @@ class ConnectionResult(Frozen):
             "source": self.source.to_json(),
             "target": self.target.to_json(),
             "degree": self.degree,
-            "coefficients": list(self._strings()),
+            "coefficients": self._strings(),
             "provenance": self.provenance,
         }
 
@@ -325,7 +319,7 @@ def _result(source: BasisId, target: BasisId, n: int, row: Row, provenance: str)
     """The ConnectionResult of a degree-n row (R, d), holding only the row:
     its Fractions are built when its coefficients are first read."""
     result = ConnectionResult.__new__(ConnectionResult)
-    result._set(source, target, n, None, provenance, row, None)
+    result._set(source, target, n, None, provenance, row)
     return result
 
 
@@ -386,11 +380,9 @@ def connection_oracle(p: Poly, target: BasisId) -> ConnectionResult:
     return _result(MONOMIAL, target, degree, (coefficients, abs(den)), PROVENANCE_ORACLE)
 
 
-@_cached
 def _oracle_connection(source: BasisId, target: BasisId, n: int) -> ConnectionResult:
     """connection_oracle(basis_poly(source, n), target), labelled with source:
-    the oracle conversion of one degree that connect serves, memoized per
-    process like the family members (see polybases._cached)."""
+    the oracle conversion of one degree that connect serves."""
     oracle = connection_oracle(basis_poly(source, n), target)
     return _result(source, target, n, oracle._row, oracle.provenance)
 
@@ -861,7 +853,6 @@ def _theorem(theorem: object) -> Theorem:
     return record
 
 
-@_cached
 def closed_form_connection(
     source: BasisId, target: BasisId, n: int, theorem: Optional[str] = None
 ) -> ConnectionResult:
@@ -869,9 +860,7 @@ def closed_form_connection(
     record with id theorem, or by default the first record for the pair (so
     hermite -> jacobi-1mx is Thm3.3-interpreted unless "3.3c" is asked for).
     A Jacobi source member is built to check that it has degree n unless
-    _always_graded(source) holds, in which case it has by construction.
-    Results are memoized per process like the family members (see
-    polybases._cached); verify_theorem builds its rows afresh."""
+    _always_graded(source) holds, in which case it has by construction."""
     check_index(n, "n")
     check_instance(source, BasisId)
     check_instance(target, BasisId)

@@ -203,9 +203,8 @@ class JacobiParams(Frozen):
 
 def _cached(body):
     """lru_cache(body), at one more call per cached hit: the per-process,
-    unbounded memo of the family members here and of the per-degree
-    conversions in connection (closed_form_connection, _oracle_connection).
-    Where the cache raises TypeError, body runs uncached: its checks raise
+    unbounded memo of the family members, which conversions share.  Where
+    the cache raises TypeError, body runs uncached: its checks raise
     InvalidInputError for an argument the cache cannot hash (no valid one is
     unhashable), and a TypeError of body's own is raised again.  Keys are
     typed, so a degree equal to a cached one but not an int (2.0,

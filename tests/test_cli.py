@@ -18,17 +18,29 @@ def run_cli(*args):
     )
 
 
-def _closed_pipe_outcome(form, env):
-    """The first bytes, exit code and stderr of a table far larger than a
-    pipe buffer whose reader closes the pipe after those bytes."""
+#: Serve argv once into a string, then once more through cli.main, from the
+#: response memo, to the real stdout.
+_SERVE_TWICE = """import contextlib, io, sys
+from polyconnect import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+if code != 0 or not cli._RESPONSES:
+    sys.exit(3)
+cli.main()
+"""
+
+
+def _closed_pipe_outcome(form, env, size=26, program=("-m", "polyconnect")):
+    """The first size bytes, exit code and stderr of a table far larger than
+    a pipe buffer whose reader closes the pipe after those bytes."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "polyconnect", "table", "--source", "laguerre",
+        [sys.executable, *program, "table", "--source", "laguerre",
          "--target", "hermite", "--n-max", "150", "--method", "oracle", "--format", form],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env={**os.environ, **env},
     )
-    head = proc.stdout.read(26)
+    head = proc.stdout.read(size)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
@@ -298,6 +310,16 @@ class TestContract:
         head = b"n,k,coefficient,provenance" if form == "csv" else b'[\n  {\n    "n": 0,\n    "k":'
         assert _closed_pipe_outcome(form, {"PYTHONUNBUFFERED": "1"}) == (head, 2, b"")
 
+    @pytest.mark.parametrize("size", [0, 26])
+    @pytest.mark.parametrize("form", ["csv", "json"])
+    def test_closed_unbuffered_stdout_on_a_repeat_exit_two(self, form, size):
+        """A repeated request is written from the response memo in the same
+        write calls as the first time, so a pipe closed before or during
+        that write ends the process with exit 2 all the same."""
+        head = b"n,k,coefficient,provenance" if form == "csv" else b'[\n  {\n    "n": 0,\n    "k":'
+        outcome = _closed_pipe_outcome(form, {"PYTHONUNBUFFERED": "1"}, size, ("-c", _SERVE_TWICE))
+        assert outcome == (head[:size], 2, b"")
+
     def test_negative_degree_exit_two(self):
         proc = run_cli("poly", "--family", "hermite", "--n", "-1")
         assert proc.returncode == 2
@@ -338,7 +360,7 @@ class TestContract:
 
 def test_one_process_serving_many_requests_matches_fresh_processes(capsys):
     """One process serves invalid requests, then every command, and then the
-    connect and table requests again, which the conversion memos serve; each
+    connect and table requests again, which the response memo serves; each
     outcome equals that of a process serving the request alone."""
     from polyconnect import cli
 

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import math
 import pickle
 import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -31,7 +34,7 @@ from polyconnect import (
     shifted_jacobi,
     verify_theorem,
 )
-from polyconnect import connection
+from polyconnect import cli, connection
 from polyconnect.connection import _always_graded
 
 JP00 = JacobiParams(0, 0)
@@ -377,37 +380,107 @@ class TestClosedFormConnection:
             assert coeffs[n] != 0
 
 
-class TestConversionMemos:
-    """closed_form_connection and connection._oracle_connection are memoized
-    per process (polybases._cached); a hit must be what the body returns."""
+class _Recorder(io.StringIO):
+    """A stdout that records the argument of each write call."""
 
-    def test_a_degenerate_request_raises_the_same_error_again(self):
-        source = BasisId("shifted-jacobi", JacobiParams(-6, -1))
-        for convert in (closed_form_connection, connection._oracle_connection):
-            with pytest.raises(PolyConnectError) as first:
-                convert(source, HERMITE, 3)
-            with pytest.raises(type(first.value), match=re.escape(str(first.value))):
-                convert(source, HERMITE, 3)
-            assert convert.cache_info().currsize == 0
+    def __init__(self):
+        super().__init__()
+        self.calls = []
 
-    @settings(deadline=None, max_examples=60)
-    @given(
-        st.sampled_from([*connection.THEOREMS.values(), None]),
-        st.sampled_from(sorted(connection.FAMILIES)),
-        st.sampled_from(sorted(connection.FAMILIES)),
-        rationals,
-        rationals,
-        st.integers(min_value=0, max_value=12),
-    )
-    def test_hits_equal_the_bodies(self, record, source, target, alpha, beta, n):
-        if record is not None:
-            source, target = record.source, record.target
-        jp = JacobiParams(alpha, beta)
-        pair = (connection.basis(source, jp), connection.basis(target, jp), n)
-        for convert in (closed_form_connection, connection._oracle_connection):
-            expected = _outcome(lambda: convert.__wrapped__(*pair))
-            for _ in range(2):  # the second call hits wherever the first returned
-                assert _outcome(lambda: convert(*pair)) == expected
+    def write(self, text):
+        self.calls.append(text)
+        return super().write(text)
+
+
+def _served(argv):
+    """The exit code, stdout and stderr of cli.run(argv) in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.run(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+_DEGENERATE = ["connect", "--source", "shifted-jacobi", "--target", "hermite",
+               "--alpha=-6", "--beta=-1", "--n", "3", "--method", "closed"]
+_REQUESTS = [
+    ["poly", "--family", "hermite", "--n", "4"],
+    ["poly", "--family", "jacobi-1mx", "--n", "3", "--alpha", "1/2", "--beta", "-1/3",
+     "--format", "csv"],
+    ["poly", "--family", "hermite", "--n", bytearray(b"2")],  # cannot be hashed
+    ["connect", "--source", "hermite", "--target", "laguerre", "--n", "3"],
+    ["connect", "--source", "laguerre", "--target", "shifted-jacobi", "--n", "2",
+     "--alpha", "1/2", "--beta", "1/3", "--method", "oracle", "--format", "csv"],
+    ["table", "--source", "laguerre", "--target", "hermite", "--n-max", "3",
+     "--method", "both", "--format", "json"],
+    ["table", "--source", "laguerre", "--target", "hermite", "--n-max", "2"],
+    ["verify", "--theorem", "3.1", "--n-max", "2"],
+    ["verify", "--theorem", "3.3", "--n-max", "2", "--format", "csv"],
+    ["verify", "--theorem", "3.4", "--n-max", "3", "--alpha=-6", "--beta=0"],
+    ["verify", "--theorem", "2.2", "--cases", "2"],
+    _DEGENERATE,
+    ["connect", "--source", "hermite", "--target", "laguerre", "--n", "x"],
+    ["poly", "--family", "bogus", "--n", "1"],
+    ["table", "--source", "hermite"],
+    ["connect", "-h"],
+    [],
+]
+
+
+class TestResponseMemo:
+    """cli.run keeps what a poly, connect or table request wrote with exit 0
+    and writes it again for the same argv; verify and exit 2 always run."""
+
+    @pytest.mark.parametrize("form", ["json", "csv"])
+    def test_a_hit_writes_what_the_miss_wrote(self, form, monkeypatch):
+        argv = ["connect", "--source", "hermite", "--target", "laguerre", "--n", "5",
+                "--format", form]
+        converted = []
+        convert = cli.closed_form_connection
+        monkeypatch.setattr(cli, "closed_form_connection",
+                            lambda *args: converted.append(args) or convert(*args))
+        writes = []
+        for _ in range(2):
+            recorder = _Recorder()
+            monkeypatch.setattr(sys, "stdout", recorder)
+            assert cli.run(argv) == 0
+            writes.append(recorder.calls)
+        assert len(converted) == 1  # the second request converted nothing
+        assert writes[0] == writes[1]
+        assert len(writes[0]) == (2 if form == "json" else 13) and writes[0][-1].endswith("\n")
+
+    def test_a_degenerate_request_exits_two_each_time(self, monkeypatch):
+        converted = []
+        convert = cli.closed_form_connection
+        monkeypatch.setattr(cli, "closed_form_connection",
+                            lambda *args: converted.append(args) or convert(*args))
+        first, second = _served(_DEGENERATE), _served(_DEGENERATE)
+        assert first == second and first[0] == 2 and first[2].startswith("error:")
+        assert len(converted) == 2 and not cli._RESPONSES
+
+    def test_verify_always_runs(self, monkeypatch):
+        reports = []
+        verify = cli.verify_theorem
+        monkeypatch.setattr(cli, "verify_theorem",
+                            lambda *args: reports.append(args) or verify(*args))
+        argv = ["verify", "--theorem", "3.1", "--n-max", "3"]
+        assert _served(argv) == _served(argv)
+        assert len(reports) == 2 and not cli._RESPONSES
+
+    def test_an_argv_that_cannot_be_hashed_runs_uncached(self):
+        argv = ["poly", "--family", "hermite", "--n", bytearray(b"3")]
+        assert _served(argv) == _served(argv) == (0, '["0", "-12", "0", "8"]\n', "")
+        assert not cli._RESPONSES
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(st.sampled_from(_REQUESTS), max_size=12))
+    def test_one_process_serves_what_an_empty_memo_serves(self, requests):
+        cli._RESPONSES.clear()
+        shared = [_served(argv) for argv in requests]
+        alone = []
+        for argv in requests:
+            cli._RESPONSES.clear()
+            alone.append(_served(argv))
+        assert shared == alone
 
     def test_results_keep_their_row_outside_the_fields(self):
         target = BasisId("jacobi-1mx", JacobiParams(F(-1, 2), 1))
@@ -415,41 +488,12 @@ class TestConversionMemos:
         plain = ConnectionResult(*(getattr(result, name) for name in result._fields))
         assert result._row is not None and plain._row is None
         rendered = result.to_json()
-        assert result._texts is not None and plain._texts is None
+        rendered["coefficients"].append("x")  # the caller's own list
         assert result == plain and hash(result) == hash(plain) and repr(result) == repr(plain)
         copy = pickle.loads(pickle.dumps(result))
-        assert copy == result and hash(copy) == hash(result) and copy._texts is None
-        assert copy.to_json() == plain.to_json() == rendered
+        assert copy == result and hash(copy) == hash(result)
+        assert copy.to_json() == plain.to_json() == result.to_json() != rendered
         assert result.reconstruct() == plain.reconstruct() == hermite(6)
-
-    def test_results_render_their_strings_once(self, monkeypatch, capsys):
-        """A memoized result renders each entry once, however often to_json,
-        to_csv_rows and the CLI requests serving it read its strings; the
-        list to_json returns is the caller's own."""
-        from polyconnect import cli
-
-        calls = []
-        render = connection.ratio_str
-        monkeypatch.setattr(connection, "ratio_str", lambda *row: calls.append(row) or render(*row))
-        result = closed_form_connection(HERMITE, LAGUERRE, 5)
-        argv = ["connect", "--source", "hermite", "--target", "laguerre", "--n", "5",
-                "--method", "closed", "--format"]
-        for _ in range(2):
-            result.to_json()["coefficients"].append("x")
-            assert len(result.to_json()["coefficients"]) == len(result.to_csv_rows()) == 6
-            for form in ("json", "csv"):
-                assert cli.run([*argv, form]) == 0
-                assert "-3840" in capsys.readouterr().out
-        assert len(calls) == 6
-
-
-def _outcome(call):
-    """The value of call(), or the class and message of the PolyConnectError
-    it raises."""
-    try:
-        return call()
-    except PolyConnectError as exc:
-        return type(exc), str(exc)
 
 
 def test_inverse_pair_small():

@@ -233,13 +233,14 @@ def test_family_cache_checks_unhashable_arguments_and_keeps_body_type_errors():
 def test_cached_member_still_rejects_an_equal_degree_that_is_not_an_int(degree):
     jp = JacobiParams(0, 0)
     jacobi = BasisId("shifted-jacobi", jp)
-    for cached in (
+    for convert in (
         lambda n: hermite(n),
         lambda n: shifted_jacobi(n, jp),
         lambda n: jacobi_at_one_minus_x(n, jp),
+        # not memoized: checks that must refuse the degree all the same
         lambda n: closed_form_connection(jacobi, HERMITE, n),
         lambda n: connection._oracle_connection(HERMITE, jacobi, n),
     ):
-        cached(int(degree))
+        convert(int(degree))
         with pytest.raises(InvalidInputError, match=r"(degree|n) must be a nonnegative integer"):
-            cached(degree)
+            convert(degree)

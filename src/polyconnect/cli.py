@@ -307,8 +307,15 @@ def _parse(argv):
     argparse (CPython 3.11) given these options rejects argv, and for a value
     "--" attached by "=".  Only -h may precede the command, "--" ends its
     options, and left-over tokens and missing options are errors only if no
-    -h comes first."""
-    argv, extras = list(argv), []
+    -h comes first.  An argv that is not an iterable of str is an
+    InvalidInputError too."""
+    try:
+        argv, extras = list(argv), []
+    except TypeError:
+        raise InvalidInputError(f"argv must be an iterable of str, got {argv!r}") from None
+    for token in argv:
+        if not isinstance(token, str):
+            raise InvalidInputError(f"argv must be an iterable of str, got the token {token!r}")
     for i, token in enumerate(argv):
         found = None if token == "--" else _option(token, _HELP)
         if found is None:
@@ -360,11 +367,13 @@ _RESPONSES = {}
 def run(argv) -> int:
     """Parse argv and run one command, or print the help it asks for;
     returns the process exit code.  An argv in _RESPONSES is written again
-    from there before any parsing, in the same write calls as the first time."""
-    argv = key = tuple(argv)
+    from there before any parsing, in the same write calls as the first time;
+    only a miss checks that argv is an iterable of str (_parse), as every
+    kept argv is."""
     try:
+        argv = key = tuple(argv)
         texts = _RESPONSES.get(key)
-    except TypeError:  # a token that cannot be hashed: run uncached
+    except TypeError:  # argv not iterable, or a token that cannot be hashed: _parse decides
         texts = key = None
     if texts is not None:
         sys.stdout.writelines(texts)

@@ -388,8 +388,9 @@ def _oracle_connection(source: BasisId, target: BasisId, n: int) -> ConnectionRe
 
 
 def _regular(jp: JacobiParams) -> bool:
-    """Whether none of alpha, beta and lam is a negative integer."""
-    return not any(v < 0 and v.denominator == 1 for v in (jp.alpha, jp.beta, jp.lam))
+    """Whether none of alpha, beta and lam is a negative integer, decided on
+    the Fractions' integers."""
+    return not any(v.denominator == 1 and v.numerator < 0 for v in (jp.alpha, jp.beta, jp.lam))
 
 
 def _always_graded(*bases: BasisId) -> bool:

@@ -233,18 +233,19 @@ def _pairs(params: Iterable[Union[int, Fraction]]) -> list[tuple[int, int]]:
 
 
 def _fields_wimp(
-    top: int, P: Params, Q: Params, R: Params, S: Params, z: Fraction, w: Fraction,
-    pole: Callable[[int], PolyConnectError],
+    top: int, P: Params, Q: Params, R: Params, S: Params,
+    z: tuple[int, int], w: tuple[int, int], pole: Callable[[int], PolyConnectError],
 ) -> Fraction:
     """Right side of the Fields-Wimp expansion of F(A, C; B, D; zw) with
     P = A + al, Q = B + be, R = C + be and S = D + al, for any pole-free al
     and be: the sum over k <= top of [P]_k (-z)^k / ([Q]_k k!) times
-    F(k+P; k+Q; z) F(-k, R; S; w).  Raises pole(k) at the first k with
+    F(k+P; k+Q; z) F(-k, R; S; w), with z and w given as integer pairs
+    (numerator, denominator > 0).  Raises pole(k) at the first k with
     [Q]_k = 0.  The weights [P]_k and [Q]_k come from pochhammer_list, where
-    the benchmark's traced runs count them.  The parameters and arguments are
-    taken as integer pairs once; at each k the weight's two products, (-z)^k,
-    k! and both series values make one integer pair, added with _add."""
-    (zn, zd), (wn, wd) = z.as_integer_ratio(), w.as_integer_ratio()
+    the benchmark's traced runs count them.  The parameters are taken as
+    integer pairs once; at each k the weight's two products, (-z)^k, k! and
+    both series values make one integer pair, added with _add."""
+    (zn, zd), (wn, wd) = z, w
     Pp, Qp, Rp, Sp = map(_pairs, (P, Q, R, S))
     num, den = 0, 1
     for k in range(top + 1):
@@ -279,9 +280,9 @@ def fields_wimp_terminating(
     """
     check_index(n, "n")
     a, b, c, d, al, be = map(as_rationals, (a_list, b_list, c_list, d_list, alpha_list, beta_list))
-    z, w = as_rational(z), as_rational(w)
+    z, w = (as_rational(v).as_integer_ratio() for v in (z, w))
     a = (Fraction(-n),) + a
-    lhs = Fraction(*sum_pairs(_pairs(a + c), _pairs(b + d), *(z * w).as_integer_ratio()))
+    lhs = Fraction(*sum_pairs(_pairs(a + c), _pairs(b + d), z[0] * w[0], z[1] * w[1]))
     # C(n,k) z^k = (-n)_k (-z)^k / k!
     return lhs, _fields_wimp(n, a + al, b + be, c + be, d + al, z, w,
                              lambda k: PoleInParamsError(f"[b]_{k} [beta]_{k} = 0"))
@@ -305,9 +306,10 @@ def fields_wimp_luke_terminating(
     tests).  Both sides are returned.
     """
     a, b, cr, d = map(as_rationals, (a_list, b_list, c_list, d_list))
-    c, z, w = as_rational(c), as_rational(z), as_rational(w)
+    c = as_rational(c)
+    z, w = (as_rational(v).as_integer_ratio() for v in (z, w))
     top = truncation_index(a)
-    lhs = Fraction(*sum_pairs(_pairs(a + cr), _pairs(b + d), *(z * w).as_integer_ratio()))
+    lhs = Fraction(*sum_pairs(_pairs(a + cr), _pairs(b + d), z[0] * w[0], z[1] * w[1]))
     return lhs, _fields_wimp(top, (c,) + a, b, cr, (c,) + d, z, w,
                              lambda n: DenominatorPoleError(f"[b]_{n} = 0"))
 

@@ -23,13 +23,14 @@ raise the same errors in the same order.
   laguerre keeps the list, the Jacobi constructors lift it to one row.
 * sum_pairs takes the parameters as (p, q) pairs, such as the halves
   (k - n, 2) the closed forms write, and the argument as an integer pair,
-  and returns the value as an integer pair (a, b) without building a
-  Fraction or reducing anything: a backward nested sum over the term
-  ratios.  Its clients fold (a, b) into their own integer factors and
-  reduce once: the closed-form connection coefficients, with their
-  prefactor, and both sides of the Fields-Wimp expansion
+  neither need be reduced, and returns the value as an integer pair (a, b)
+  without building a Fraction or reducing anything: a backward nested sum
+  over the term ratios.  Its clients fold (a, b) into their own integer
+  factors and reduce once: the closed-form connection coefficients, with
+  their prefactor, and both sides of the Fields-Wimp expansion
   (expansions.fields_wimp_terminating and fields_wimp_luke_terminating),
-  the right side with each term's weight.
+  the left side at the product argument zw passed as the pair
+  (zn wn, zd wd), the right side with each term's weight.
 
 evaluate_terminating keeps its path through series_coefficients (the
 coefficient list, lifted to integers over one denominator by rationals.lift,
@@ -39,7 +40,10 @@ count series evaluations at series_coefficients, through this module's
 global, and the even/odd split sweep is the only one left for it to count.
 
 Parameter lists are coerced by rationals.as_rationals: a string or a
-non-iterable raises InvalidInputError.
+non-iterable raises InvalidInputError.  The one exception is split_even_odd,
+whose halves are canonical Fractions by construction: it builds each
+half-list once, from the parameters' (p, q) pairs, and both parts are born
+through HypSeries._from_fractions, which stores them as given.
 """
 
 import math
@@ -81,6 +85,18 @@ class HypSeries(Frozen):
         object.__setattr__(self, "numerators", as_rationals(numerators))
         object.__setattr__(self, "denominators", as_rationals(denominators))
         object.__setattr__(self, "argument", as_rational(argument))
+
+    @staticmethod
+    def _from_fractions(
+        numerators: ParamList, denominators: ParamList, argument: Fraction
+    ) -> "HypSeries":
+        """The series whose parameters are already tuples of Fractions and
+        whose argument is a Fraction, stored as given: no as_rationals."""
+        series = HypSeries.__new__(HypSeries)
+        object.__setattr__(series, "numerators", numerators)
+        object.__setattr__(series, "denominators", denominators)
+        object.__setattr__(series, "argument", argument)
+        return series
 
 
 def truncation_index(numerators: Iterable[RationalLike]) -> int:
@@ -220,38 +236,29 @@ def split_even_odd(series: HypSeries) -> tuple[HypSeries, Fraction, HypSeries]:
     [(a+1)/2] + [(a+2)/2] and denominators [3/2] + [(b+1)/2] + [(b+2)/2].
     The original value is  even + prefactor * x * odd  with
     prefactor = prod(a_i)/prod(b_i), which is why every b_i must be nonzero.
-    With each parameter written p/q, (p/q + j)/2 is the one Fraction
-    (p + j q)/(2 q), and the prefactor and the argument are one integer ratio
-    each.
+    Each of the six half-lists is built once, [(a+1)/2] and [(b+1)/2]
+    serving both parts: with a parameter written p/q, (p/q + j)/2 is the one
+    Fraction (p + j q)/(2 q).  Both parts are born through
+    HypSeries._from_fractions, without the public constructor's coercion;
+    the prefactor and the argument are one integer ratio each.
     """
     check_instance(series, HypSeries)
     num_pq = [a.as_integer_ratio() for a in series.numerators]
     den_pq = [b.as_integer_ratio() for b in series.denominators]
     if any(p == 0 for p, _ in den_pq):
         raise ZeroDenominatorParameterError("cannot split: a denominator parameter is zero")
-
-    def halves(pairs, j):
-        return tuple(Fraction(p + j * q, 2 * q) for p, q in pairs)
-
+    a0, a1, a2 = ([Fraction(p + j * q, 2 * q) for p, q in num_pq] for j in range(3))
+    b0, b1, b2 = ([Fraction(p + j * q, 2 * q) for p, q in den_pq] for j in range(3))
     x_num, x_den = series.argument.as_integer_ratio()
     shift = 2 * (len(num_pq) - len(den_pq) - 1)
     if shift >= 0:
         arg = Fraction(x_num * x_num << shift, x_den * x_den)
     else:
         arg = Fraction(x_num * x_num, x_den * x_den << -shift)
-    even = HypSeries(
-        halves(num_pq, 0) + halves(num_pq, 1),
-        (Fraction(1, 2),) + halves(den_pq, 0) + halves(den_pq, 1),
-        arg,
-    )
-    odd = HypSeries(
-        halves(num_pq, 1) + halves(num_pq, 2),
-        (Fraction(3, 2),) + halves(den_pq, 1) + halves(den_pq, 2),
-        arg,
-    )
+    even = HypSeries._from_fractions((*a0, *a1), (Fraction(1, 2), *b0, *b1), arg)
+    odd = HypSeries._from_fractions((*a1, *a2), (Fraction(3, 2), *b1, *b2), arg)
     prefactor = Fraction(
         math.prod(p for p, _ in num_pq) * math.prod(q for _, q in den_pq),
         math.prod(q for _, q in num_pq) * math.prod(p for p, _ in den_pq),
     )
     return even, prefactor, odd
-

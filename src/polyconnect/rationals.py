@@ -8,10 +8,11 @@ an integer row's entries reach stdout without a Fraction being built.
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, PolyConnectError
 
 RationalLike = Union[Fraction, int, str]
 
@@ -53,9 +54,19 @@ def parse_rational(text: str) -> Fraction:
 
 def ratio_str(num: int, den: int) -> str:
     """The wire form of num/den, den > 0, reduced by one gcd: bare "n" when
-    den divides num, else "p/q"; str(Fraction(num, den)) without the Fraction."""
+    den divides num, else "p/q"; str(Fraction(num, den)) without the Fraction.
+
+    An integer longer than the interpreter's int-to-string digit limit
+    (sys.get_int_max_str_digits) raises PolyConnectError, not str's
+    ValueError: every big integer reaches the wire through here."""
     g = math.gcd(num, den)
-    return str(num // g) if den == g else f"{num // g}/{den // g}"
+    try:
+        return str(num // g) if den == g else f"{num // g}/{den // g}"
+    except ValueError:
+        raise PolyConnectError(
+            f"a coefficient has more than {sys.get_int_max_str_digits()} digits, the "
+            "interpreter's int-to-string limit; raise it with PYTHONINTMAXSTRDIGITS"
+        ) from None
 
 
 def rational_to_str(value: RationalLike) -> str:

@@ -4,8 +4,10 @@ Each sweep draws random instances from the documented sample pools, skips
 draws that violate a precondition (non-terminating part, pole in range),
 and keeps going until the requested number of valid cases has been checked.
 Identical seeds give identical case sequences.  Entries record the exact
-residual lhs - rhs and the drawn inputs, rendered as JSON in one place
-(_to_json); a sweep passes only if every residual is zero.
+residual lhs - rhs, "0" for a match and otherwise the difference's string,
+taken only then, and the drawn inputs, each rendered once as JSON, by its
+exact type, in one place (_to_json); a sweep passes only if every residual
+is zero.
 """
 
 import random
@@ -14,7 +16,6 @@ from fractions import Fraction
 from .errors import PolyConnectError
 from .expansions import (
     bilinear_lhs,
-    coeff_seq_to_json,
     delta_seq,
     ExpansionParams,
     fields_ismail_13_rhs,
@@ -51,13 +52,18 @@ MAX_DRAWS_PER_CASE = 100
 
 
 def _to_json(value):
-    """A drawn input as JSON: an int (a degree) as is, a Fraction as its
-    string, a parameter tuple as a list of them, a sequence by
-    coeff_seq_to_json."""
-    if isinstance(value, dict):
-        return coeff_seq_to_json(value)
-    if isinstance(value, tuple):
-        return [str(v) for v in value]
+    """A drawn input as JSON, rendered once, by its exact type and without
+    normalising it again: an int (a degree) as is, a Fraction as its
+    string, a parameter tuple as a list of them, and a sequence, drawn
+    already normalised (nonzero Fraction values), as coeff_seq_to_json
+    renders it."""
+    kind = type(value)
+    if kind is Fraction:
+        return str(value)
+    if kind is tuple:
+        return list(map(str, value))
+    if kind is dict:
+        return {str(i): str(v) for i, v in sorted(value.items())}
     return value if isinstance(value, int) else str(value)
 
 
@@ -65,7 +71,8 @@ def _sweep(cases: int, seed: int, draw) -> list[dict]:
     """Entries for ``cases`` draws of ``draw(rng, index) -> (lhs, rhs, case)``
     from one seeded rng, each drawn input in case rendered by _to_json,
     skipping draws that raise PolyConnectError; raises PolyConnectError after
-    cases * MAX_DRAWS_PER_CASE draws."""
+    cases * MAX_DRAWS_PER_CASE draws.  A residual is "0" when lhs == rhs and
+    is taken as str(lhs - rhs) only for a mismatch."""
     rng = random.Random(seed)
     entries = []
     for _ in range(check_index(cases, "cases") * MAX_DRAWS_PER_CASE):
@@ -75,10 +82,11 @@ def _sweep(cases: int, seed: int, draw) -> list[dict]:
             lhs, rhs, case = draw(rng, len(entries))
         except PolyConnectError:
             continue
+        match = lhs == rhs
         entries.append({
             "n": len(entries),
-            "match": lhs == rhs,
-            "residual": str(lhs - rhs),
+            "match": match,
+            "residual": "0" if match else str(lhs - rhs),
             "case": {name: _to_json(value) for name, value in case.items()},
         })
     if len(entries) < cases:

@@ -467,8 +467,10 @@ class TestResponseMemo:
         assert len(reports) == 2 and not cli._RESPONSES
 
     def test_an_argv_that_cannot_be_hashed_runs_uncached(self):
+        # the lookup fails on the bytearray; parsing then refuses it, each time
         argv = ["poly", "--family", "hermite", "--n", bytearray(b"3")]
-        assert _served(argv) == _served(argv) == (0, '["0", "-12", "0", "8"]\n', "")
+        assert _served(argv) == _served(argv) == (
+            2, "", "error: argv must be an iterable of str, got the token bytearray(b'3')\n")
         assert not cli._RESPONSES
 
     @settings(deadline=None, max_examples=40)
@@ -598,3 +600,19 @@ def test_connection_result_csv_rows():
         (2, 1, "-16", "Thm3.2"),
         (2, 2, "8", "Thm3.2"),
     ]
+
+
+def test_regular_decides_on_integers_as_the_fraction_comparison_did():
+    """_regular reads denominator and numerator; the Fraction form is the
+    reference.  The grid makes each of alpha, beta and lam the only negative
+    integer somewhere (lam = -1 at alpha = -1/2, beta = -3/2)."""
+    grid = [F(-3), F(-2), F(-1), F(0), F(-1, 2), F(-3, 2), F(-5, 3), F(1, 3), F(2)]
+    alone = set()
+    for alpha in grid:
+        for beta in grid:
+            jp = JacobiParams(alpha, beta)
+            negative = [v < 0 and v.denominator == 1 for v in (jp.alpha, jp.beta, jp.lam)]
+            assert connection._regular(jp) is not any(negative)
+            if sum(negative) == 1:
+                alone.add(negative.index(True))
+    assert alone == {0, 1, 2}

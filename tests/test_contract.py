@@ -7,6 +7,7 @@ import ast
 import contextlib
 import inspect
 import io
+import sys
 from collections.abc import Iterator
 from fractions import Fraction as F
 from pathlib import Path
@@ -192,17 +193,69 @@ def _cli_argv(draw):
     return argv + draw(_mostly(st.just([]), st.sampled_from([["-h"], ["--"], ["x"], ["--seed"]])))
 
 
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.run(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _one_error_line(err):
+    return err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 @settings(max_examples=300, deadline=None)
 @given(_cli_argv())
 @example(["poly", "--family", "jacobi-1mx", "--n", "1", "--alpha", _HUGE, "--beta", "0"])
 def test_cli_exits_0_1_or_2_with_a_one_line_error(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.run(argv)
+    rc, _, err = _run_captured(argv)
     assert rc in (0, 1, 2)
-    errors = err.getvalue()
-    assert errors == "" or (errors.startswith("error: ") and errors.count("\n") == 1
-                            and errors.endswith("\n"))
+    assert err == "" or _one_error_line(err)
+
+
+_ARGV = ["poly", "--family", "hermite", "--n", "3"]
+
+
+@pytest.mark.parametrize("position", [0, 1, 4], ids=["command", "option", "value"])
+@pytest.mark.parametrize("spoil", [
+    lambda token: 3,
+    lambda token: token.encode(),
+    lambda token: bytearray(token.encode()),
+    lambda token: None,
+], ids=["int", "bytes", "bytearray", "none"])
+def test_cli_argv_tokens_that_are_not_strings_exit_2(spoil, position):
+    """A bytes token spelling a good one is refused like an int or None."""
+    argv = list(_ARGV)
+    argv[position] = spoil(argv[position])
+    assert _run_captured(_ARGV)[0] == 0  # the good argv, now kept by the response memo
+    rc, out, err = _run_captured(argv)
+    assert (rc, out) == (2, "") and _one_error_line(err)
+    assert f"token {argv[position]!r}" in err
+
+
+@pytest.mark.parametrize("argv", [None, 5, iter([b"poly"])], ids=["none", "int", "bytes-iterator"])
+def test_cli_argv_that_is_not_an_iterable_of_strings_exits_2(argv):
+    rc, out, err = _run_captured(argv)
+    assert (rc, out) == (2, "") and _one_error_line(err)
+    assert not cli._RESPONSES
+
+
+@pytest.mark.parametrize("argv", [
+    ["poly", "--family", "laguerre", "--n", "400"],
+    ["poly", "--family", "laguerre", "--n", "400", "--format", "csv"],
+    ["connect", "--source", "laguerre", "--target", "hermite", "--n", "400", "--method", "closed"],
+], ids=["poly-json", "poly-csv", "connect-closed"])
+def test_coefficients_past_the_int_to_string_limit_exit_2(argv):
+    """Degree 400 Laguerre coefficients carry 400! (869 digits)."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        rc, out, err = _run_captured(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (rc, out) == (2, "") and _one_error_line(err)
+    assert "640" in err and "PYTHONINTMAXSTRDIGITS" in err
+    assert not cli._RESPONSES
 
 
 #: Every public callable but the exception classes.

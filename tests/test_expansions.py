@@ -224,6 +224,24 @@ def test_sweep_cases_match_recorded_digest(sweep):
     assert hashlib.sha256(json.dumps(cases).encode()).hexdigest() == _CASE_DIGESTS[sweep]
 
 
+def test_sweep_renders_a_residual_only_for_a_mismatch():
+    """A mismatch keeps its residual lhs - rhs; equal values of different
+    types match with residual "0"."""
+    draws = iter([(F(1, 2), F(1, 3), {}), (1, F(1), {}), (F(-2, 3), F(-2, 3), {})])
+    entries = sweeps._sweep(3, 0, lambda rng, index: next(draws))
+    assert [(e["match"], e["residual"]) for e in entries] == [
+        (False, "1/6"), (True, "0"), (True, "0")]
+
+
+def test_sweep_cases_render_each_drawn_type():
+    case = {"n": 3, "x": F(-1, 2), "params": (F(1), F(5, 2)), "empty": (),
+            "seq": {2: F(1, 3), 0: F(-2)}}
+    entries = sweeps._sweep(1, 0, lambda rng, index: (0, 0, case))
+    assert entries[0]["case"] == {"n": 3, "x": "-1/2", "params": ["1", "5/2"], "empty": [],
+                                  "seq": coeff_seq_to_json(case["seq"])}
+    assert list(entries[0]["case"]["seq"]) == ["0", "2"]
+
+
 def test_sweep_caps_draws_and_validates_cases():
     draws = []
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -140,3 +142,16 @@ def test_split_identity_on_fixed_grid():
         for x in SAMPLE_ARGS:
             s = HypSeries(nums, dens, x)
             assert _split_value(s) == evaluate_terminating(s)
+
+
+_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@given(st.lists(_rationals, max_size=3), st.lists(_rationals.filter(bool), max_size=3), _rationals)
+def test_split_halves_are_the_series_the_public_constructor_builds(nums, dens, x):
+    even, _, odd = split_even_odd(HypSeries(nums, dens, x))
+    for half in (even, odd):
+        public = HypSeries(half.numerators, half.denominators, half.argument)
+        assert half == public and hash(half) == hash(public) and repr(half) == repr(public)
+        for twin in (copy.copy(half), copy.deepcopy(half), pickle.loads(pickle.dumps(half))):
+            assert twin == public and hash(twin) == hash(public)

@@ -153,7 +153,7 @@ def _cmd_connect(ns) -> list:
     if ns.format == "json" and ns.method == "both":
         closed, oracle = results
         # agree compares the rows in integers; equal rows are rendered once
-        rows = closed._integer_row(), oracle._integer_row()
+        rows = closed._row, oracle._row
         agree = len(rows[0][0]) == len(rows[1][0]) and _first_difference(*rows) is None
         texts = closed._strings()
         payload = {

@@ -37,9 +37,9 @@ denominators.  The coeff_* functions keep the literal series for every
 theorem: a coefficient is an integer prefactor times a terminating series
 whose parameters are integer pairs (p, q) for p/q, not reduced, and
 hypseries.sum_pairs returns its value as an unreduced pair (a, b).  A
-ConnectionResult made from a row (_result) keeps only the row, renders it
-straight to strings (rationals.ratio_str) and builds Fractions only when
-its coefficients are read.
+ConnectionResult holds its row, renders it straight to strings
+(rationals.ratio_str) and builds Fractions only when its coefficients are
+read.
 
 ``verify_theorem`` compares each closed-form row with its table row in
 integers, R_i e == S_i d.  Equal rows match with a zero residual, and verify
@@ -51,10 +51,10 @@ exact residual, so a "fail" verdict rests on two independent methods
 wherever the recurrence built the row (a degenerate row already is the
 oracle's).  The CLI's ``table --method oracle|both`` reads the table too;
 ``connect`` and ``connection_oracle`` convert one degree.  The oracle and
-reconstruction work on integer rows (Poly.integer_form), the form every
-member but laguerre's and reconstruct's Poly are born in; the oracle's
-result is a row too.  Every call converts afresh: a process serving
-repeated CLI requests keeps their responses instead (cli.run).
+reconstruction work on integer rows (Poly.integer_form, the one form every
+Poly holds); the oracle's result is a row too.  Every call converts
+afresh: a process serving repeated CLI requests keeps their responses
+instead (cli.run).
 
 The Thm3.3 coefficient formula is a repaired reading of a typographically
 defective display (its expansion sum is restored over m = 0..n).  It is
@@ -234,14 +234,15 @@ class ConnectionResult(Frozen):
     coefficients[k] multiplies the target's degree-k member; provenance names
     the closed form used, or "Oracle" for the brute-force conversion.  The
     constructor checks source, target, degree and provenance and coerces the
-    coefficients (rationals.as_rationals).  As Poly, a result has two forms,
-    the Fractions and their Row (R, d), each built on first use and kept;
-    to_json and to_csv_rows render the row.  The row is outside the fields:
-    no part of equality, hash, repr or pickling.
+    coefficients (rationals.as_rationals).  As in Poly, the one canonical
+    form is the Row (R, d): the constructor lifts the coefficients into it
+    once, and to_json, to_csv_rows and reconstruct read it.  The Fraction
+    tuple is only a cache, built on the first read of coefficients.  The row
+    is outside the fields: equality, hash, repr and pickling read the cache.
     """
 
     _fields = ("source", "target", "degree", "coefficients", "provenance")
-    __slots__ = ("source", "target", "degree", "_coefficients", "provenance", "_row")
+    __slots__ = ("source", "target", "degree", "_row", "provenance", "_coefficients")
 
     def __init__(
         self,
@@ -255,7 +256,7 @@ class ConnectionResult(Frozen):
         check_instance(target, BasisId)
         check_index(degree, "degree")
         check_instance(provenance, str)
-        self._set(source, target, degree, as_rationals(coefficients), provenance, None)
+        self._set(source, target, degree, lift(as_rationals(coefficients)), provenance, None)
 
     def _set(self, *values) -> None:  # the slots, in order
         for name, value in zip(self.__slots__, values):
@@ -270,25 +271,19 @@ class ConnectionResult(Frozen):
 
     def _strings(self) -> list[str]:
         """The coefficients' wire strings, rendered from the row."""
-        nums, den = self._integer_row()
+        nums, den = self._row
         return [ratio_str(r, den) for r in nums]
-
-    def _integer_row(self) -> Row:
-        """The coefficients' row, lifted once if no row came with them."""
-        if self._row is None:
-            object.__setattr__(self, "_row", lift(self._coefficients))
-        return self._row
 
     def reconstruct(self) -> Poly:
         """Sum of coefficients[k] * target member k.
 
-        The coefficients are the row c_k = C_k / d, lifted once if no row came
-        with them.  With member k in integer form M_k / e_k and E the lcm of
-        the e_k, the term c_k M_k / e_k is the integer vector M_k times
-        C_k (E / e_k), over d E.  So the sum is one integer vector over d E,
-        reduced by one gcd into the row of the Poly returned.
+        The coefficients are the row c_k = C_k / d.  With member k in integer
+        form M_k / e_k and E the lcm of the e_k, the term c_k M_k / e_k is the
+        integer vector M_k times C_k (E / e_k), over d E.  So the sum is one
+        integer vector over d E, reduced by one gcd into the row of the Poly
+        returned.
         """
-        nums, den = self._integer_row()
+        nums, den = self._row
         members = [
             basis_poly(self.target, k).integer_form if c else ((), 1)
             for k, c in enumerate(nums)
@@ -316,10 +311,10 @@ class ConnectionResult(Frozen):
 
 
 def _result(source: BasisId, target: BasisId, n: int, row: Row, provenance: str):
-    """The ConnectionResult of a degree-n row (R, d), holding only the row:
-    its Fractions are built when its coefficients are first read."""
+    """The ConnectionResult of a degree-n row (R, d), d > 0, reduced or not,
+    held as it is."""
     result = ConnectionResult.__new__(ConnectionResult)
-    result._set(source, target, n, None, provenance, row)
+    result._set(source, target, n, row, provenance, None)
     return result
 
 
@@ -1009,12 +1004,13 @@ def verify_theorem(
     )
     bases = [(jp, basis(record.source, jp), basis(record.target, jp)) for jp in sets]
     tables = [_table_rows(source, target, n_max) for _, source, target in bases]
+    zero = Poly()  # immutable: every entry starts from this one residual
     for n in range(n_max + 1):
         for (jp, source, target), table in zip(bases, tables):
             entry = VerificationEntry(
                 n=n,
                 match=False,
-                residual=Poly(),
+                residual=zero,
                 alpha=None if jp is None else jp.alpha,
                 beta=None if jp is None else jp.beta,
             )

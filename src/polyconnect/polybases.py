@@ -8,17 +8,17 @@ Normalizations:
     the standard Jacobi polynomial evaluated at 1-x,
 with a = jp.alpha, b = jp.beta, l = a + b + 1 throughout.
 
-laguerre, whose series list is its coefficients, is born as Fractions; the
-other members as integer rows, which is all the oracle reads (see Poly).
+Every member is held as an integer row, which is all the oracle reads (see
+Poly).
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import zip_longest
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, PolyConnectError
 from .hypseries import series_coefficients
 from .rationals import (
     RationalLike,
@@ -29,7 +29,6 @@ from .rationals import (
     lift,
     pochhammer,
     ratio_str,
-    rational_to_str,
 )
 from .records import Frozen
 
@@ -38,35 +37,34 @@ class Poly:
     """Dense univariate polynomial with exact rational coefficients.
 
     Coefficients are ascending by degree with trailing zeros stripped; the
-    zero polynomial has none and degree -inf.  Both forms are canonical: the
-    Fraction tuple (coefficients), filled by Poly(...), and the reduced row
-    (integer_form, a connection.Row), filled by _from_row and arithmetic.
-    The other is built on first read and kept, except by to_json and repr,
-    which render a row-born Poly from its row.  Immutable and hashable.
+    zero polynomial has none and degree -inf.  The one canonical form is the
+    reduced row (integer_form, a connection.Row), which every constructor
+    sets; the Fraction tuple (coefficients) is a cache, built on its first
+    read and kept.  Immutable and hashable.
     """
 
     __slots__ = ("_coeffs", "_integer_form")
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()):
-        coeffs = list(as_rationals(coefficients))
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self._coeffs: tuple[Fraction, ...] = tuple(coeffs)
-        self._integer_form: Optional[tuple[tuple[int, ...], int]] = None
+        self._set(*lift(as_rationals(coefficients)))
 
     @staticmethod
     def _from_row(nums: Iterable[int], den: int) -> "Poly":
-        """The Poly nums / den, den != 0, born in integer form: trailing
-        zeros stripped, the sign moved to the numerators, one gcd."""
+        """The Poly nums / den, den != 0, without coercing any entry."""
+        poly = Poly.__new__(Poly)
+        poly._set(nums, den)
+        return poly
+
+    def _set(self, nums: Iterable[int], den: int) -> None:
+        """Hold nums / den as the row: trailing zeros stripped, the sign moved
+        to the numerators, one gcd; no Fraction cached."""
         nums = list(nums)
         while nums and not nums[-1]:
             nums.pop()
         g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
         if g != 1:
             den, nums = den // g, [x // g for x in nums]
-        poly = Poly.__new__(Poly)
-        poly._coeffs, poly._integer_form = None, (tuple(nums), den)
-        return poly
+        self._coeffs, self._integer_form = None, (tuple(nums), den)
 
     @staticmethod
     def monomial(degree: int, coefficient: RationalLike = 1) -> "Poly":
@@ -85,8 +83,6 @@ class Poly:
     def integer_form(self) -> tuple[tuple[int, ...], int]:
         """(vector, den): integer coefficients over the lcm d > 0 of the
         coefficient denominators, so coefficients[i] == vector[i] / d."""
-        if self._integer_form is None:
-            self._integer_form = lift(self._coeffs)
         return self._integer_form
 
     @property
@@ -95,9 +91,9 @@ class Poly:
 
     @property
     def degree(self):
-        """Exact degree, read off whichever form exists; -inf for zero."""
-        terms = self._integer_form[0] if self._coeffs is None else self._coeffs
-        return len(terms) - 1 if terms else float("-inf")
+        """Exact degree; -inf for zero."""
+        nums = self._integer_form[0]
+        return len(nums) - 1 if nums else float("-inf")
 
     @property
     def leading_coefficient(self) -> Fraction:
@@ -151,23 +147,21 @@ class Poly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        if self._coeffs is None or other._coeffs is None:
-            return self.integer_form == other.integer_form
-        return self._coeffs == other._coeffs
+        return self._integer_form == other._integer_form
 
     def __hash__(self):
-        return hash(self.integer_form)
+        return hash(self._integer_form)
 
     def __repr__(self):
-        return f"Poly([{', '.join(self.to_json())}])"
+        try:
+            return f"Poly([{', '.join(self.to_json())}])"
+        except PolyConnectError:  # past the digit limit, as records.Record.__repr__
+            return object.__repr__(self)
 
     def to_json(self) -> list[str]:
-        """JSON form: array of rational strings, ascending degree, rendered
-        from the row when no Fraction has been built."""
-        if self._coeffs is None:
-            nums, den = self._integer_form
-            return [ratio_str(x, den) for x in nums]
-        return [rational_to_str(c) for c in self._coeffs]
+        """JSON form: array of rational strings, ascending degree."""
+        nums, den = self._integer_form
+        return [ratio_str(x, den) for x in nums]
 
     @staticmethod
     def from_json(data: list[str]) -> "Poly":

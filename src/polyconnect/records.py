@@ -10,8 +10,10 @@ A subclass names its fields in ``_fields``, in constructor order, lists them
 
 class Record:
     """Equal to a record of the same class with equal fields, never to
-    anything else; repr ``Name(field=value, ...)``.  Unhashable, as a
-    dataclass with ``eq`` and without ``frozen`` is."""
+    anything else; repr ``Name(field=value, ...)``, or object's default repr
+    where a field holds an integer past the interpreter's int-to-string
+    digit limit, so a repr never raises.  Unhashable, as a dataclass with
+    ``eq`` and without ``frozen`` is."""
 
     __slots__ = ()
     _fields: tuple = ()
@@ -26,7 +28,10 @@ class Record:
         return self._values() == other._values()
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        try:
+            fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        except ValueError:  # an int past sys.get_int_max_str_digits()
+            return object.__repr__(self)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):  # copy and pickle rebuild through the constructor

@@ -485,17 +485,25 @@ class TestResponseMemo:
         assert shared == alone
 
     def test_results_keep_their_row_outside_the_fields(self):
+        """A public result and one made from an unreduced row of the same
+        values hold different rows, and compare, hash, print, pickle and
+        render as one."""
         target = BasisId("jacobi-1mx", JacobiParams(F(-1, 2), 1))
         result = closed_form_connection(HERMITE, target, 6, "3.3c")
         plain = ConnectionResult(*(getattr(result, name) for name in result._fields))
-        assert result._row is not None and plain._row is None
-        rendered = result.to_json()
+        nums, den = plain._row
+        unreduced = connection._result(HERMITE, target, 6, ([6 * r for r in nums], 6 * den),
+                                       plain.provenance)
+        assert unreduced._row != plain._row
+        rendered = unreduced.to_json()
         rendered["coefficients"].append("x")  # the caller's own list
-        assert result == plain and hash(result) == hash(plain) and repr(result) == repr(plain)
-        copy = pickle.loads(pickle.dumps(result))
-        assert copy == result and hash(copy) == hash(result)
-        assert copy.to_json() == plain.to_json() == result.to_json() != rendered
-        assert result.reconstruct() == plain.reconstruct() == hermite(6)
+        assert unreduced == plain and hash(unreduced) == hash(plain)
+        assert repr(unreduced) == repr(plain)
+        copies = [pickle.loads(pickle.dumps(r)) for r in (unreduced, plain)]
+        assert copies == [plain, plain] and {hash(c) for c in copies} == {hash(plain)}
+        assert copies[0]._row == copies[1]._row == plain._row
+        assert unreduced.to_json() == plain.to_json() == result.to_json() != rendered
+        assert unreduced.reconstruct() == plain.reconstruct() == hermite(6)
 
 
 def test_inverse_pair_small():

@@ -258,6 +258,26 @@ def test_coefficients_past_the_int_to_string_limit_exit_2(argv):
     assert not cli._RESPONSES
 
 
+def test_reprs_past_the_int_to_string_limit_are_objects_default():
+    """A repr never raises: where a coefficient passes the digit limit, Poly
+    and every record fall back to object.__repr__; inside it they print the
+    coefficients."""
+    member = polyconnect.laguerre(400)
+    result = polyconnect.closed_form_connection(LAGUERRE, HERMITE, 400)
+    inside = repr(member), repr(result)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        past = repr(member), repr(result)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert past == (object.__repr__(member), object.__repr__(result))
+    assert inside == (f"Poly([{', '.join(map(str, member.coefficients))}])",
+                      "ConnectionResult(source=BasisId(family='laguerre', params=None), "
+                      "target=BasisId(family='hermite', params=None), degree=400, "
+                      f"coefficients={result.coefficients!r}, provenance='Thm3.1')")
+
+
 #: Every public callable but the exception classes.
 _PUBLIC_CALLABLES = [
     name for name, obj in ((name, getattr(polyconnect, name)) for name in polyconnect.__all__)

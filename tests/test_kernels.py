@@ -404,6 +404,27 @@ def test_row_born_poly_equals_fraction_built(values, zeros, scale, other_scale):
     assert expected.integer_form is expected.integer_form
 
 
+@settings(max_examples=200, deadline=None)
+@given(coefficient_lists, st.integers(0, 3), targets())
+def test_the_row_is_the_one_form_and_fractions_a_read_cache(values, zeros, target):
+    """Poly(values) holds its reduced, stripped row and builds no Fraction
+    until .coefficients is read; a ConnectionResult renders from its row
+    with no Fraction built."""
+    values = values + [F(0)] * zeros
+    p = Poly(values)
+    nums, den = p.integer_form
+    assert den > 0 and math.gcd(den, *nums) == 1 and (not nums or nums[-1])
+    assert [F(x, den) for x in nums] + [F(0)] * (len(values) - len(nums)) == values
+    assert p == Poly(values) and hash(p) == hash(Poly(values))
+    assert p.degree == (len(nums) - 1 if nums else float("-inf"))
+    assert p.to_json() == [str(v) for v in values[:len(nums)]] and repr(p) and p._coeffs is None
+    assert p.coefficients == tuple(values[:len(nums)]) and p._coeffs is not None
+    result = ConnectionResult(HERMITE, target, len(values), values, "Thm3.2")
+    assert result.to_json()["coefficients"] == [str(v) for v in values]
+    assert result.to_csv_rows() == [(len(values), k, str(v), "Thm3.2") for k, v in enumerate(values)]
+    assert result._coefficients is None and result.coefficients == tuple(values)
+
+
 #: Integers of every size and sign, zero included.
 wire_integers = st.one_of(st.integers(-50, 50), st.integers(-(2**300), 2**300))
 

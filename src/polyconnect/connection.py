@@ -24,22 +24,22 @@ shadowed by two exact conversions that use no closed form:
   or a_k or d_k vanish), every row is ``connection_oracle`` on its member
   instead, or the error that call raises.
 
-Every row c_{n,0..n} has one format, ``Row``: integers R over one
-denominator d > 0, with c_{n,k} = R[k] / d.  Each THEOREMS record's
-row(n, jp) returns it.  The Thm3.1, Thm3.2 and Thm3.4 rows come from integer
-recurrences in k (of order 3, 3 and 4) run backward from k = n in O(n) steps,
-over 2^n n!, 1 and q^n 2^n n!; tests/test_row_recurrences.py proves them.
-Both Thm3.3 rows come from one O(n^2) integer pass, the 4F2 of every entry
-over one denominator (_hermite_in_jacobi_row).  Where a member can fail to
-be built (_regular false), the Thm3.3 and Thm3.4 rows are their public
-coeff_* functions evaluated entry by entry and lifted over the lcm of their
-denominators.  The coeff_* functions keep the literal series for every
-theorem: a coefficient is an integer prefactor times a terminating series
-whose parameters are integer pairs (p, q) for p/q, not reduced, and
-hypseries.sum_pairs returns its value as an unreduced pair (a, b).  A
-ConnectionResult holds its row, renders it straight to strings
-(rationals.ratio_str) and builds Fractions only when its coefficients are
-read.
+Every row c_{n,0..n} has one format, ``Row``: integers R over one denominator
+d > 0, with c_{n,k} = R[k] / d.  A THEOREMS record holds a theorem's literal
+coefficient entry(n, jp, k), a public coeff_* function, and its fast row;
+Theorem.row(n, jp) returns the Row.  The fast Thm3.1, Thm3.2 and Thm3.4 rows
+come from integer recurrences in k (of order 3, 3 and 4) run backward from
+k = n in O(n) steps, over 2^n n!, 1 and q^n 2^n n!;
+tests/test_row_recurrences.py proves them.  Both fast Thm3.3 rows come from
+one O(n^2) integer pass, the 4F2 of every entry over one denominator
+(_hermite_in_jacobi_row).  Where a member can fail to be built (_regular
+false), Theorem.row checks a Jacobi source member's degree and lifts the
+entries instead.  The coeff_* functions keep the literal series: a coefficient
+is an integer prefactor times a terminating series whose parameters are
+integer pairs (p, q) for p/q, not reduced, and hypseries.sum_pairs returns
+its value as an unreduced pair (a, b).  A ConnectionResult holds its row,
+renders it straight to strings (rationals.ratio_str) and builds Fractions
+only when its coefficients are read.
 
 ``verify_theorem`` compares each closed-form row with its table row in
 integers, R_i e == S_i d.  Equal rows match with a zero residual, and verify
@@ -656,14 +656,9 @@ def _hermite_in_jacobi_row(n: int, jp: JacobiParams, argument_sign: int) -> Row:
     divides aq^n prod_{k=1..2n} (lp + k lq) for m >= 1, as does that of its
     m = 0 limit 1/(l+1)_n.  So the row is over d = aq^n Q prod_{k=1..2n}
     (lp + k lq), its sign made positive.  No factor vanishes for _regular
-    parameters, where this equals the entry-by-entry form; for others the row
-    is coeff_hermite_in_shifted_jacobi entry by entry, lifted over the lcm of
-    its denominators, with its errors.
+    parameters, where this equals the entry-by-entry form; Theorem.row takes
+    the others entry by entry.
     """
-    if not _regular(jp):
-        return lift(
-            coeff_hermite_in_shifted_jacobi(n, jp, m, argument_sign) for m in range(n + 1)
-        )
     (lp, lq), (ap, aq) = jp.lam.as_integer_ratio(), jp.alpha.as_integer_ratio()
     ratio = [1] * (n // 2 + 1)  # ratio[j] = v_J / v_j
     for j in range(n // 2 - 1, -1, -1):
@@ -773,12 +768,9 @@ def _shifted_jacobi_in_hermite_row(n: int, jp: JacobiParams) -> Row:
         c_{n,j} = (-1)^(n-j) C(n, j) q^j (n+l)_j N_j / (q^n 2^n n!).
 
     e_j vanishes for some j < n only where lam is a negative integer, and
-    F's denominator (b+1)_m only where beta is; for such parameters, or a
-    negative integer alpha, the row is evaluated entry by entry, with its
-    errors.
+    F's denominator (b+1)_m only where beta is; Theorem.row takes such
+    parameters, and a negative integer alpha, entry by entry.
     """
-    if not _regular(jp):
-        return lift(coeff_shifted_jacobi_in_hermite(n, jp, j) for j in range(n + 1))
     (b, lam), q = lift((jp.beta, jp.lam))
     e = [(i - n) * ((i + n) * q + lam) for i in range(n + 3)]
     big = [0] * (n + 5)
@@ -796,11 +788,12 @@ def _shifted_jacobi_in_hermite_row(n: int, jp: JacobiParams) -> Row:
 
 
 class Theorem(Frozen):
-    """One closed form: source family -> target family, row(n, jp) the Row of
-    the coefficients of the target members of degree 0..n, and the provenance
-    tag of its results."""
+    """One closed form: source family -> target family, entry(n, jp, k) its
+    literal coefficient c_{n,k} (a coeff_* call), fast(n, jp) the Row of
+    c_{n,0..n} for _regular parameters or none, and the provenance tag of
+    its results."""
 
-    _fields = ("id", "source", "target", "row", "provenance")
+    _fields = ("id", "source", "target", "entry", "fast", "provenance")
     __slots__ = _fields
 
     def __init__(
@@ -808,35 +801,46 @@ class Theorem(Frozen):
         id: str,
         source: str,
         target: str,
-        row: Callable[[int, Optional[JacobiParams]], Row],
+        entry: Callable[[int, Optional[JacobiParams], int], Fraction],
+        fast: Callable[[int, Optional[JacobiParams]], Row],
         provenance: str,
     ):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "provenance", provenance)
+        for name, value in zip(self._fields, (id, source, target, entry, fast, provenance)):
+            object.__setattr__(self, name, value)
 
     @property
     def needs_params(self) -> bool:
         return self.source in JACOBI_FAMILIES or self.target in JACOBI_FAMILIES
 
+    def row(self, n: int, jp: Optional[JacobiParams]) -> Row:
+        """The Row of c_{n,0..n}: the fast row for _regular parameters or none.
+        Otherwise a Jacobi source member is built first, to check that it has
+        degree n, then the entries one by one, lifted over the lcm of their
+        denominators; the first error raised is the row's."""
+        if jp is None or _regular(jp):
+            return self.fast(n, jp)
+        if self.source in JACOBI_FAMILIES:
+            basis_poly(BasisId(self.source, jp), n)
+        return lift(self.entry(n, jp, k) for k in range(n + 1))
 
-#: Theorem id -> record.  The lambdas only adapt each row function to the
-#: row(n, jp) signature.
+
+#: Theorem id -> record.  The lambdas only adapt each coeff_* and row
+#: function to the entry(n, jp, k) and fast(n, jp) signatures.
 THEOREMS = {
     t.id: t
     for t in (
-        Theorem("3.1", "laguerre", "hermite",
+        Theorem("3.1", "laguerre", "hermite", lambda n, jp, k: coeff_laguerre_in_hermite(n, k),
                 lambda n, jp: _laguerre_in_hermite_row(n), "Thm3.1"),
-        Theorem("3.2", "hermite", "laguerre",
+        Theorem("3.2", "hermite", "laguerre", lambda n, jp, k: coeff_hermite_in_laguerre(n, k),
                 lambda n, jp: _hermite_in_laguerre_row(n), "Thm3.2"),
         Theorem("3.3", "hermite", "jacobi-1mx",
+                lambda n, jp, k: coeff_hermite_in_shifted_jacobi(n, jp, k, 1),
                 lambda n, jp: _hermite_in_jacobi_row(n, jp, 1), "Thm3.3-interpreted"),
         Theorem("3.3c", "hermite", "jacobi-1mx",
+                lambda n, jp, k: coeff_hermite_in_shifted_jacobi(n, jp, k, -1),
                 lambda n, jp: _hermite_in_jacobi_row(n, jp, -1), "Thm3.3-corrected"),
         Theorem("3.4", "shifted-jacobi", "hermite",
-                lambda n, jp: _shifted_jacobi_in_hermite_row(n, jp), "Thm3.4"),
+                coeff_shifted_jacobi_in_hermite, _shifted_jacobi_in_hermite_row, "Thm3.4"),
     )
 }
 
@@ -853,10 +857,10 @@ def closed_form_connection(
     source: BasisId, target: BasisId, n: int, theorem: Optional[str] = None
 ) -> ConnectionResult:
     """Full closed-form coefficient list for one of the THEOREMS pairs: the
-    record with id theorem, or by default the first record for the pair (so
-    hermite -> jacobi-1mx is Thm3.3-interpreted unless "3.3c" is asked for).
-    A Jacobi source member is built to check that it has degree n unless
-    _always_graded(source) holds, in which case it has by construction."""
+    record with id theorem, which must convert this pair, or by default the
+    first record for the pair (so hermite -> jacobi-1mx is Thm3.3-interpreted
+    unless "3.3c" is asked for).  Theorem.row builds the row, and takes
+    degenerate parameters entry by entry."""
     check_index(n, "n")
     check_instance(source, BasisId)
     check_instance(target, BasisId)
@@ -865,16 +869,11 @@ def closed_form_connection(
         if (record.source, record.target) == (source.family, target.family):
             break
     else:
-        raise UnsupportedPairError(f"no closed form for {source.family} -> {target.family}")
-    return _result(source, target, n, _closed_row(record, source, target, n), record.provenance)
-
-
-def _closed_row(record: Theorem, source: BasisId, target: BasisId, n: int) -> Row:
-    """record's degree-n row for (source, target), after the source degree
-    check that closed_form_connection describes."""
-    if not _always_graded(source):
-        basis_poly(source, n)
-    return record.row(n, source.params or target.params)
+        pair = f"{source.family} -> {target.family}"
+        raise UnsupportedPairError(f"no closed form for {pair}" if theorem is None else (
+            f"theorem {theorem} converts {record.source} -> {record.target}, not {pair}"))
+    row = record.row(n, source.params or target.params)
+    return _result(source, target, n, row, record.provenance)
 
 
 class VerificationEntry(Record):
@@ -1018,7 +1017,7 @@ def verify_theorem(
                 # drawn first so the table keeps step with n, but a row's
                 # error is raised only after the closed form's own errors
                 row = next(table)
-                closed = _closed_row(record, source, target, n)
+                closed = record.row(n, jp)
                 if isinstance(row, PolyConnectError):
                     raise row
                 first = _first_difference(closed, row)

@@ -349,24 +349,20 @@ class TestClosedFormConnection:
 
     @pytest.mark.parametrize("theorem", sorted(connection.THEOREMS))
     def test_rows_are_integers_over_one_positive_denominator(self, theorem):
-        # the literal coefficients as (R, d), or the first literal's error;
-        # the last two parameter sets are degenerate
-        literal = {
-            "3.1": lambda n, jp, k: coeff_laguerre_in_hermite(n, k),
-            "3.2": lambda n, jp, k: coeff_hermite_in_laguerre(n, k),
-            "3.3": lambda n, jp, k: coeff_hermite_in_shifted_jacobi(n, jp, k),
-            "3.3c": lambda n, jp, k: coeff_hermite_in_shifted_jacobi(n, jp, k, -1),
-            "3.4": lambda n, jp, k: coeff_shifted_jacobi_in_hermite(n, jp, k),
-        }[theorem]
+        # the literal entries as (R, d), or the first error: the source
+        # member's (its degree check), then the entries'; the last two
+        # parameter sets are degenerate
+        record = connection.THEOREMS[theorem]
         for jp in (*DEFAULT_JACOBI_SWEEP, JacobiParams(-2, F(1, 3)), JacobiParams(F(1, 2), -3)):
             for n in range(9):
                 try:
-                    expected = tuple(literal(n, jp, k) for k in range(n + 1))
+                    basis_poly(connection.basis(record.source, jp), n)
+                    expected = tuple(record.entry(n, jp, k) for k in range(n + 1))
                 except PolyConnectError as exc:
                     with pytest.raises(type(exc), match=re.escape(str(exc))):
-                        connection.THEOREMS[theorem].row(n, jp)
+                        record.row(n, jp)
                     continue
-                num, den = connection.THEOREMS[theorem].row(n, jp)
+                num, den = record.row(n, jp)
                 assert type(den) is int and den > 0
                 assert all(type(r) is int for r in num)
                 assert tuple(F(r, den) for r in num) == expected
@@ -504,19 +500,6 @@ class TestResponseMemo:
         assert copies[0]._row == copies[1]._row == plain._row
         assert unreduced.to_json() == plain.to_json() == result.to_json() != rendered
         assert unreduced.reconstruct() == plain.reconstruct() == hermite(6)
-
-
-def test_inverse_pair_small():
-    n_max = 8
-    a = [[coeff_laguerre_in_hermite(n, k) if k <= n else F(0) for k in range(n_max + 1)]
-         for n in range(n_max + 1)]
-    b = [[coeff_hermite_in_laguerre(n, k) if k <= n else F(0) for k in range(n_max + 1)]
-         for n in range(n_max + 1)]
-    for i in range(n_max + 1):
-        for j in range(n_max + 1):
-            ab = sum(a[i][k] * b[k][j] for k in range(n_max + 1))
-            ba = sum(b[i][k] * a[k][j] for k in range(n_max + 1))
-            assert ab == ba == (1 if i == j else 0)
 
 
 class TestVerifyTheorem:

@@ -26,6 +26,7 @@ from polyconnect import (
     JacobiParams,
     Poly,
     PolyConnectError,
+    UnsupportedPairError,
     basis_poly,
     bilinear_lhs,
     coeff_hermite_in_shifted_jacobi,
@@ -44,7 +45,7 @@ from polyconnect import (
     verify_theorem,
 )
 from polyconnect import cli
-from polyconnect.connection import FAMILIES, THEOREMS
+from polyconnect.connection import FAMILIES, THEOREMS, basis
 from polyconnect.sweeps import LEMMA_SWEEPS
 
 
@@ -109,6 +110,22 @@ def test_bilinear_forms_reject_non_mappings_and_bad_params(call):
 def test_verify_theorem_rejects_param_sets_that_are_not_jacobi_params(param_sets):
     with pytest.raises(InvalidInputError, match="param_sets must hold JacobiParams"):
         verify_theorem("3.3", 3, param_sets)
+
+
+@pytest.mark.parametrize("theorem", sorted(THEOREMS))
+def test_an_explicit_theorem_given_another_pair_names_its_own_pair(theorem):
+    """Not "no closed form for" the pair asked for, which is false where
+    another theorem converts it (3.2 given laguerre -> hermite, Thm3.1's)."""
+    record = THEOREMS[theorem]
+    jp = JacobiParams(F(1, 2), F(1, 3))
+    with pytest.raises(UnsupportedPairError) as caught:
+        polyconnect.closed_form_connection(
+            basis(record.target, jp), basis(record.source, jp), 3, theorem
+        )
+    assert str(caught.value) == (
+        f"theorem {theorem} converts {record.source} -> {record.target},"
+        f" not {record.target} -> {record.source}"
+    )
 
 
 @pytest.mark.parametrize(

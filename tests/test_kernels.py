@@ -33,10 +33,6 @@ from polyconnect import (
     basis_poly,
     bilinear_lhs,
     coeff_seq,
-    coeff_hermite_in_laguerre,
-    coeff_hermite_in_shifted_jacobi,
-    coeff_laguerre_in_hermite,
-    coeff_shifted_jacobi_in_hermite,
     connection_oracle,
     evaluate_terminating,
     fields_ismail_13_rhs,
@@ -645,13 +641,12 @@ def literal_hermite_in_shifted_jacobi(n, m, jp):
     return prefactor * f
 
 
+#: Theorem id -> literal reference, to compare with THEOREMS[id].entry.
 CLOSED_FORMS = {
-    "3.1": (lambda n, k, jp: coeff_laguerre_in_hermite(n, k), literal_laguerre_in_hermite),
-    "3.2": (lambda n, k, jp: coeff_hermite_in_laguerre(n, k), literal_hermite_in_laguerre),
-    "3.3": (lambda n, k, jp: coeff_hermite_in_shifted_jacobi(n, jp, k),
-            literal_hermite_in_shifted_jacobi),
-    "3.4": (lambda n, k, jp: coeff_shifted_jacobi_in_hermite(n, jp, k),
-            literal_shifted_jacobi_in_hermite),
+    "3.1": literal_laguerre_in_hermite,
+    "3.2": literal_hermite_in_laguerre,
+    "3.3": literal_hermite_in_shifted_jacobi,
+    "3.4": literal_shifted_jacobi_in_hermite,
 }
 
 
@@ -675,8 +670,8 @@ def test_closed_forms_match_literal_fraction_bodies(theorem, nk, alpha, beta):
     """Equal values on regular parameters, the same error type on degenerate ones."""
     n, k = nk
     jp = JacobiParams(alpha, beta)
-    kernel, literal = CLOSED_FORMS[theorem]
-    assert _outcome(kernel, n, k, jp) == _outcome(literal, n, k, jp)
+    entry = connection.THEOREMS[theorem].entry
+    assert _outcome(entry, n, jp, k) == _outcome(CLOSED_FORMS[theorem], n, k, jp)
 
 
 def literal_ismail_32_rhs(a, b, c, z, w):

@@ -101,7 +101,7 @@ print(before, sorted(m for m in sys.modules if m.startswith("polyconnect.")))
 _F = Fraction
 _JP = JacobiParams(_F(1, 2), _F(-1, 3))
 _JP_REPR = "JacobiParams(alpha=Fraction(1, 2), beta=Fraction(-1, 3))"
-_ROW = THEOREMS["3.1"].row
+_THM31 = THEOREMS["3.1"]
 _ENTRY_REPR = (
     "VerificationEntry(n=2, match=False, residual=Poly([1]), first_mismatch=0,"
     " alpha=Fraction(1, 2), beta=Fraction(-1, 3), error=None)"
@@ -143,13 +143,13 @@ _RECORDS = {
         (BasisId("hermite"), BasisId("laguerre"), 1, (_F(2),), "Thm3.2"),
     ),
     Theorem: (
-        lambda: Theorem("3.1", "laguerre", "hermite", _ROW, "Thm3.1"),
-        lambda: Theorem(id="3.1", source="laguerre", target="hermite", row=_ROW,
-                        provenance="Thm3.1"),
-        lambda: Theorem("3.1", "laguerre", "hermite", lambda n, jp: (), "Thm3.1"),
-        f"Theorem(id='3.1', source='laguerre', target='hermite', row={_ROW!r},"
-        " provenance='Thm3.1')",
-        ("3.1", "laguerre", "hermite", _ROW, "Thm3.1"),
+        lambda: Theorem("3.1", "laguerre", "hermite", _THM31.entry, _THM31.fast, "Thm3.1"),
+        lambda: Theorem(id="3.1", source="laguerre", target="hermite", entry=_THM31.entry,
+                        fast=_THM31.fast, provenance="Thm3.1"),
+        lambda: Theorem("3.1", "laguerre", "hermite", _THM31.entry, lambda n, jp: (), "Thm3.1"),
+        f"Theorem(id='3.1', source='laguerre', target='hermite', entry={_THM31.entry!r},"
+        f" fast={_THM31.fast!r}, provenance='Thm3.1')",
+        ("3.1", "laguerre", "hermite", _THM31.entry, _THM31.fast, "Thm3.1"),
     ),
     ExpansionParams: (
         lambda: ExpansionParams(1, "2", _F(3)),

@@ -84,12 +84,15 @@ it is linear in F(m), ..., F(m+4), with coefficients polynomial in
 first-order recurrence 2(m+b+1) F(m+1) = (m-n)(m+n+l) F(m).  F(m) = 0 for
 m > n, so summed over 0 <= i <= I = floor((n-j)/2), beyond which every term
 vanishes, D(j) = W_0 - W_{I+1} = 0.  (j-n)(j+n+l) is nonzero for j < n
-unless lam is a negative integer, where the row is evaluated entry by entry.
+unless lam is a negative integer, where Theorem.row evaluates the entries.
 
 Thm3.3.  Both rows (_hermite_in_jacobi_row) are not a recurrence but the
-entry-by-entry closed form written over one denominator.  The last two tests
-check that on regular parameters they equal coeff_hermite_in_shifted_jacobi,
-over d > 0, and that degenerate rows keep its values and errors.
+entry-by-entry closed form written over one denominator.  The last two
+tests, each run for Thm3.3, Thm3.3-corrected and Thm3.4, check that on
+regular parameters the fast rows equal the literal entries
+(THEOREMS[id].entry), over d > 0, and that on degenerate ones Theorem.row,
+the one fallback, keeps the entries' values and errors, a Jacobi source
+member's first.
 
 Only the standard library, pytest and hypothesis are used here.
 """
@@ -109,10 +112,6 @@ from polyconnect import (
     PolyConnectError,
     basis_poly,
     closed_form_connection,
-    coeff_hermite_in_laguerre,
-    coeff_hermite_in_shifted_jacobi,
-    coeff_laguerre_in_hermite,
-    coeff_shifted_jacobi_in_hermite,
 )
 from polyconnect import connection
 
@@ -132,7 +131,6 @@ def _factorials(sign: int, power_of_two: int, top: Sequence[int], bottom: Sequen
 class Certified(NamedTuple):
     """One row recurrence: the summand, the operator and the certificate."""
 
-    coefficient: Callable[[int, int], Fraction]  # the literal coeff_*, c_{n,k}
     term: Callable[[int, int, int], Fraction]  # t(n, k, j)
     operator: Callable[[int, int], tuple]  # (p_0, p_1, p_2, p_3) at (n, k)
     certificate: Callable[[int, int, int], Fraction]  # G(n, k, j)
@@ -140,7 +138,6 @@ class Certified(NamedTuple):
 
 CERTIFIED = {
     "3.1": Certified(
-        coeff_laguerre_in_hermite,
         lambda n, k, j: _factorials(
             (-1) ** k, -k - 2 * j, [n], [k, n - k - 2 * j, k + 2 * j, j]
         ),
@@ -155,7 +152,6 @@ CERTIFIED = {
         ),
     ),
     "3.2": Certified(
-        coeff_hermite_in_laguerre,
         lambda n, k, j: _factorials(
             (-1) ** (k + j), n - 2 * j, [n, n - 2 * j], [k, n - k - 2 * j, j]
         ),
@@ -191,12 +187,26 @@ def _row(theorem: str, n: int, jp=None) -> tuple:
     return tuple(Fraction(r, den) for r in num)
 
 
+def _entries(theorem: str, n: int, jp=None):
+    """THEOREMS[theorem].entry at k = 0..n, the literal series, or the class
+    and message of the first error: a Jacobi source member's (its degree is
+    checked first), then the entries'."""
+    record = connection.THEOREMS[theorem]
+    try:
+        if jp is not None:
+            basis_poly(connection.basis(record.source, jp), n)
+        return tuple(record.entry(n, jp, k) for k in range(n + 1))
+    except PolyConnectError as exc:
+        return type(exc), str(exc)
+
+
 @pytest.mark.parametrize("theorem", THEOREM_IDS)
 def test_terms_sum_to_the_literal_coefficients(theorem):
     c = CERTIFIED[theorem]
     for n in range(21):
+        entries = _entries(theorem, n)
         for k in range(n + 1):
-            assert sum(c.term(n, k, j) for j in _support(n, k)) == c.coefficient(n, k), (n, k)
+            assert sum(c.term(n, k, j) for j in _support(n, k)) == entries[k], (n, k)
 
 
 @pytest.mark.parametrize("theorem", THEOREM_IDS)
@@ -241,7 +251,7 @@ def test_rows_satisfy_the_certified_recurrence(theorem):
     c = CERTIFIED[theorem]
     for n in range(41):
         row = _row(theorem, n) + (0, 0, 0)
-        assert row[n] == c.coefficient(n, n)
+        assert row[n] == connection.THEOREMS[theorem].entry(n, None, n)
         for k in range(n):
             p = c.operator(n, k)
             assert p[0] != 0
@@ -250,10 +260,8 @@ def test_rows_satisfy_the_certified_recurrence(theorem):
 
 @pytest.mark.parametrize("theorem", THEOREM_IDS)
 def test_rows_equal_the_literal_series(theorem):
-    c = CERTIFIED[theorem]
     for n in range(81):
-        row = _row(theorem, n)
-        assert row == tuple(c.coefficient(n, k) for k in range(n + 1)), n
+        assert _row(theorem, n) == _entries(theorem, n), n
 
 
 @pytest.mark.parametrize("source, target", [
@@ -325,9 +333,10 @@ def test_thm34_terms_sum_to_the_literal_coefficients():
         for n in range(17):
             f = _thm34_f(n, b, lam)
             k = (-1) ** n * _rising(b + 1, n) / math.factorial(n)
+            entries = _entries("3.4", n, jp)
             for j in range(n + 1):
                 g = sum(f(j + 2 * i) / math.factorial(i) for i in range((n - j) // 2 + 1))
-                assert k * g / math.factorial(j) == coeff_shifted_jacobi_in_hermite(n, jp, j)
+                assert k * g / math.factorial(j) == entries[j]
 
 
 def test_thm34_termwise_identity_holds_for_any_values():
@@ -379,7 +388,7 @@ def test_thm34_rows_satisfy_the_recurrence_and_equal_the_literal_series():
             if n:
                 k *= -(b + n) / n  # K = (-1)^n (b+1)_n / n!
             row = _row("3.4", n, jp)
-            assert row == tuple(coeff_shifted_jacobi_in_hermite(n, jp, j) for j in range(n + 1))
+            assert row == _entries("3.4", n, jp)
             g = [math.factorial(j) * c / k for j, c in enumerate(row)] + [0] * 4
             for j in range(n):
                 assert (j - n) * (j + n + lam) * g[j] == (
@@ -397,80 +406,39 @@ _degenerate = st.one_of(
 )
 
 
-def _thm34_literal(n: int, jp: JacobiParams):
-    """closed_form_connection's Thm3.4 coefficients entry by entry, or the
-    class and message of its error (a degenerate source member's first)."""
-    try:
-        source = BasisId("shifted-jacobi", jp)
-        if not connection._always_graded(source):
-            basis_poly(source, n)
-        return tuple(coeff_shifted_jacobi_in_hermite(n, jp, j) for j in range(n + 1))
-    except PolyConnectError as exc:
-        return type(exc), str(exc)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.one_of(
-    st.tuples(_rationals, _rationals),
-    _rationals.map(lambda a: (a, -1 - a)),  # lam = 0
-), st.integers(min_value=0, max_value=40))
-def test_thm34_recurrence_rows_equal_the_entry_rows(params, n):
-    jp = JacobiParams(*params)
-    assume(connection._regular(jp))  # a degenerate draw is the next test's case
-    row = _row("3.4", n, jp)
-    assert row == tuple(coeff_shifted_jacobi_in_hermite(n, jp, j) for j in range(n + 1))
-
-
-@settings(max_examples=80, deadline=None)
-@given(_degenerate, st.integers(min_value=0, max_value=12))
-def test_thm34_degenerate_rows_keep_the_entry_values_and_errors(params, n):
-    jp = JacobiParams(*params)
-    assert not connection._regular(jp)
-    source = BasisId("shifted-jacobi", jp)
-    try:
-        got = closed_form_connection(source, HERMITE, n).coefficients
-    except PolyConnectError as exc:
-        got = type(exc), str(exc)
-    assert got == _thm34_literal(n, jp)
-
-
-def _thm33_entries(n: int, jp: JacobiParams, sign: int):
-    """coeff_hermite_in_shifted_jacobi entry by entry, or the class and
-    message of its first error."""
-    try:
-        return tuple(coeff_hermite_in_shifted_jacobi(n, jp, m, sign) for m in range(n + 1))
-    except PolyConnectError as exc:
-        return type(exc), str(exc)
-
-
 _below_minus_one = st.fractions(min_value=-6, max_value=-1, max_denominator=4)
 _negative_lam = _below_minus_one.filter(lambda lam: lam.denominator > 1)
+#: Theorem -> the largest n drawn for its regular rows.
+_N_MAX = {"3.3": 30, "3.3c": 30, "3.4": 40}
 
 
+@pytest.mark.parametrize("theorem", sorted(_N_MAX))
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(
     st.tuples(_rationals, _rationals),
     st.tuples(_below_minus_one, _rationals),  # alpha < -1
     st.tuples(_rationals, _negative_lam).map(lambda t: (t[0], t[1] - 1 - t[0])),
     _rationals.map(lambda a: (a, -1 - a)),  # lam = 0
-), st.sampled_from([1, -1]), st.integers(min_value=0, max_value=30))
-@example((Fraction(-3, 2), Fraction(1, 3)), 1, 12)  # a negative raw denominator
-@example((Fraction(-3, 2), Fraction(1, 3)), -1, 12)
-@example((Fraction(1, 2), Fraction(-3, 2)), -1, 12)  # lam = 0
-def test_thm33_rows_equal_the_entry_rows(params, sign, n):
+), st.integers(min_value=0, max_value=max(_N_MAX.values())))
+@example((Fraction(-3, 2), Fraction(1, 3)), 12)  # a negative raw denominator
+@example((Fraction(1, 2), Fraction(-3, 2)), 12)  # lam = 0
+def test_fast_rows_equal_the_entry_rows(theorem, params, n):
     jp = JacobiParams(*params)
+    assume(n <= _N_MAX[theorem])
     assume(connection._regular(jp))  # a degenerate draw is the next test's case
-    assert _row("3.3" if sign == 1 else "3.3c", n, jp) == _thm33_entries(n, jp, sign)
+    assert _row(theorem, n, jp) == _entries(theorem, n, jp)
 
 
+@pytest.mark.parametrize("theorem", sorted(_N_MAX))
 @settings(max_examples=80, deadline=None)
-@given(_degenerate, st.sampled_from(["3.3", "3.3c"]), st.integers(min_value=0, max_value=12))
-def test_thm33_degenerate_rows_keep_the_entry_values_and_errors(params, theorem, n):
+@given(_degenerate, st.integers(min_value=0, max_value=12))
+def test_degenerate_rows_keep_the_entry_values_and_errors(theorem, params, n):
     jp = JacobiParams(*params)
     assert not connection._regular(jp)
-    target = BasisId("jacobi-1mx", jp)
+    record = connection.THEOREMS[theorem]
+    source, target = connection.basis(record.source, jp), connection.basis(record.target, jp)
     try:
-        got = closed_form_connection(HERMITE, target, n, theorem).coefficients
+        got = closed_form_connection(source, target, n, theorem).coefficients
     except PolyConnectError as exc:
         got = type(exc), str(exc)
-    assert got == _thm33_entries(n, jp, 1 if theorem == "3.3" else -1)
+    assert got == _entries(theorem, n, jp)

@@ -34,7 +34,7 @@ from .connection import (
 )
 from .errors import InvalidInputError, PolyConnectError
 from .polybases import JacobiParams
-from .rationals import check_index, parse_rational, rational_to_str
+from .rationals import check_index, parse_rational, rational_to_str, shown
 
 #: The lemma ids of verify, the keys of sweeps.LEMMA_SWEEPS.  That module
 #: (with expansions and random) is imported only when a lemma is verified.
@@ -189,7 +189,7 @@ def _cmd_verify(ns) -> int:
         rows = (
             (ns.theorem, i, e["match"], e["residual"], verdict) for i, e in enumerate(entries)
         )
-        payload = {
+        payload = None if ns.format == "csv" else {
             "theorem": ns.theorem,
             "params": {"cases": ns.cases, "seed": ns.seed},
             "entries": [
@@ -214,7 +214,7 @@ def _cmd_verify(ns) -> int:
             )
             for e in report.entries
         )
-        payload = report.to_json()
+        payload = None if ns.format == "csv" else report.to_json()
     _emit(ns, header, rows, payload)
     if verdict == "error":
         print("error: some verification entries could not be built", file=sys.stderr)
@@ -312,10 +312,10 @@ def _parse(argv):
     try:
         argv, extras = list(argv), []
     except TypeError:
-        raise InvalidInputError(f"argv must be an iterable of str, got {argv!r}") from None
+        raise InvalidInputError(f"argv must be an iterable of str, got {shown(argv)}") from None
     for token in argv:
         if not isinstance(token, str):
-            raise InvalidInputError(f"argv must be an iterable of str, got the token {token!r}")
+            raise InvalidInputError(f"argv must be an iterable of str, got the token {shown(token)}")
     for i, token in enumerate(argv):
         found = None if token == "--" else _option(token, _HELP)
         if found is None:

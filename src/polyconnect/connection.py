@@ -86,6 +86,7 @@ from .rationals import (
     ratio_str,
     rational_to_str,
     rising,
+    shown,
 )
 from .records import Frozen, Record
 
@@ -184,7 +185,7 @@ class BasisId(Frozen):
 
     def __init__(self, family: str, params: Optional[JacobiParams] = None):
         if not isinstance(family, str) or family not in FAMILIES:
-            raise InvalidInputError(f"unknown basis family {family!r}")
+            raise InvalidInputError(f"unknown basis family {shown(family)}")
         if family in JACOBI_FAMILIES:
             if params is None:
                 raise InvalidInputError(f"{family} basis requires Jacobi parameters")
@@ -620,7 +621,7 @@ def coeff_hermite_in_shifted_jacobi(
     """
     _check_pair(n, m, "n", "m")
     if type(argument_sign) is not int or argument_sign not in (1, -1):
-        raise InvalidInputError(f"argument_sign must be 1 or -1, got {argument_sign!r}")
+        raise InvalidInputError(f"argument_sign must be 1 or -1, got {shown(argument_sign)}")
     lp, lq = check_instance(jp, JacobiParams).lam.as_integer_ratio()
     ap, aq = jp.alpha.as_integer_ratio()
     a, b = sum_pairs(
@@ -849,7 +850,7 @@ def _theorem(theorem: object) -> Theorem:
     """The THEOREMS record with this id; anything else is InvalidInputError."""
     record = THEOREMS.get(theorem) if isinstance(theorem, str) else None
     if record is None:
-        raise InvalidInputError(f"unknown theorem id {theorem!r}")
+        raise InvalidInputError(f"unknown theorem id {shown(theorem)}")
     return record
 
 
@@ -988,13 +989,13 @@ def verify_theorem(
             sets = tuple(param_sets if param_sets is not None else DEFAULT_JACOBI_SWEEP)
         except TypeError:
             raise InvalidInputError(
-                f"param_sets must hold JacobiParams, got {param_sets!r}"
+                f"param_sets must hold JacobiParams, got {shown(param_sets)}"
             ) from None
         if not sets:
             raise InvalidInputError(f"theorem {theorem} needs at least one Jacobi parameter set")
         for jp in sets:
             if not isinstance(jp, JacobiParams):
-                raise InvalidInputError(f"param_sets must hold JacobiParams, got {jp!r}")
+                raise InvalidInputError(f"param_sets must hold JacobiParams, got {shown(jp)}")
     elif param_sets is not None:
         raise InvalidInputError(f"theorem {theorem} takes no Jacobi parameters")
     report = VerificationReport(

@@ -56,6 +56,7 @@ from .rationals import (
     pochhammer_list,
     rational_to_str,
     rising,
+    shown,
 )
 from .records import Frozen
 
@@ -69,7 +70,7 @@ def coeff_seq(data: Mapping[int, RationalLike]) -> dict[int, Fraction]:
     """Normalize a finite-support sequence: coerce values, drop zeros.  A
     non-mapping raises InvalidInputError."""
     if not isinstance(data, Mapping):
-        raise InvalidInputError(f"expected a mapping of index to rational, got {data!r}")
+        raise InvalidInputError(f"expected a mapping of index to rational, got {shown(data)}")
     out = {}
     for index, value in data.items():
         check_index(index, "sequence index")
@@ -85,7 +86,7 @@ def delta_seq(index: int, value: RationalLike = 1) -> dict[int, Fraction]:
 
 
 def coeff_seq_to_json(seq: CoeffSeq) -> dict:
-    return {str(i): str(v) for i, v in sorted(coeff_seq(seq).items())}
+    return {rational_to_str(i): rational_to_str(v) for i, v in sorted(coeff_seq(seq).items())}
 
 
 class ExpansionParams(Frozen):

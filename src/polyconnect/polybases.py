@@ -29,6 +29,7 @@ from .rationals import (
     lift,
     pochhammer,
     ratio_str,
+    shown,
 )
 from .records import Frozen
 
@@ -102,7 +103,7 @@ class Poly:
     def coeff(self, k: int) -> Fraction:
         """The coefficient of x^k; 0 for any k outside 0..degree."""
         if isinstance(k, bool) or not isinstance(k, int):
-            raise InvalidInputError(f"k must be an integer, got {k!r}")
+            raise InvalidInputError(f"k must be an integer, got {shown(k)}")
         return self.coefficients[k] if 0 <= k <= self.degree else Fraction(0)
 
     def __call__(self, x: RationalLike) -> Fraction:
@@ -166,7 +167,7 @@ class Poly:
     @staticmethod
     def from_json(data: list[str]) -> "Poly":
         if not isinstance(data, (list, tuple)):
-            raise InvalidInputError(f"polynomial JSON must be an array, got {data!r}")
+            raise InvalidInputError(f"polynomial JSON must be an array, got {shown(data)}")
         return Poly(data)
 
 

@@ -3,7 +3,8 @@
 Every scalar in this library is an arbitrary-precision ``fractions.Fraction``,
 which is always kept in canonical form (positive denominator, fully reduced).
 Nothing here ever rounds.  ratio_str is the one wire form of a rational, so
-an integer row's entries reach stdout without a Fraction being built.
+an integer row's entries reach stdout without a Fraction being built, and
+shown is the one form of a rejected value in an error message.
 """
 
 import math
@@ -28,18 +29,18 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise InvalidInputError(f"not an exact rational: {value!r}")
+        raise InvalidInputError(f"not an exact rational: {shown(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
-    raise InvalidInputError(f"not an exact rational: {value!r}")
+    raise InvalidInputError(f"not an exact rational: {shown(value)}")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or a bare integer string "n" into a Fraction."""
     if not isinstance(text, str):
-        raise InvalidInputError(f"expected a rational string, got {text!r}")
+        raise InvalidInputError(f"expected a rational string, got {shown(text)}")
     s = text.strip()
     try:
         if not _RATIONAL_RE.fullmatch(s):
@@ -74,17 +75,27 @@ def rational_to_str(value: RationalLike) -> str:
     return ratio_str(*as_rational(value).as_integer_ratio())
 
 
+def shown(value: object) -> str:
+    """A rejected value as an error message shows it: its repr, or, where
+    that repr passes the int-to-string digit limit and raises ValueError,
+    "<TYPE past the int-to-string digit limit>", with no memory address."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} past the int-to-string digit limit>"
+
+
 def check_index(value: int, name: str) -> int:
     """Return value if it is a nonnegative int (bool excluded), else raise."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise InvalidInputError(f"{name} must be a nonnegative integer, got {value!r}")
+        raise InvalidInputError(f"{name} must be a nonnegative integer, got {shown(value)}")
     return value
 
 
 def check_instance(value: object, cls: type):
     """Return value if it is an instance of cls, else raise InvalidInputError."""
     if not isinstance(value, cls):
-        raise InvalidInputError(f"expected {cls.__name__}, got {value!r}")
+        raise InvalidInputError(f"expected {cls.__name__}, got {shown(value)}")
     return value
 
 
@@ -96,7 +107,7 @@ def as_rationals(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     try:
         items = map(as_rational, values)
     except TypeError:
-        raise InvalidInputError(f"expected a sequence of rationals, got {values!r}") from None
+        raise InvalidInputError(f"expected a sequence of rationals, got {shown(values)}") from None
     return tuple(items)
 
 

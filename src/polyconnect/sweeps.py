@@ -4,10 +4,9 @@ Each sweep draws random instances from the documented sample pools, skips
 draws that violate a precondition (non-terminating part, pole in range),
 and keeps going until the requested number of valid cases has been checked.
 Identical seeds give identical case sequences.  Entries record the exact
-residual lhs - rhs, "0" for a match and otherwise the difference's string,
-taken only then, and the drawn inputs, each rendered once as JSON, by its
-exact type, in one place (_to_json); a sweep passes only if every residual
-is zero.
+residual lhs - rhs, "0" for a match and otherwise its wire form
+(rational_to_str), taken only then, and the drawn inputs as the draw
+returned them, unrendered; a sweep passes only if every residual is zero.
 """
 
 import random
@@ -24,7 +23,7 @@ from .expansions import (
     fields_wimp_terminating,
 )
 from .hypseries import HypSeries, evaluate_terminating, split_even_odd
-from .rationals import check_index
+from .rationals import check_index, rational_to_str
 
 _F = Fraction
 
@@ -51,28 +50,14 @@ _WIMP_ARG_POOL = (_F(1), _F(-1), _F(1, 2), _F(-1, 2), _F(1, 4), _F(-1, 4))
 MAX_DRAWS_PER_CASE = 100
 
 
-def _to_json(value):
-    """A drawn input as JSON, rendered once, by its exact type and without
-    normalising it again: an int (a degree) as is, a Fraction as its
-    string, a parameter tuple as a list of them, and a sequence, drawn
-    already normalised (nonzero Fraction values), as coeff_seq_to_json
-    renders it."""
-    kind = type(value)
-    if kind is Fraction:
-        return str(value)
-    if kind is tuple:
-        return list(map(str, value))
-    if kind is dict:
-        return {str(i): str(v) for i, v in sorted(value.items())}
-    return value if isinstance(value, int) else str(value)
-
-
 def _sweep(cases: int, seed: int, draw) -> list[dict]:
     """Entries for ``cases`` draws of ``draw(rng, index) -> (lhs, rhs, case)``
-    from one seeded rng, each drawn input in case rendered by _to_json,
-    skipping draws that raise PolyConnectError; raises PolyConnectError after
-    cases * MAX_DRAWS_PER_CASE draws.  A residual is "0" when lhs == rhs and
-    is taken as str(lhs - rhs) only for a mismatch."""
+    from one seeded rng, skipping draws that raise PolyConnectError; raises
+    PolyConnectError after cases * MAX_DRAWS_PER_CASE draws.  A residual is
+    "0" when lhs == rhs and is taken as rational_to_str(lhs - rhs) only for a
+    mismatch.  Each entry's case is the dict the draw returned, holding the
+    drawn objects themselves (the first bilinear draws hold the dicts of
+    _FIXED_SEQ_PAIRS): read them, never mutate them."""
     rng = random.Random(seed)
     entries = []
     for _ in range(check_index(cases, "cases") * MAX_DRAWS_PER_CASE):
@@ -86,8 +71,8 @@ def _sweep(cases: int, seed: int, draw) -> list[dict]:
         entries.append({
             "n": len(entries),
             "match": match,
-            "residual": "0" if match else str(lhs - rhs),
-            "case": {name: _to_json(value) for name, value in case.items()},
+            "residual": "0" if match else rational_to_str(lhs - rhs),
+            "case": case,
         })
     if len(entries) < cases:
         raise PolyConnectError(

@@ -26,6 +26,11 @@ CONNECTION = "src/polyconnect/connection.py"
 ROWS = ("tests/test_connection.py::TestClosedFormConnection::"
         "test_rows_are_integers_over_one_positive_denominator")
 PAIR = "tests/test_contract.py::test_an_explicit_theorem_given_another_pair_names_its_own_pair"
+SWEEPS = "src/polyconnect/sweeps.py"
+HYPSERIES = "src/polyconnect/hypseries.py"
+SPLIT = "tests/test_hypseries.py::test_split_identity_on_fixed_grid"
+SPLIT_SWEEP = ("tests/test_expansions.py::test_sweeps_pass_and_are_deterministic"
+               "[sweep_even_odd_split]")
 
 #: (name, file, exact snippet, replacement, test ids that must fail)
 CATALOGUE = [
@@ -72,6 +77,51 @@ CATALOGUE = [
         'f"no closed form for {pair}" if theorem is None else (',
         'f"no closed form for {pair}" if True else (',
         [f"{PAIR}[3.2]", f"{PAIR}[3.4]"],
+    ),
+    (
+        "_sweep: the residual written as \"0\" for every draw",
+        SWEEPS,
+        '"residual": "0" if match else rational_to_str(lhs - rhs),',
+        '"residual": "0",',
+        ["tests/test_expansions.py::test_sweep_renders_a_residual_only_for_a_mismatch",
+         "tests/test_contract.py::test_values_rendered_past_the_int_to_string_limit_raise"
+         "[sweep-residual]"],
+    ),
+    (
+        "_draw_luke_terminating: the case drops its c_list key",
+        SWEEPS,
+        '"c_list": cr, ',
+        "",
+        ["tests/test_expansions.py::test_sweep_cases_match_recorded_digest"
+         "[sweep_luke_terminating]"],
+    ),
+    (
+        "split_even_odd: odd numerators (*a1, *a0)",
+        HYPSERIES,
+        "odd = HypSeries._from_fractions((*a1, *a2),",
+        "odd = HypSeries._from_fractions((*a1, *a0),",
+        [SPLIT, SPLIT_SWEEP],
+    ),
+    (
+        "split_even_odd: odd denominators (3/2, *b0, *b2)",
+        HYPSERIES,
+        "(Fraction(3, 2), *b1, *b2)",
+        "(Fraction(3, 2), *b0, *b2)",
+        [SPLIT, SPLIT_SWEEP],
+    ),
+    (
+        "split_even_odd: even numerators (*a0, *a2)",
+        HYPSERIES,
+        "even = HypSeries._from_fractions((*a0, *a1),",
+        "even = HypSeries._from_fractions((*a0, *a2),",
+        [SPLIT, SPLIT_SWEEP],
+    ),
+    (
+        "split_even_odd: even numerators stored as a list, not a tuple",
+        HYPSERIES,
+        "even = HypSeries._from_fractions((*a0, *a1),",
+        "even = HypSeries._from_fractions([*a0, *a1],",
+        ["tests/test_hypseries.py::test_split_series_shapes"],
     ),
 ]
 

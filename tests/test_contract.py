@@ -44,7 +44,7 @@ from polyconnect import (
     truncation_index,
     verify_theorem,
 )
-from polyconnect import cli
+from polyconnect import cli, sweeps
 from polyconnect.connection import FAMILIES, THEOREMS, basis
 from polyconnect.sweeps import LEMMA_SWEEPS
 
@@ -293,6 +293,59 @@ def test_reprs_past_the_int_to_string_limit_are_objects_default():
                       "ConnectionResult(source=BasisId(family='laguerre', params=None), "
                       "target=BasisId(family='hermite', params=None), degree=400, "
                       f"coefficients={result.coefficients!r}, provenance='Thm3.1')")
+
+
+#: More digits (701) than the 640 the tests below let int-to-string read.
+_BIG = 10**700
+
+
+@pytest.fixture
+def digit_limit_640():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("argv", [["poly", _BIG], _BIG], ids=["token", "argv"])
+def test_cli_argv_past_the_int_to_string_limit_exits_2(argv, digit_limit_640):
+    rc, out, err = _run_captured(argv)
+    assert (rc, out) == (2, "") and _one_error_line(err)
+    assert "<int past the int-to-string digit limit>" in err
+    assert not cli._RESPONSES
+
+
+@pytest.mark.parametrize("call", [
+    lambda: polyconnect.hermite(-_BIG),
+    lambda: polyconnect.connection_oracle(_BIG, HERMITE),
+    lambda: Poly([1]).coeff(F(_BIG, 3)),
+    lambda: Poly.from_json(_BIG),
+    lambda: polyconnect.as_rational([_BIG]),
+    lambda: parse_rational(_BIG),
+    lambda: polyconnect.rationals.as_rationals(_BIG),
+    lambda: coeff_seq(_BIG),
+    lambda: BasisId(_BIG),
+    lambda: coeff_hermite_in_shifted_jacobi(1, JacobiParams(0, 0), 0, _BIG),
+    lambda: verify_theorem(_BIG, 1),
+    lambda: verify_theorem("3.4", 1, _BIG),
+    lambda: verify_theorem("3.4", 1, [_BIG]),
+], ids=["check-index", "check-instance", "poly-coeff", "poly-json", "as-rational",
+        "parse-rational", "as-rationals", "coeff-seq", "basis-id", "argument-sign",
+        "theorem-id", "param-sets", "param-set"])
+def test_messages_show_values_past_the_int_to_string_limit(call, digit_limit_640):
+    """A rejected value whose repr passes the limit is shown by its type."""
+    with pytest.raises(InvalidInputError, match=r"<\w+ past the int-to-string digit limit>"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: polyconnect.coeff_seq_to_json({0: _BIG}),
+    lambda: polyconnect.coeff_seq_to_json({_BIG: 1}),
+    lambda: sweeps._sweep(1, 0, lambda rng, index: (F(_BIG, 3), 0, {})),
+], ids=["sequence-value", "sequence-index", "sweep-residual"])
+def test_values_rendered_past_the_int_to_string_limit_raise(call, digit_limit_640):
+    with pytest.raises(PolyConnectError, match="PYTHONINTMAXSTRDIGITS"):
+        call()
 
 
 #: Every public callable but the exception classes.

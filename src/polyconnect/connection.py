@@ -39,7 +39,7 @@ is an integer prefactor times a terminating series whose parameters are
 integer pairs (p, q) for p/q, not reduced, and hypseries.sum_pairs returns
 its value as an unreduced pair (a, b).  A ConnectionResult holds its row,
 renders it straight to strings (rationals.ratio_str) and builds Fractions
-only when its coefficients are read.
+from it only where its coefficients are read, afresh on each read.
 
 ``verify_theorem`` compares each closed-form row with its table row in
 integers, R_i e == S_i d.  Equal rows match with a zero residual, and verify
@@ -192,8 +192,7 @@ class BasisId(Frozen):
             check_instance(params, JacobiParams)
         elif params is not None:
             raise InvalidInputError(f"{family} basis takes no parameters")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "params", params)
+        self._fill(family, params)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -235,15 +234,15 @@ class ConnectionResult(Frozen):
     coefficients[k] multiplies the target's degree-k member; provenance names
     the closed form used, or "Oracle" for the brute-force conversion.  The
     constructor checks source, target, degree and provenance and coerces the
-    coefficients (rationals.as_rationals).  As in Poly, the one canonical
-    form is the Row (R, d): the constructor lifts the coefficients into it
-    once, and to_json, to_csv_rows and reconstruct read it.  The Fraction
-    tuple is only a cache, built on the first read of coefficients.  The row
-    is outside the fields: equality, hash, repr and pickling read the cache.
+    coefficients (rationals.as_rationals).  As in Poly, the one form held
+    is the Row (R, d): the constructor lifts the coefficients into it once,
+    and to_json, to_csv_rows and reconstruct read it.  coefficients builds
+    the Fraction tuple from the row on each read.  The row is outside the
+    fields: equality, hash, repr and pickling read coefficients.
     """
 
     _fields = ("source", "target", "degree", "coefficients", "provenance")
-    __slots__ = ("source", "target", "degree", "_row", "provenance", "_coefficients")
+    __slots__ = ("source", "target", "degree", "_row", "provenance")
 
     def __init__(
         self,
@@ -257,18 +256,12 @@ class ConnectionResult(Frozen):
         check_instance(target, BasisId)
         check_index(degree, "degree")
         check_instance(provenance, str)
-        self._set(source, target, degree, lift(as_rationals(coefficients)), provenance, None)
-
-    def _set(self, *values) -> None:  # the slots, in order
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        self._fill(source, target, degree, lift(as_rationals(coefficients)), provenance)
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        if self._coefficients is None:
-            nums, den = self._row
-            object.__setattr__(self, "_coefficients", tuple(Fraction(r, den) for r in nums))
-        return self._coefficients
+        nums, den = self._row
+        return tuple(Fraction(r, den) for r in nums)
 
     def _strings(self) -> list[str]:
         """The coefficients' wire strings, rendered from the row."""
@@ -313,10 +306,8 @@ class ConnectionResult(Frozen):
 
 def _result(source: BasisId, target: BasisId, n: int, row: Row, provenance: str):
     """The ConnectionResult of a degree-n row (R, d), d > 0, reduced or not,
-    held as it is."""
-    result = ConnectionResult.__new__(ConnectionResult)
-    result._set(source, target, n, row, provenance, None)
-    return result
+    held as it is: born without the constructor's checks and coercion."""
+    return ConnectionResult.__new__(ConnectionResult)._fill(source, target, n, row, provenance)
 
 
 def _first_difference(row: Row, other: Row) -> Optional[int]:
@@ -806,8 +797,7 @@ class Theorem(Frozen):
         fast: Callable[[int, Optional[JacobiParams]], Row],
         provenance: str,
     ):
-        for name, value in zip(self._fields, (id, source, target, entry, fast, provenance)):
-            object.__setattr__(self, name, value)
+        self._fill(id, source, target, entry, fast, provenance)
 
     @property
     def needs_params(self) -> bool:

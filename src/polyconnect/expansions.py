@@ -103,9 +103,7 @@ class ExpansionParams(Frozen):
         mu: RationalLike = Fraction(1),
         theta: RationalLike = Fraction(1),
     ):
-        object.__setattr__(self, "gamma", as_rational(gamma))
-        object.__setattr__(self, "mu", as_rational(mu))
-        object.__setattr__(self, "theta", as_rational(theta))
+        self._fill(as_rational(gamma), as_rational(mu), as_rational(theta))
 
 
 def bilinear_lhs(

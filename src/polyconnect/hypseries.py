@@ -82,9 +82,7 @@ class HypSeries(Frozen):
         denominators: Iterable[RationalLike],
         argument: RationalLike,
     ):
-        object.__setattr__(self, "numerators", as_rationals(numerators))
-        object.__setattr__(self, "denominators", as_rationals(denominators))
-        object.__setattr__(self, "argument", as_rational(argument))
+        self._fill(as_rationals(numerators), as_rationals(denominators), as_rational(argument))
 
     @staticmethod
     def _from_fractions(
@@ -92,11 +90,7 @@ class HypSeries(Frozen):
     ) -> "HypSeries":
         """The series whose parameters are already tuples of Fractions and
         whose argument is a Fraction, stored as given: no as_rationals."""
-        series = HypSeries.__new__(HypSeries)
-        object.__setattr__(series, "numerators", numerators)
-        object.__setattr__(series, "denominators", denominators)
-        object.__setattr__(series, "argument", argument)
-        return series
+        return HypSeries.__new__(HypSeries)._fill(numerators, denominators, argument)
 
 
 def truncation_index(numerators: Iterable[RationalLike]) -> int:

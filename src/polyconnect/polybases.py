@@ -9,7 +9,7 @@ Normalizations:
 with a = jp.alpha, b = jp.beta, l = a + b + 1 throughout.
 
 Every member is held as an integer row, which is all the oracle reads (see
-Poly).
+Poly); its Fractions are built only where they are read.
 """
 
 import math
@@ -27,6 +27,7 @@ from .rationals import (
     check_index,
     check_instance,
     lift,
+    past_limit,
     pochhammer,
     ratio_str,
     shown,
@@ -38,13 +39,13 @@ class Poly:
     """Dense univariate polynomial with exact rational coefficients.
 
     Coefficients are ascending by degree with trailing zeros stripped; the
-    zero polynomial has none and degree -inf.  The one canonical form is the
+    zero polynomial has none and degree -inf.  The one form held is the
     reduced row (integer_form, a connection.Row), which every constructor
-    sets; the Fraction tuple (coefficients) is a cache, built on its first
-    read and kept.  Immutable and hashable.
+    sets once; coefficients, coeff and leading_coefficient build their
+    Fractions from the row on each read.  Immutable and hashable.
     """
 
-    __slots__ = ("_coeffs", "_integer_form")
+    __slots__ = ("_integer_form",)
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()):
         self._set(*lift(as_rationals(coefficients)))
@@ -58,14 +59,14 @@ class Poly:
 
     def _set(self, nums: Iterable[int], den: int) -> None:
         """Hold nums / den as the row: trailing zeros stripped, the sign moved
-        to the numerators, one gcd; no Fraction cached."""
+        to the numerators, one gcd; no Fraction built."""
         nums = list(nums)
         while nums and not nums[-1]:
             nums.pop()
         g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
         if g != 1:
             den, nums = den // g, [x // g for x in nums]
-        self._coeffs, self._integer_form = None, (tuple(nums), den)
+        self._integer_form = (tuple(nums), den)
 
     @staticmethod
     def monomial(degree: int, coefficient: RationalLike = 1) -> "Poly":
@@ -75,10 +76,8 @@ class Poly:
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        if self._coeffs is None:
-            nums, den = self._integer_form
-            self._coeffs = tuple(Fraction(x, den) for x in nums)
-        return self._coeffs
+        nums, den = self._integer_form
+        return tuple(Fraction(x, den) for x in nums)
 
     @property
     def integer_form(self) -> tuple[tuple[int, ...], int]:
@@ -98,13 +97,15 @@ class Poly:
 
     @property
     def leading_coefficient(self) -> Fraction:
-        return Fraction(0) if self.is_zero else self.coefficients[-1]
+        nums, den = self._integer_form
+        return Fraction(nums[-1], den) if nums else Fraction(0)
 
     def coeff(self, k: int) -> Fraction:
         """The coefficient of x^k; 0 for any k outside 0..degree."""
         if isinstance(k, bool) or not isinstance(k, int):
             raise InvalidInputError(f"k must be an integer, got {shown(k)}")
-        return self.coefficients[k] if 0 <= k <= self.degree else Fraction(0)
+        nums, den = self._integer_form
+        return Fraction(nums[k], den) if 0 <= k < len(nums) else Fraction(0)
 
     def __call__(self, x: RationalLike) -> Fraction:
         x = as_rational(x)
@@ -157,7 +158,7 @@ class Poly:
         try:
             return f"Poly([{', '.join(self.to_json())}])"
         except PolyConnectError:  # past the digit limit, as records.Record.__repr__
-            return object.__repr__(self)
+            return past_limit(self)
 
     def to_json(self) -> list[str]:
         """JSON form: array of rational strings, ascending degree."""
@@ -182,10 +183,7 @@ class JacobiParams(Frozen):
 
     def __init__(self, alpha: RationalLike, beta: RationalLike):
         alpha, beta = as_rational(alpha), as_rational(beta)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "lam", alpha + beta + 1)
-        object.__setattr__(self, "_hash", hash((alpha, beta)))
+        self._fill(alpha, beta, alpha + beta + 1, hash((alpha, beta)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -3,8 +3,9 @@
 Every scalar in this library is an arbitrary-precision ``fractions.Fraction``,
 which is always kept in canonical form (positive denominator, fully reduced).
 Nothing here ever rounds.  ratio_str is the one wire form of a rational, so
-an integer row's entries reach stdout without a Fraction being built, and
-shown is the one form of a rejected value in an error message.
+an integer row's entries reach stdout without a Fraction being built;
+shown is the one form of a rejected value in an error message, and
+past_limit that of a value past the int-to-string digit limit.
 """
 
 import math
@@ -78,11 +79,17 @@ def rational_to_str(value: RationalLike) -> str:
 def shown(value: object) -> str:
     """A rejected value as an error message shows it: its repr, or, where
     that repr passes the int-to-string digit limit and raises ValueError,
-    "<TYPE past the int-to-string digit limit>", with no memory address."""
+    past_limit(value)."""
     try:
         return repr(value)
     except ValueError:
-        return f"<{type(value).__name__} past the int-to-string digit limit>"
+        return past_limit(value)
+
+
+def past_limit(value: object) -> str:
+    """The text "<TYPE past the int-to-string digit limit>", with no memory
+    address: how messages and reprs show a value str cannot render."""
+    return f"<{type(value).__name__} past the int-to-string digit limit>"
 
 
 def check_index(value: int, name: str) -> int:

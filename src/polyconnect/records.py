@@ -4,16 +4,19 @@ print as dataclasses do, without importing ``dataclasses`` (and ``inspect``,
 
 A subclass names its fields in ``_fields``, in constructor order, lists them
 (and any value it derives from them) in ``__slots__``, and sets them in
-``__init__``; a Frozen one sets them with ``object.__setattr__``.
+``__init__``: a mutable one by assignment, a Frozen one with ``_fill``, the
+one place a slot of a Frozen record is ever written, once, at birth.
 """
+
+from .rationals import past_limit
 
 
 class Record:
     """Equal to a record of the same class with equal fields, never to
-    anything else; repr ``Name(field=value, ...)``, or object's default repr
-    where a field holds an integer past the interpreter's int-to-string
-    digit limit, so a repr never raises.  Unhashable, as a dataclass with
-    ``eq`` and without ``frozen`` is."""
+    anything else; repr ``Name(field=value, ...)``, or "<Name past the
+    int-to-string digit limit>" where a field holds an integer past the
+    interpreter's digit limit, so a repr never raises.  Unhashable, as a
+    dataclass with ``eq`` and without ``frozen`` is."""
 
     __slots__ = ()
     _fields: tuple = ()
@@ -31,7 +34,7 @@ class Record:
         try:
             fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         except ValueError:  # an int past sys.get_int_max_str_digits()
-            return object.__repr__(self)
+            return past_limit(self)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):  # copy and pickle rebuild through the constructor
@@ -39,10 +42,18 @@ class Record:
 
 
 class Frozen(Record):
-    """A Record that cannot be changed after ``__init__``: assigning or
-    deleting an attribute raises AttributeError.  Hashed by its fields."""
+    """A Record whose slots are written once, by _fill, and never again:
+    assigning or deleting an attribute raises AttributeError.  Hashed by its
+    fields."""
 
     __slots__ = ()
+
+    def _fill(self, *values):
+        """Set the slots to values in __slots__ order and return self, so
+        cls.__new__(cls)._fill(...) builds a record without __init__."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
 
     def __hash__(self):
         return hash(self._values())

@@ -4,13 +4,15 @@ Run from anywhere with ``python tests/mutants.py``; it needs pytest and
 hypothesis, as the suite does, and nothing else.  pytest does not collect
 this file (its name does not start with ``test_``).
 
-For each mutant the runner copies ``src/``, ``tests/`` and ``pyproject.toml``
-to a temporary directory; pyproject's ``pythonpath = ["src"]`` then imports
-the copy, not this checkout.  It runs the mutant's test ids on the unmutated
-copy and requires them to pass, replaces the one exact match of the snippet,
-and requires every one of those ids to fail.  It exits 1 if a mutant
-survives, a snippet does not match exactly once, or a test fails unmutated,
-so a refactor that moves a snippet must update the catalogue on purpose.
+The runner copies ``src/``, ``tests/``, ``pyproject.toml`` and
+``bench/digests.json`` (which the certify digest test reads) to a temporary
+directory; pyproject's ``pythonpath = ["src"]`` then imports the copy, not
+this checkout.  It runs every mutant's test ids on the unmutated copy, in one
+pytest run, and requires them to pass.  Then, for each mutant, it replaces
+the one exact match of the snippet, requires every one of the mutant's ids
+to fail, and restores the file.  It exits 1 if a mutant survives, a snippet
+does not match exactly once, or a test fails unmutated, so a refactor that
+moves a snippet must update the catalogue on purpose.
 """
 
 import os
@@ -31,6 +33,10 @@ HYPSERIES = "src/polyconnect/hypseries.py"
 SPLIT = "tests/test_hypseries.py::test_split_identity_on_fixed_grid"
 SPLIT_SWEEP = ("tests/test_expansions.py::test_sweeps_pass_and_are_deterministic"
                "[sweep_even_odd_split]")
+CLI = "src/polyconnect/cli.py"
+GOLDEN_POLY = "tests/test_golden_cli.py::test_stdout_matches_recorded_digests[poly]"
+HIT = "tests/test_connection.py::TestResponseMemo::test_a_hit_writes_what_the_miss_wrote"
+CERTIFY = "tests/test_kernels.py::test_certify_stdout_matches_recorded_digest"
 
 #: (name, file, exact snippet, replacement, test ids that must fail)
 CATALOGUE = [
@@ -123,6 +129,66 @@ CATALOGUE = [
         "even = HypSeries._from_fractions([*a0, *a1],",
         ["tests/test_hypseries.py::test_split_series_shapes"],
     ),
+    (
+        "_json: the compact separator without its space",
+        CLI,
+        'separator = "," + inner if newline else ", "',
+        'separator = "," + inner if newline else ","',
+        [GOLDEN_POLY],
+    ),
+    (
+        "_json: ints tested before bools",
+        CLI,
+        '        return "null"\n',
+        '        return "null"\n'
+        "    if isinstance(value, int):\n"
+        "        return int.__repr__(value)\n",
+        [f"{CERTIFY}[verify-3.1]", f"{CERTIFY}[verify-3.3]"],
+    ),
+    (
+        "ratio_str: the pair rendered unreduced",
+        "src/polyconnect/rationals.py",
+        "    g = math.gcd(num, den)\n",
+        "    g = 1\n",
+        [GOLDEN_POLY, f"{CERTIFY}[table]"],
+    ),
+    (
+        "ConnectionResult._strings: the row rendered without its last entry",
+        CONNECTION,
+        "        return [ratio_str(r, den) for r in nums]\n",
+        "        return [ratio_str(r, den) for r in nums[:-1]]\n",
+        [f"{CERTIFY}[table]"],
+    ),
+    (
+        "run: a hit written in one joined write",
+        CLI,
+        "        sys.stdout.writelines(texts)\n",
+        '        sys.stdout.write("".join(texts))\n',
+        [f"{HIT}[json]", f"{HIT}[csv]"],
+    ),
+    (
+        "run: nothing kept",
+        CLI,
+        "            _RESPONSES[key] = code\n",
+        "            pass\n",
+        [f"{HIT}[json]", f"{HIT}[csv]"],
+    ),
+    (
+        "Frozen._fill: the values zipped with _fields, not __slots__",
+        "src/polyconnect/records.py",
+        "zip(self.__slots__, values)",
+        "zip(self._fields, values)",
+        ["tests/test_polybases.py::test_jacobi_params_lambda",
+         "tests/test_package.py::test_frozen_record_hashes_by_value_and_refuses_changes"
+         "[ConnectionResult]"],
+    ),
+    (
+        "Poly.coeff: index len(nums) read",
+        "src/polyconnect/polybases.py",
+        "if 0 <= k < len(nums) else",
+        "if 0 <= k <= len(nums) else",
+        ["tests/test_polybases.py::TestPoly::test_coeff_reads_any_int_index"],
+    ),
 ]
 
 
@@ -140,39 +206,48 @@ def _pytest(copy: Path, ids: list) -> tuple:
     return proc.returncode, failed, proc.stdout + proc.stderr
 
 
-def _check(path: str, snippet: str, replacement: str, ids: list) -> str:
-    """What is wrong with one mutant, or "" if its tests killed it."""
+def _check(copy: Path, path: str, snippet: str, replacement: str, ids: list) -> str:
+    """What is wrong with one mutant, or "" if its tests killed it.  The
+    file is restored afterwards."""
+    target = copy / path
+    text = target.read_text()
+    if text.count(snippet) != 1:
+        return f"the snippet matches {text.count(snippet)} times in {path}, not once"
+    target.write_text(text.replace(snippet, replacement))
+    try:
+        code, failed, output = _pytest(copy, ids)
+    finally:
+        target.write_text(text)
+    survivors = [i for i in ids if i not in failed]
+    if code != 1 or survivors:
+        where = ", ".join(survivors) or "a run that did not end in failures"
+        return f"survived (exit {code}) in {where}:\n{output}"
+    return ""
+
+
+def main() -> int:
+    start, bad = time.perf_counter(), 0
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp)
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy2(ROOT / "pyproject.toml", copy)
-        target = copy / path
-        text = target.read_text()
-        if text.count(snippet) != 1:
-            return f"the snippet matches {text.count(snippet)} times in {path}, not once"
-        code, _, output = _pytest(copy, ids)
+        (copy / "bench").mkdir()
+        shutil.copy2(ROOT / "bench" / "digests.json", copy / "bench")
+        every_id = list(dict.fromkeys(i for *_, ids in CATALOGUE for i in ids))
+        code, _, output = _pytest(copy, every_id)
         if code != 0:
-            return f"the tests fail unmutated (exit {code}):\n{output}"
-        target.write_text(text.replace(snippet, replacement))
-        code, failed, output = _pytest(copy, ids)
-        survivors = [i for i in ids if i not in failed]
-        if code != 1 or survivors:
-            where = ", ".join(survivors) or "a run that did not end in failures"
-            return f"survived (exit {code}) in {where}:\n{output}"
-    return ""
-
-
-def main() -> int:
-    start, bad = time.perf_counter(), 0
-    for name, *mutant in CATALOGUE:
-        began = time.perf_counter()
-        problem = _check(*mutant)
-        print(f"{'FAILED' if problem else 'killed'}: {name} ({time.perf_counter() - began:.1f} s)")
-        if problem:
-            print(f"  {problem}")
-        bad += bool(problem)
+            print(f"FAILED: the tests fail unmutated (exit {code}):\n{output}")
+            return 1
+        for name, *mutant in CATALOGUE:
+            began = time.perf_counter()
+            problem = _check(copy, *mutant)
+            print(f"{'FAILED' if problem else 'killed'}: {name}"
+                  f" ({time.perf_counter() - began:.1f} s)")
+            if problem:
+                print(f"  {problem}")
+            bad += bool(problem)
     print(f"{len(CATALOGUE) - bad} of {len(CATALOGUE)} mutants killed"
           f" in {time.perf_counter() - start:.1f} s")
     return 1 if bad else 0

@@ -151,6 +151,19 @@ def test_wrong_argument_types_raise_invalid_input(call):
         call()
 
 
+def test_only_records_writes_past_the_frozen_guard():
+    """Frozen._fill is the one place a Frozen record's slots are set."""
+    package = Path(polyconnect.__file__).resolve().parent
+    found = sorted({
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    })
+    assert found == ["records.py"]
+
+
 def test_library_has_no_assert_statements():
     package = Path(polyconnect.__file__).resolve().parent
     found = [
@@ -275,10 +288,10 @@ def test_coefficients_past_the_int_to_string_limit_exit_2(argv):
     assert not cli._RESPONSES
 
 
-def test_reprs_past_the_int_to_string_limit_are_objects_default():
+def test_reprs_past_the_int_to_string_limit_show_the_type():
     """A repr never raises: where a coefficient passes the digit limit, Poly
-    and every record fall back to object.__repr__; inside it they print the
-    coefficients."""
+    and every record show their type as rationals.shown does, with no memory
+    address; inside it they print the coefficients."""
     member = polyconnect.laguerre(400)
     result = polyconnect.closed_form_connection(LAGUERRE, HERMITE, 400)
     inside = repr(member), repr(result)
@@ -288,7 +301,8 @@ def test_reprs_past_the_int_to_string_limit_are_objects_default():
         past = repr(member), repr(result)
     finally:
         sys.set_int_max_str_digits(limit)
-    assert past == (object.__repr__(member), object.__repr__(result))
+    assert past == ("<Poly past the int-to-string digit limit>",
+                    "<ConnectionResult past the int-to-string digit limit>")
     assert inside == (f"Poly([{', '.join(map(str, member.coefficients))}])",
                       "ConnectionResult(source=BasisId(family='laguerre', params=None), "
                       "target=BasisId(family='hermite', params=None), degree=400, "
@@ -329,9 +343,11 @@ def test_cli_argv_past_the_int_to_string_limit_exits_2(argv, digit_limit_640):
     lambda: verify_theorem(_BIG, 1),
     lambda: verify_theorem("3.4", 1, _BIG),
     lambda: verify_theorem("3.4", 1, [_BIG]),
+    lambda: polyconnect.connection_oracle(polyconnect.laguerre(400), polyconnect.laguerre(400)),
+    lambda: verify_theorem("3.4", 2, [polyconnect.laguerre(400)]),
 ], ids=["check-index", "check-instance", "poly-coeff", "poly-json", "as-rational",
         "parse-rational", "as-rationals", "coeff-seq", "basis-id", "argument-sign",
-        "theorem-id", "param-sets", "param-set"])
+        "theorem-id", "param-sets", "param-set", "oracle-poly-target", "param-set-poly"])
 def test_messages_show_values_past_the_int_to_string_limit(call, digit_limit_640):
     """A rejected value whose repr passes the limit is shown by its type."""
     with pytest.raises(InvalidInputError, match=r"<\w+ past the int-to-string digit limit>"):

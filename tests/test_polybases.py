@@ -198,10 +198,13 @@ def test_shifted_jacobi_matches_rescaled_symmetric_jacobi(n):
     lambda: jacobi_at_one_minus_x(9, JacobiParams(F(1, 2), F(1, 3))),
     lambda: Poly.monomial(9, F(2, 3)),
 ])
-def test_each_form_of_a_member_is_built_once(member):
+def test_each_member_holds_one_row_and_reads_it_without_fractions(member, no_fractions):
     p = member()
+    row = Poly._from_row(*p.integer_form)
     assert p.integer_form is p.integer_form
-    assert p.coefficients is p.coefficients
+    with no_fractions():
+        assert p == row and hash(p) == hash(row) and p.degree == 9
+        assert p.to_json() == row.to_json() and repr(p) == repr(row)
 
 
 def test_degree_guards():

@@ -34,7 +34,7 @@ from .connection import (
 )
 from .errors import InvalidInputError, PolyConnectError
 from .polybases import JacobiParams
-from .rationals import check_index, parse_rational, rational_to_str, shown
+from .rationals import check_index, rational_to_str, shown
 
 #: The lemma ids of verify, the keys of sweeps.LEMMA_SWEEPS.  That module
 #: (with expansions and random) is imported only when a lemma is verified.
@@ -50,7 +50,7 @@ def _jacobi_params(ns, families, subject: str) -> Optional[JacobiParams]:
         return None
     if ns.alpha is None or ns.beta is None:
         raise InvalidInputError("--alpha and --beta must be given together")
-    jp = JacobiParams(parse_rational(ns.alpha), parse_rational(ns.beta))
+    jp = JacobiParams(ns.alpha, ns.beta)
     if not any(family in JACOBI_FAMILIES for family in families):
         raise InvalidInputError(f"--alpha/--beta do not apply to {subject}")
     return jp
@@ -247,17 +247,27 @@ _COMMANDS = {
 _HELP = ("-h", "--help")
 #: A token starting with "-" that is a value all the same: a negative number.
 _NEGATIVE = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+#: command -> what _parse reads of its options, built once: each name _option
+#: matches (-h and --help first) with its kind, the required names, and each
+#: name's namespace attribute, with the attributes' defaults.
+_TABLES = {
+    command: (
+        {**dict.fromkeys(_HELP), **{name: kind for name, (kind, _) in options.items()}},
+        [name for name, (_, default) in options.items() if default is _REQUIRED],
+        {name: name[2:].replace("-", "_") for name in options},
+        {name[2:].replace("-", "_"): default for name, (_, default) in options.items()},
+    )
+    for command, (_, _, options) in _COMMANDS.items()
+}
 
 
 def _option(token: str, names) -> Optional[tuple]:
-    """What a token is among a parser's option names: None for a value,
-    (None, None) for an unknown option, else (name, the value attached by
-    "=", or None).  A "--" name may be cut to any prefix no other name
-    shares, and letters after "-h" are its attached value."""
-    if token in names:
-        return token, None
-    if len(token) < 2 or token[0] != "-":
-        return None
+    """What a token is among a parser's option names, for a token that starts
+    with "-", has at least 2 characters and is not a name itself (the caller
+    reads those two classes): None for a value, (None, None) for an unknown
+    option, else (name, the value attached by "=", or None).  A "--" name
+    may be cut to any prefix no other name shares, and letters after "-h"
+    are its attached value."""
     name, eq, value = token.partition("=")
     if eq and name in names:
         return name, value
@@ -317,7 +327,11 @@ def _parse(argv):
         if not isinstance(token, str):
             raise InvalidInputError(f"argv must be an iterable of str, got the token {shown(token)}")
     for i, token in enumerate(argv):
-        found = None if token == "--" else _option(token, _HELP)
+        if token in _HELP:
+            return _help(None, token, None)
+        if token == "--" or len(token) < 2 or token[0] != "-":
+            break
+        found = _option(token, _HELP)
         if found is None:
             break
         if found[0] is not None:
@@ -328,12 +342,17 @@ def _parse(argv):
     command, args = argv[i], argv[i + 1:]
     if command not in _COMMANDS:
         raise InvalidInputError(f"invalid command {command!r} (choose from {', '.join(_COMMANDS)})")
-    options, values = _COMMANDS[command][2], {}
+    names, required, attributes, defaults = _TABLES[command]
+    values = {}
     cut = args.index("--") if "--" in args else len(args)
     # every token before "--" is read before any is acted on, so an ambiguous
     # prefix is an error even after -h
-    names = (*_HELP, *options)
-    found = [_option(token, names) for token in args[:cut]]
+    found = [
+        (token, None) if token in names
+        else None if len(token) < 2 or token[0] != "-"
+        else _option(token, names)
+        for token in args[:cut]
+    ]
     indices = iter(range(cut))
     for i in indices:
         name, value = found[i] or (None, None)
@@ -346,17 +365,16 @@ def _parse(argv):
                 if i + 1 == cut or found[i + 1] is not None:
                     raise InvalidInputError(f"{name} expects a value")
                 value = args[next(indices)]
-            values[name] = _value(name, options[name][0], value)
-    missing = [name for name, (_, default) in options.items()
-               if default is _REQUIRED and name not in values]
+            values[name] = _value(name, names[name], value)
+    missing = [name for name in required if name not in values]
     if missing:
         raise InvalidInputError(f"the following options are required: {', '.join(missing)}")
     if extras or cut < len(args):
         raise InvalidInputError(f"unrecognized arguments: {' '.join(extras + args[cut:])}")
-    return types.SimpleNamespace(command=command, **{
-        name[2:].replace("-", "_"): values.get(name, default)
-        for name, (_, default) in options.items()
-    })
+    fields = dict(defaults)
+    for name, value in values.items():
+        fields[attributes[name]] = value
+    return types.SimpleNamespace(command=command, **fields)
 
 
 #: argv -> what its poly, connect or table request wrote with exit 0: run's

@@ -106,9 +106,10 @@ def _jacobi_recurrence(k: int, jp: JacobiParams) -> tuple[int, int, int, int]:
 
     At k = 0 it is (s-1)s times (l+1) y P_0 = 2 P_1 + (beta-alpha) P_0, which
     is returned instead, never all zero.  a, b, lam and s below hold q times
-    alpha, beta, l and s, with q the common denominator of alpha and beta.
+    alpha, beta, l and s, with q the common denominator of alpha and beta
+    (jp.abq).
     """
-    (a, b), q = lift((jp.alpha, jp.beta))
+    a, b, q = jp.abq
     lam = a + b + q
     if k == 0:
         return 2 * q, b - a, 0, lam + q
@@ -205,8 +206,8 @@ class BasisId(Frozen):
     def to_json(self) -> dict:
         out = {"family": self.family}
         if self.params is not None:
-            out["alpha"] = rational_to_str(self.params.alpha)
-            out["beta"] = rational_to_str(self.params.beta)
+            a, b, q = self.params.abq
+            out["alpha"], out["beta"] = ratio_str(a, q), ratio_str(b, q)
         return out
 
 
@@ -222,9 +223,14 @@ def basis(family: str, jp: Optional[JacobiParams]) -> BasisId:
 
 def basis_poly(basis: BasisId, k: int) -> Poly:
     """The degree-k member of a basis family; it must have degree exactly k."""
-    member = FAMILIES[check_instance(basis, BasisId).family].member(k, basis.params)
-    if member.degree != k:
-        raise InvalidInputError(f"{basis.family} family is not graded at degree {k}")
+    member = FAMILIES[check_instance(basis, BasisId).family].member
+    return _graded(member(k, basis.params), basis.family, k)
+
+
+def _graded(member: Poly, family: str, k: int) -> Poly:
+    """member, the degree-k member of family, if it has degree exactly k."""
+    if len(member.integer_form[0]) != k + 1:
+        raise InvalidInputError(f"{family} family is not graded at degree {k}")
     return member
 
 
@@ -275,11 +281,13 @@ class ConnectionResult(Frozen):
         form M_k / e_k and E the lcm of the e_k, the term c_k M_k / e_k is the
         integer vector M_k times C_k (E / e_k), over d E.  So the sum is one
         integer vector over d E, reduced by one gcd into the row of the Poly
-        returned.
+        returned.  The target's member function is looked up once.
         """
         nums, den = self._row
+        family, params = self.target.family, self.target.params
+        member = FAMILIES[family].member
         members = [
-            basis_poly(self.target, k).integer_form if c else ((), 1)
+            _graded(member(k, params), family, k).integer_form if c else ((), 1)
             for k, c in enumerate(nums)
         ]
         common = math.lcm(*(e for _, e in members))
@@ -339,19 +347,21 @@ def connection_oracle(p: Poly, target: BasisId) -> ConnectionResult:
     construction, and checked to be.  The result is a Row: with d_k the d
     after step k, c_k = (R[k]/g) e / d_k, and the final d_0 is d_k times the
     m[j]/g of the later steps j < k, so c_k is (R[k]/g) e (d_0/d_k) over |d_0|.
+    Every target member of degree <= degree(p) is built and checked, in that
+    order, through one lookup of the target's member function.
     """
     check_instance(p, Poly)
-    check_instance(target, BasisId)
+    family, params = check_instance(target, BasisId).family, target.params
+    member = FAMILIES[family].member
     degree = 0 if p.is_zero else p.degree
     residual, den = p.integer_form
     residual = residual or (0,)
     coefficients, leads = [0] * (degree + 1), [1] * (degree + 1)
     for k in range(degree, -1, -1):
-        member = basis_poly(target, k)
+        m, e = _graded(member(k, params), family, k).integer_form
         top = residual[k]
         if not top:
             continue
-        m, e = member.integer_form
         lead = m[k]
         g = math.gcd(lead, top)
         lead, top = lead // g, top // g
@@ -376,8 +386,9 @@ def _oracle_connection(source: BasisId, target: BasisId, n: int) -> ConnectionRe
 
 def _regular(jp: JacobiParams) -> bool:
     """Whether none of alpha, beta and lam is a negative integer, decided on
-    the Fractions' integers."""
-    return not any(v.denominator == 1 and v.numerator < 0 for v in (jp.alpha, jp.beta, jp.lam))
+    the triple: with jp.abq = (a, b, q) they are a/q, b/q and (a + b + q)/q."""
+    a, b, q = jp.abq
+    return not any(v < 0 and v % q == 0 for v in (a, b, a + b + q))
 
 
 def _always_graded(*bases: BasisId) -> bool:
@@ -559,14 +570,14 @@ def coeff_shifted_jacobi_in_hermite(n: int, jp: JacobiParams, j: int) -> Fractio
         (-1)^n (-1)^j (b+1)_n (n+l)_j / ((n-j)! 2^j j! (b+1)_j)
         * 4F2((j-n)/2, (j+1-n)/2, (j+n+l)/2, (j+n+l+1)/2; (j+b+1)/2, (j+b+2)/2; 1)
 
-    with b = jp.beta and l = jp.lam.  With b + 1 = bp/bq and l = lp/lq, the
-    ratio (b+1)_n / (b+1)_j is the integer product of bp + i bq over j <= i < n,
-    over bq^(n-j), and (n+l)_j is the product of n lq + lp + i lq over lq^j.
+    with b = jp.beta and l = jp.lam.  With b + 1 = bp/bq and l = lp/lq (both
+    over q of jp.abq), the ratio (b+1)_n / (b+1)_j is the integer product of
+    bp + i bq over j <= i < n, over bq^(n-j), and (n+l)_j is the product of
+    n lq + lp + i lq over lq^j.
     """
     _check_pair(n, j, "n", "j")
-    lp, lq = check_instance(jp, JacobiParams).lam.as_integer_ratio()
-    bp, bq = jp.beta.as_integer_ratio()
-    bp += bq
+    a, b, q = check_instance(jp, JacobiParams).abq
+    lp, lq, bp, bq = a + b + q, q, b + q, q
     a, b = sum_pairs(
         _delta_pairs(2, j - n, 1) + _delta_pairs(2, (j + n) * lq + lp, lq),
         _delta_pairs(2, j * bq + bp, bq),
@@ -579,6 +590,14 @@ def coeff_shifted_jacobi_in_hermite(n: int, jp: JacobiParams, j: int) -> Fractio
     return Fraction(num * a, den * b)
 
 
+def _alpha_lam(jp: JacobiParams) -> tuple[int, int, int, int]:
+    """(ap, aq, lp, lq) with alpha = ap/aq and lam = lp/lq in lowest terms,
+    read from jp.abq: the Thm3.3 integers grow with aq and lq."""
+    a, b, q = jp.abq
+    g, h = math.gcd(a, q), math.gcd(a + b + q, q)
+    return a // g, q // g, (a + b + q) // h, q // h
+
+
 def coeff_hermite_in_shifted_jacobi(
     n: int, jp: JacobiParams, m: int, argument_sign: int = 1
 ) -> Fraction:
@@ -588,10 +607,10 @@ def coeff_hermite_in_shifted_jacobi(
         * 4F2(D(2, m-n), D(2, -l-n-m); D(2, -a-n); argument_sign / 4)
 
     with a = jp.alpha, l = jp.lam and D(2, x) = [x/2, (x+1)/2].  The target member is
-    jacobi_at_one_minus_x(m, jp).  With a + 1 = ap/aq and l = lp/lq, the
-    prefactor is (-1)^m n!/(n-m)! 4^n (2m lq + lp) lq^n times the product of
-    ap + i aq over m <= i < n, over aq^(n-m) times the product of
-    lp + (m + i) lq over 0 <= i <= n.
+    jacobi_at_one_minus_x(m, jp).  With a + 1 = ap/aq and l = lp/lq
+    (_alpha_lam), the prefactor is (-1)^m n!/(n-m)! 4^n (2m lq + lp) lq^n
+    times the product of ap + i aq over m <= i < n, over aq^(n-m) times the
+    product of lp + (m + i) lq over 0 <= i <= n.
 
     argument_sign = 1 gives the interpreted display, Thm3.3-interpreted:
     it holds only for n <= 1, and verify_theorem("3.3", ...) reports where
@@ -613,8 +632,7 @@ def coeff_hermite_in_shifted_jacobi(
     _check_pair(n, m, "n", "m")
     if type(argument_sign) is not int or argument_sign not in (1, -1):
         raise InvalidInputError(f"argument_sign must be 1 or -1, got {shown(argument_sign)}")
-    lp, lq = check_instance(jp, JacobiParams).lam.as_integer_ratio()
-    ap, aq = jp.alpha.as_integer_ratio()
+    ap, aq, lp, lq = _alpha_lam(check_instance(jp, JacobiParams))
     a, b = sum_pairs(
         _delta_pairs(2, m - n, 1) + _delta_pairs(2, -lp - (n + m) * lq, lq),
         _delta_pairs(2, -ap - n * aq, aq),
@@ -640,9 +658,10 @@ def _hermite_in_jacobi_row(n: int, jp: JacobiParams, argument_sign: int) -> Row:
 
         (m-n)_{2j} (-l-n-m)_{2j} / ((-a-n)_{2j} j!) (s/16)^j,
 
-    and its denominator does not depend on m.  With a = ap/aq, l = lp/lq and
-    v_j = 16^j lq^(2j) aq^(2j) (-a-n)_{2j} j!, the 4F2 is S_m / Q for Q = v_J,
-    J = floor(n/2), and the integer S_m = sum_j (s aq^2)^j N_j (v_J / v_j),
+    and its denominator does not depend on m.  With a = ap/aq, l = lp/lq
+    (_alpha_lam) and v_j = 16^j lq^(2j) aq^(2j) (-a-n)_{2j} j!, the 4F2 is
+    S_m / Q for Q = v_J, J = floor(n/2), and the integer
+    S_m = sum_j (s aq^2)^j N_j (v_J / v_j),
     with N_j = lq^(2j) (m-n)_{2j} (-l-n-m)_{2j}, by Horner in j.  The
     prefactor's integer denominator aq^(n-m) prod_{k=m..m+n} (lp + k lq)
     divides aq^n prod_{k=1..2n} (lp + k lq) for m >= 1, as does that of its
@@ -651,7 +670,7 @@ def _hermite_in_jacobi_row(n: int, jp: JacobiParams, argument_sign: int) -> Row:
     parameters, where this equals the entry-by-entry form; Theorem.row takes
     the others entry by entry.
     """
-    (lp, lq), (ap, aq) = jp.lam.as_integer_ratio(), jp.alpha.as_integer_ratio()
+    ap, aq, lp, lq = _alpha_lam(jp)
     ratio = [1] * (n // 2 + 1)  # ratio[j] = v_J / v_j
     for j in range(n // 2 - 1, -1, -1):
         i = n - 2 * j
@@ -763,7 +782,8 @@ def _shifted_jacobi_in_hermite_row(n: int, jp: JacobiParams) -> Row:
     F's denominator (b+1)_m only where beta is; Theorem.row takes such
     parameters, and a negative integer alpha, entry by entry.
     """
-    (b, lam), q = lift((jp.beta, jp.lam))
+    a, b, q = jp.abq
+    lam = a + b + q
     e = [(i - n) * ((i + n) * q + lam) for i in range(n + 3)]
     big = [0] * (n + 5)
     big[n] = 1

@@ -6,10 +6,13 @@ Normalizations:
   * shifted_jacobi(n, jp):       ((-1)^n (b+1)_n / n!) 2F1(-n, n+l; b+1; x)
   * jacobi_at_one_minus_x(m, jp): ((a+1)_m / m!) 2F1(-m, m+l; a+1; x/2),
     the standard Jacobi polynomial evaluated at 1-x,
-with a = jp.alpha, b = jp.beta, l = a + b + 1 throughout.
+with a = jp.alpha, b = jp.beta, l = a + b + 1 throughout.  The Jacobi
+families build their series parameters from the integer triple jp.abq, one
+Fraction each, with no Fraction arithmetic.
 
 Every member is held as an integer row, which is all the oracle reads (see
-Poly); its Fractions are built only where they are read.
+Poly); its Fractions are built only where they are read.  hermite and
+laguerre build their rows in integers directly.
 """
 
 import math
@@ -173,22 +176,32 @@ class Poly:
 
 
 class JacobiParams(Frozen):
-    """Jacobi parameter pair; ``lam`` is the derived value alpha + beta + 1.
+    """Jacobi parameter pair, held as its two Fractions and as one integer
+    triple abq = (a, b, q): alpha = a/q and beta = b/q over q > 0, the lcm of
+    their denominators.  The derived value lam = alpha + beta + 1 is
+    (a + b + q)/q, built on read; the library reads abq.
 
     Family members are cached by (degree, params), so the hash is taken once,
-    here, and equality compares the two fields directly."""
+    here, and equality compares the triples."""
 
     _fields = ("alpha", "beta")
-    __slots__ = ("alpha", "beta", "lam", "_hash")
+    __slots__ = ("alpha", "beta", "abq", "_hash")
 
     def __init__(self, alpha: RationalLike, beta: RationalLike):
         alpha, beta = as_rational(alpha), as_rational(beta)
-        self._fill(alpha, beta, alpha + beta + 1, hash((alpha, beta)))
+        (a, p), (b, r) = alpha.as_integer_ratio(), beta.as_integer_ratio()
+        q = math.lcm(p, r)
+        self._fill(alpha, beta, (a * (q // p), b * (q // r), q), hash((alpha, beta)))
+
+    @property
+    def lam(self) -> Fraction:
+        a, b, q = self.abq
+        return Fraction(a + b + q, q)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.alpha == other.alpha and self.beta == other.beta
+        return self.abq == other.abq
 
     def __hash__(self):
         return self._hash
@@ -219,9 +232,16 @@ def _cached(body):
 
 @_cached
 def laguerre(n: int) -> Poly:
-    """Laguerre polynomial, the terminating sum of (-n)_k x^k / (k! k!)."""
+    """Laguerre polynomial, the terminating sum of (-n)_k x^k / (k! k!), as
+    an integer row over n!: R_k = (-1)^k C(n, k) n!/k!, and R_(k+1) is
+    -R_k (n-k) / (k+1)^2, exactly."""
     check_index(n, "degree")
-    return Poly(series_coefficients((Fraction(-n),), (Fraction(1),)))
+    den = math.factorial(n)
+    row, term = [0] * (n + 1), den
+    for k in range(n + 1):
+        row[k] = term
+        term = -term * (n - k) // ((k + 1) * (k + 1))
+    return Poly._from_row(row, den)
 
 
 @_cached
@@ -243,9 +263,11 @@ def shifted_jacobi(n: int, jp: JacobiParams) -> Poly:
     """Shifted Jacobi polynomial ((-1)^n (beta+1)_n / n!) 2F1(-n, n+lam; beta+1; x)."""
     check_index(n, "degree")
     check_instance(jp, JacobiParams)
-    rise = pochhammer(jp.beta + 1, n)
+    a, b, q = jp.abq
+    shift, upper = Fraction(b + q, q), Fraction(n * q + a + b + q, q)  # beta + 1, n + lam
+    rise = pochhammer(shift, n)
     p, d = (-1) ** n * rise.numerator, rise.denominator * math.factorial(n)
-    coeffs, e = lift(series_coefficients((Fraction(-n), n + jp.lam), (jp.beta + 1,)))
+    coeffs, e = lift(series_coefficients((Fraction(-n), upper), (shift,)))
     return Poly._from_row([p * c for c in coeffs], d * e)
 
 
@@ -255,8 +277,10 @@ def jacobi_at_one_minus_x(m: int, jp: JacobiParams) -> Poly:
     the lifted series list R / e, R_k times p 2^(K-k), over d e 2^K."""
     check_index(m, "degree")
     check_instance(jp, JacobiParams)
-    rise = pochhammer(jp.alpha + 1, m)
+    a, b, q = jp.abq
+    shift, upper = Fraction(a + q, q), Fraction(m * q + a + b + q, q)  # alpha + 1, m + lam
+    rise = pochhammer(shift, m)
     p, d = rise.numerator, rise.denominator * math.factorial(m)
-    coeffs, e = lift(series_coefficients((Fraction(-m), m + jp.lam), (jp.alpha + 1,)))
+    coeffs, e = lift(series_coefficients((Fraction(-m), upper), (shift,)))
     top = len(coeffs) - 1
     return Poly._from_row([p * c << top - k for k, c in enumerate(coeffs)], d * e << top)

@@ -18,7 +18,7 @@ from .errors import InvalidInputError, PolyConnectError
 
 RationalLike = Union[Fraction, int, str]
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
 
 
 def as_rational(value: RationalLike) -> Fraction:
@@ -42,11 +42,11 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or a bare integer string "n" into a Fraction."""
     if not isinstance(text, str):
         raise InvalidInputError(f"expected a rational string, got {shown(text)}")
-    s = text.strip()
+    match = _RATIONAL_RE.fullmatch(text.strip())
     try:
-        if not _RATIONAL_RE.fullmatch(s):
+        if not match:
             raise ValueError
-        p, q = (int(part) for part in s.split("/")) if "/" in s else (int(s), 1)
+        p, q = int(match[1]), int(match[2] or 1)
     except ValueError:  # also more digits than int() reads, sys.get_int_max_str_digits()
         raise InvalidInputError(f"malformed rational {text!r}: expected 'p/q' or 'n'") from None
     if q == 0:

@@ -183,6 +183,14 @@ CATALOGUE = [
          "[ConnectionResult]"],
     ),
     (
+        "_regular: a negative alpha, beta or lam taken as degenerate, integer or not",
+        CONNECTION,
+        "v < 0 and v % q == 0 for v in",
+        "v < 0 for v in",
+        ["tests/test_connection.py::"
+         "test_regular_decides_on_integers_as_the_fraction_comparison_did"],
+    ),
+    (
         "Poly.coeff: index len(nums) read",
         "src/polyconnect/polybases.py",
         "if 0 <= k < len(nums) else",

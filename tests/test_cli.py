@@ -467,3 +467,38 @@ def test_json_writer_equals_json_dumps(value):
 def test_json_writer_refuses_other_types(value, newline):
     with pytest.raises(TypeError):
         cli._json(value, newline)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poly", "--family", "shifted-jacobi", "--n", "6"],
+        ["connect", "--source", "shifted-jacobi", "--target", "hermite", "--n", "6",
+         "--method", "both"],
+        ["connect", "--source", "hermite", "--target", "jacobi-1mx", "--n", "6",
+         "--method", "both"],
+        ["table", "--source", "shifted-jacobi", "--target", "hermite", "--n-max", "5",
+         "--method", "both"],
+        ["verify", "--theorem", "3.4", "--n-max", "5"],
+    ],
+    ids=lambda argv: "-".join(argv[:3]),
+)
+@pytest.mark.parametrize(
+    "spellings",
+    [
+        (["--alpha=1/2", "--beta=-1/3"], ["--alpha=2/4", "--beta=-2/6"]),
+        # alpha a negative integer: the degenerate path, exit 2 or error entries
+        (["--alpha=-2", "--beta=1/2"], ["--alpha=-6/3", "--beta=+3/6"]),
+    ],
+    ids=["regular", "degenerate"],
+)
+def test_output_does_not_depend_on_how_the_parameters_are_spelled(argv, spellings, capsys):
+    """Equal parameters written reduced or not, signed or not, give the same
+    exit code, stdout and stderr: the wire renders the values, not the text."""
+    outcomes = []
+    for spelling in spellings:
+        code = cli.run([*argv, *spelling])
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] or outcomes[0][0] == 2

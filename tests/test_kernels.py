@@ -42,6 +42,7 @@ from polyconnect import (
     hermite,
     hermite_bm_sequence,
     jacobi_at_one_minus_x,
+    laguerre,
     pochhammer,
     pochhammer_list,
     series_coefficients,
@@ -522,6 +523,10 @@ def literal_hermite(n):
     return Poly(coeffs)
 
 
+def literal_laguerre(n):
+    return Poly(series_coefficients((F(-n),), (F(1),)))
+
+
 def literal_shifted_jacobi(n, jp):
     rise = pochhammer(jp.beta + 1, n)
     p, d = (-1) ** n * rise.numerator, rise.denominator * math.factorial(n)
@@ -554,6 +559,7 @@ def test_members_match_literal_fraction_bodies():
     assert shifted_jacobi(3, JacobiParams(-6, 0)).degree == 2
     for n in range(15):
         assert _member(hermite, n) == _member(literal_hermite, n)
+        assert _member(laguerre, n) == _member(literal_laguerre, n)
         for alpha in MEMBER_PARAMS:
             for beta in MEMBER_PARAMS:
                 jp = JacobiParams(alpha, beta)

@@ -1,3 +1,5 @@
+import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -155,6 +157,58 @@ def test_jacobi_at_one_minus_x_small():
 def test_jacobi_params_lambda():
     jp = JacobiParams(F(-1, 2), F(1, 3))
     assert jp.lam == F(5, 6)
+
+
+#: (p, q, g): the rational p/q, also spelled unreduced as (p g)/(q g)
+_spellings = st.tuples(st.integers(-40, 40), st.integers(1, 12), st.integers(1, 6))
+
+
+def _forms(p, q, g):
+    """p/q and every spelling JacobiParams takes of it: unreduced and reduced
+    strings, the Fraction and, for an integer value, the int."""
+    value = F(p, q)
+    forms = [f"{p * g}/{q * g}", str(value), value]
+    if value.denominator == 1:
+        forms.append(value.numerator)
+    return value, forms
+
+
+@given(_spellings, _spellings)
+def test_jacobi_params_agree_however_spelled(x, y):
+    """The triple abq is alpha and beta over the lcm of their denominators;
+    parameters built from any spelling of the same values are equal, hash as
+    the pair of Fractions, read the same fields and lam, print and pickle
+    alike, and _regular is the Fraction definition on them."""
+    (alpha, alpha_forms), (beta, beta_forms) = _forms(*x), _forms(*y)
+    reference = JacobiParams(alpha, beta)
+    a, b, q = reference.abq
+    assert q == math.lcm(alpha.denominator, beta.denominator)
+    assert (F(a, q), F(b, q)) == (alpha, beta)
+    for first in alpha_forms:
+        for second in beta_forms:
+            jp = JacobiParams(first, second)
+            assert jp == reference and jp.abq == reference.abq
+            assert hash(jp) == hash(reference) == hash((alpha, beta))
+            assert (jp.alpha, jp.beta, jp.lam) == (alpha, beta, alpha + beta + 1)
+            assert repr(jp) == repr(reference)
+            copy = pickle.loads(pickle.dumps(jp))
+            assert copy == jp and copy.abq == jp.abq and hash(copy) == hash(jp)
+    assert (reference == JacobiParams(beta, alpha)) is (alpha == beta)
+    assert reference != JacobiParams(alpha, beta + F(1, q + 1))
+    negative = [v < 0 and v.denominator == 1 for v in (alpha, beta, alpha + beta + 1)]
+    assert connection._regular(reference) is not any(negative)
+
+
+def test_equal_parameters_share_one_member_cache_entry():
+    """An equal but separate JacobiParams, spelled otherwise, is a cache hit."""
+    shifted_jacobi.cache_clear()
+    first, second = JacobiParams("1/2", "-1/3"), JacobiParams("2/4", "-2/6")
+    assert first is not second
+    member = shifted_jacobi(6, first)
+    hits = shifted_jacobi.cache_info().hits
+    assert shifted_jacobi(6, second) is member
+    info = shifted_jacobi.cache_info()
+    assert (info.hits, info.currsize) == (hits + 1, 1)
 
 
 PARAM_SETS = [

@@ -26,22 +26,21 @@ a -n numerator parameter; ``fields_wimp_luke_terminating`` is Luke's form,
 Fields-Wimp with alpha = (c) and beta = (), made finite by a nonpositive
 integer in [a].  Each returns both sides, so a counterexample shows.
 
-Both bilinear sides and every right side are taken in integers and reduced
-once, into the returned Fraction.  The bilinear ones lift a and b to one
-denominator each (_lifted).  The left side adds a_m b_m (zw)^m, over m! when
-weighted, across the common support; the right sides write each Pochhammer
-factor as rationals.rising on its (p, q) pair and nest the inner and middle
-sums backward over their term ratios (_nest).  Both Fields-Wimp sides take
-their series from hypseries.sum_pairs, and each right-side term, weight and
-both series, is one integer pair.  Terms are added over the lcm of their
-denominators (_add), which grows with the support, never as the product of
-every term's denominator.
+Every side is taken in integers and reduced once, into the returned Fraction.
+The bilinear sides lift a and b to one denominator each (_lifted).  The left
+side adds a_m b_m (zw)^m, over m! when weighted, across the common support.
+A right side runs n once over dense lists of the lifted a and b, carrying its
+outer prefactor as a running product, and sums the inner and middle series
+at each n by Horner's scheme backward over integer term ratios made in the
+loop.  Both Fields-Wimp sides take their series from hypseries.sum_pairs, and
+each right-side term, weight and both series, is one integer pair.  Terms are
+added over the lcm of their denominators (_add), never over their product.
 """
 
 import math
 from collections.abc import Mapping
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Union
 
 from .errors import DenominatorPoleError, InvalidInputError, PoleInParamsError, PolyConnectError
 from .hypseries import sum_pairs, truncation_index
@@ -127,31 +126,23 @@ def _lifted(seq: Mapping[int, RationalLike]) -> tuple[dict[int, int], int]:
     return dict(zip(seq, ints)), den
 
 
-def _nest(
-    coeffs: Sequence[int],
-    ratios: Sequence[tuple[int, int]],
-    pole: Optional[Callable[[int], str]] = None,
-) -> tuple[int, int]:
-    """(x, y) with x/y = c_0 + (u_0/v_0) (c_1 + (u_1/v_1) (c_2 + ...)) up to the
-    last nonzero c_k, nested backward as in hypseries.sum_pairs; y is the product
-    of the v_k used.  The first nonzero c_k past a zero v_i divides by it and
-    raises PoleInParams(pole(k)); without pole, no v_i may vanish."""
-    top = max((k for k, c in enumerate(coeffs) if c), default=0)
-    vanish = pole and next((i for i in range(top) if not ratios[i][1]), None)
-    if vanish is not None:
-        raise PoleInParamsError(pole(next(k for k in range(vanish + 1, top + 1) if coeffs[k])))
-    x, y = coeffs[top], 1
-    for k in range(top - 1, -1, -1):
-        u, v = ratios[k]
-        x, y = coeffs[k] * y * v + u * x, y * v
-    return x, y
-
-
 def _add(num: int, den: int, t: int, d: int) -> tuple[int, int]:
     """num/den + t/d over the lcm of den and d, unreduced: the sum's
     denominator grows by what each term brings, not by its whole d."""
     g = math.gcd(den, d)
     return num * (d // g) + t * (den // g), den // g * d
+
+
+def _plain_middle(B: list[int], n: int, p: int, q: int, zn: int, zd: int) -> tuple[int, int]:
+    """(x, y) with x/y = sum_j (n+c)_j / j! b_{n+j} z^j, c = p/q and z = zn/zd,
+    over m = n + j to the end of the dense list B (its last entry nonzero):
+    Horner's scheme backward over the term ratios; y is their denominators'
+    product, never 0."""
+    x, y, qz = B[-1], 1, q * zd
+    for m in range(len(B) - 2, n - 1, -1):
+        v = (m - n + 1) * qz
+        x, y = B[m] * y * v + (p + m * q) * zn * x, y * v
+    return x, y
 
 
 def fields_ismail_32_rhs(
@@ -165,20 +156,24 @@ def fields_ismail_32_rhs(
     (A, da), (B, db) = _lifted(a), _lifted(b)
     (p, q), (zn, zd), (wn, wd) = (as_rational(v).as_integer_ratio() for v in (c, z, w))
     n_max = max(B, default=-1)
+    A, B = [A.get(k, 0) for k in range(n_max + 1)], [B.get(m, 0) for m in range(n_max + 1)]
+    # (c)_k = 0 for every k past cut: only at a nonpositive integer c
+    cut, qw = -p if q == 1 and p <= 0 else n_max, q * wn
     num, den = 0, 1
+    head, head_den = 1, 1  # (c)_n (-z)^n / n!
     for n in range(n_max + 1):
-        # sum_k (-n)_k / (c)_k a_k w^k
-        x, y = _nest([A.get(k, 0) for k in range(n + 1)],
-                     [((k - n) * q * wn, (p + k * q) * wd) for k in range(n)],
-                     lambda k: f"(c)_{k} = 0 for c = {rational_to_str(c)}")
-        if not x:
-            continue
-        # sum_j (n+c)_j / j! b_{n+j} z^j, over m = n + j
-        mid, mid_den = _nest([B.get(m, 0) for m in range(n, n_max + 1)],
-                             [((p + m * q) * zn, (m - n + 1) * q * zd) for m in range(n, n_max)])
-        # times (c)_n (-z)^n / n!
-        num, den = _add(num, den, rising(p, q, 0, n) * (-zn) ** n * mid * x,
-                        (q * zd) ** n * math.factorial(n) * mid_den * y)
+        if A[n] and n > cut:
+            raise PoleInParamsError(f"(c)_{n} = 0 for c = {rational_to_str(c)}")
+        if n <= cut:
+            # sum_k (-n)_k / (c)_k a_k w^k
+            x, y = A[n], 1
+            for k in range(n - 1, -1, -1):
+                v = (p + k * q) * wd
+                x, y = A[k] * y * v + (k - n) * qw * x, y * v
+            if x:
+                mid, mid_den = _plain_middle(B, n, p, q, zn, zd)
+                num, den = _add(num, den, head * mid * x, head_den * mid_den * y)
+        head, head_den = head * (p + n * q) * -zn, head_den * (n + 1) * q * zd
     return Fraction(num, den * da * db)
 
 
@@ -197,32 +192,40 @@ def fields_ismail_13_rhs(
     (zn, zd), (wn, wd) = (as_rational(v).as_integer_ratio() for v in (z, w))
     (pg, qg), (pm, qm), (pt, qt) = (v.as_integer_ratio() for v in (ep.gamma, ep.mu, ep.theta))
     n_max = max(B, default=-1)
+    A, B = [A.get(s, 0) for s in range(n_max + 1)], [B.get(m, 0) for m in range(n_max + 1)]
+    # (mu+s)(th+s) qm qt, and (mu)_s (th)_s = 0 for every s past cut
+    mt = [(pm + s * qm) * (pt + s * qt) for s in range(n_max + 1)]
+    cut = mt.index(0) if 0 in mt else n_max
+    gw, gz, mtw, mtz = qg * wd, qg * zn, qm * qt * wn, qm * qt * zd
     num, den = 0, 1
+    head, head_den = 1, 1  # (mu)_n (th)_n (-z)^n qg^n / n!; qg^n / rise = 1 / (g+n)_n
     for n in range(n_max + 1):
-        # sum_s (-n)_s (n+g)_s / (s! (mu)_s (th)_s) a_s w^s
-        x, y = _nest([A.get(s, 0) for s in range(n + 1)],
-                     [((s - n) * (pg + (n + s) * qg) * qm * qt * wn,
-                       (s + 1) * (pm + s * qm) * (pt + s * qt) * qg * wd) for s in range(n)],
-                     lambda s: f"(mu)_{s} (theta)_{s} = 0 for mu = {rational_to_str(ep.mu)}, "
-                               f"theta = {rational_to_str(ep.theta)}")
-        if not x:
-            continue
-        # (mu)_n (th)_n sum_r (mu+n)_r (th+n)_r / (r! (g+2n+1)_r) b_{n+r} z^r, over m = n + r
-        mid, mid_den = _nest(
-            [B.get(m, 0) for m in range(n, n_max + 1)],
-            [((pm + m * qm) * (pt + m * qt) * qg * zn,
-              (m - n + 1) * (pg + (n + m + 1) * qg) * qm * qt * zd) for m in range(n, n_max)],
-            lambda r: f"(gamma+2n+1)_{r} = 0 for gamma = {rational_to_str(ep.gamma)}, n = {n}",
-        )
-        head = rising(pm, qm, 0, n) * rising(pt, qt, 0, n)
-        if not (head and mid):
-            continue
-        rise = rising(pg, qg, n, 2 * n)
-        if not rise:
-            raise PoleInParamsError(f"(gamma+n)_{n} = 0 for gamma = {rational_to_str(ep.gamma)}")
-        # times (-z)^n / (n! (g+n)_n)
-        num, den = _add(num, den, (-zn * qg) ** n * head * mid * x,
-                        (zd * qm * qt) ** n * math.factorial(n) * rise * mid_den * y)
+        if A[n] and n > cut:
+            raise PoleInParamsError(f"(mu)_{n} (theta)_{n} = 0 for mu = {rational_to_str(ep.mu)}, "
+                                    f"theta = {rational_to_str(ep.theta)}")
+        # sum_s (-n)_s (n+g)_s / (s! (mu)_s (th)_s) a_s w^s, where a_s = 0 for cut < s <= n
+        x, y = A[min(n, cut)], 1
+        for s in range(min(n, cut) - 1, -1, -1):
+            v = (s + 1) * mt[s] * gw
+            x, y = A[s] * y * v + (s - n) * (pg + (n + s) * qg) * mtw * x, y * v
+        # (g+2n+1)_r = 0 for r past -g-2n-1; b_{n_max} is nonzero
+        if x and qg == 1 and n <= -pg - n - 1 < n_max:
+            r = next(m for m in range(-pg - n, n_max + 1) if B[m]) - n
+            raise PoleInParamsError(
+                f"(gamma+2n+1)_{r} = 0 for gamma = {rational_to_str(ep.gamma)}, n = {n}")
+        if x and n <= cut:
+            # sum_r (mu+n)_r (th+n)_r / (r! (g+2n+1)_r) b_{n+r} z^r, over m = n + r
+            mid, mid_den = B[-1], 1
+            for m in range(n_max - 1, n - 1, -1):
+                v = (m - n + 1) * (pg + (n + m + 1) * qg) * mtz
+                mid, mid_den = B[m] * mid_den * v + mt[m] * gz * mid, mid_den * v
+            if mid:
+                rise = rising(pg, qg, n, 2 * n)
+                if not rise:
+                    raise PoleInParamsError(
+                        f"(gamma+n)_{n} = 0 for gamma = {rational_to_str(ep.gamma)}")
+                num, den = _add(num, den, head * mid * x, head_den * rise * mid_den * y)
+        head, head_den = -head * gz * mt[n], head_den * (n + 1) * mtz
     return Fraction(num, den * da * db)
 
 
@@ -344,10 +347,7 @@ def hermite_in_laguerre_via_bilinear(p: int) -> tuple[Fraction, ...]:
     agree with the brute-force oracle on hermite(2p).
     """
     B, _ = _lifted(hermite_bm_sequence(p))
-    coeffs = []
-    for n in range(2 * p + 1):
-        # the plain form's middle sum at c = z = 1, over m = n + j
-        x, y = _nest([B.get(m, 0) for m in range(n, 2 * p + 1)],
-                     [(m + 1, m - n + 1) for m in range(n, 2 * p)])
-        coeffs.append(Fraction((-1) ** n * x, y))
-    return tuple(coeffs)
+    B = [B.get(m, 0) for m in range(2 * p + 1)]
+    # the plain form's middle sums at c = z = 1
+    sums = [_plain_middle(B, n, 1, 1, 1, 1) for n in range(2 * p + 1)]
+    return tuple(Fraction((-1) ** n * x, y) for n, (x, y) in enumerate(sums))

@@ -12,7 +12,7 @@ returned them, unrendered; a sweep passes only if every residual is zero.
 import random
 from fractions import Fraction
 
-from .errors import PolyConnectError
+from .errors import InvalidInputError, PolyConnectError
 from .expansions import (
     bilinear_lhs,
     delta_seq,
@@ -23,7 +23,7 @@ from .expansions import (
     fields_wimp_terminating,
 )
 from .hypseries import HypSeries, evaluate_terminating, split_even_odd
-from .rationals import check_index, rational_to_str
+from .rationals import check_index, rational_to_str, shown
 
 _F = Fraction
 
@@ -57,10 +57,14 @@ def _sweep(cases: int, seed: int, draw) -> list[dict]:
     "0" when lhs == rhs and is taken as rational_to_str(lhs - rhs) only for a
     mismatch.  Each entry's case is the dict the draw returned, holding the
     drawn objects themselves (the first bilinear draws hold the dicts of
-    _FIXED_SEQ_PAIRS): read them, never mutate them."""
+    _FIXED_SEQ_PAIRS): read them, never mutate them.  The seed must be an
+    int of any sign, not a bool (random.Random would seed None from the OS)."""
+    check_index(cases, "cases")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise InvalidInputError(f"seed must be an integer, got {shown(seed)}")
     rng = random.Random(seed)
     entries = []
-    for _ in range(check_index(cases, "cases") * MAX_DRAWS_PER_CASE):
+    for _ in range(cases * MAX_DRAWS_PER_CASE):
         if len(entries) == cases:
             break
         try:

@@ -1,5 +1,6 @@
 """Make the package the tests import importable in the CLI subprocesses too,
-start each test with an empty CLI response memo, and offer no_fractions.
+start each test with an empty CLI response memo, offer no_fractions, and
+load the Hypothesis profile the mutant runner asks for.
 
 pyproject.toml puts ``src`` on the test process's path; the CLI tests run
 ``python -m polyconnect`` in child processes, which see only PYTHONPATH.
@@ -10,12 +11,21 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase, settings
 
 import polyconnect
 from polyconnect import cli, connection, polybases
 
 _root = str(Path(polyconnect.__file__).resolve().parent.parent)
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_root, os.environ.get("PYTHONPATH"))))
+
+#: tests/mutants.py sets POLYCONNECT_HYPOTHESIS_PROFILE=mutants: a property
+#: test killed by a mutant stops at its first failing example instead of
+#: shrinking it, and every run draws the same examples.  Unset, the suite
+#: keeps Hypothesis's own settings.
+settings.register_profile("mutants", derandomize=True, phases=(Phase.explicit, Phase.generate))
+if "POLYCONNECT_HYPOTHESIS_PROFILE" in os.environ:
+    settings.load_profile(os.environ["POLYCONNECT_HYPOTHESIS_PROFILE"])
 
 
 @pytest.fixture(autouse=True)

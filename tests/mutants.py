@@ -12,7 +12,10 @@ pytest run, and requires them to pass.  Then, for each mutant, it replaces
 the one exact match of the snippet, requires every one of the mutant's ids
 to fail, and restores the file.  It exits 1 if a mutant survives, a snippet
 does not match exactly once, or a test fails unmutated, so a refactor that
-moves a snippet must update the catalogue on purpose.
+moves a snippet must update the catalogue on purpose.  Every run sets
+POLYCONNECT_HYPOTHESIS_PROFILE=mutants, which tests/conftest.py reads: a
+Hypothesis test draws the same examples each time and stops at its first
+failing one, with no shrink phase, so a mutant may name a property test.
 """
 
 import os
@@ -37,6 +40,8 @@ CLI = "src/polyconnect/cli.py"
 GOLDEN_POLY = "tests/test_golden_cli.py::test_stdout_matches_recorded_digests[poly]"
 HIT = "tests/test_connection.py::TestResponseMemo::test_a_hit_writes_what_the_miss_wrote"
 CERTIFY = "tests/test_kernels.py::test_certify_stdout_matches_recorded_digest"
+EXPANSIONS = "src/polyconnect/expansions.py"
+POLES = "tests/test_kernels.py::test_rearrangement_poles_raise_or_skip_as_literal_bodies"
 
 #: (name, file, exact snippet, replacement, test ids that must fail)
 CATALOGUE = [
@@ -197,6 +202,29 @@ CATALOGUE = [
         "if 0 <= k <= len(nums) else",
         ["tests/test_polybases.py::TestPoly::test_coeff_reads_any_int_index"],
     ),
+    (
+        "fields_ismail_32_rhs: a pole reported at the vanishing factor, not at the first"
+        " nonzero a_k past it",
+        EXPANSIONS,
+        'raise PoleInParamsError(f"(c)_{n} = 0',
+        'raise PoleInParamsError(f"(c)_{cut} = 0',
+        [f"{POLES}[plain-past-a-zero-entry]",
+         "tests/test_kernels.py::test_plain_rearrangement_matches_literal_fraction_body"],
+    ),
+    (
+        "fields_ismail_13_rhs: the middle pole checked before the inner-sum skip",
+        EXPANSIONS,
+        "        if x and qg == 1 and n <= -pg - n - 1 < n_max:\n",
+        "        if qg == 1 and n <= -pg - n - 1 < n_max:\n",
+        [f"{POLES}[weighted-a4-b4-params4-None]"],
+    ),
+    (
+        "fields_ismail_13_rhs: the middle pole reported at the vanishing factor",
+        EXPANSIONS,
+        "            r = next(m for m in range(-pg - n, n_max + 1) if B[m]) - n\n",
+        "            r = -pg - 2 * n - 1\n",
+        [f"{POLES}[weighted-middle-past-a-zero-entry]"],
+    ),
 ]
 
 
@@ -204,6 +232,7 @@ def _pytest(copy: Path, ids: list) -> tuple:
     """Run the ids in the copy: the exit code, the failed ids and the output."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
+    env["POLYCONNECT_HYPOTHESIS_PROFILE"] = "mutants"
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *ids],
         cwd=copy, env=env, capture_output=True, text=True,

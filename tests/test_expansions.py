@@ -251,6 +251,10 @@ def test_sweep_caps_draws_and_validates_cases():
     for cases in (2.5, -1, True):
         with pytest.raises(InvalidInputError):
             sweeps._sweep(cases, 0, failing)
+    for seed in (None, [1], 1.5, "3", True):
+        with pytest.raises(InvalidInputError, match="seed must be an integer"):
+            sweeps._sweep(3, seed, failing)
     assert len(draws) == 3 * sweeps.MAX_DRAWS_PER_CASE
+    assert sweeps._sweep(1, -7, lambda rng, index: (1, 1, {}))[0]["match"]
     with pytest.raises(InvalidInputError):
         sweep_bilinear_plain(2.5)

@@ -838,6 +838,18 @@ def test_weighted_rearrangement_matches_literal_fraction_body(a, b, gamma, mu, t
         ("weighted", {0: 1}, {1: 1}, (-1, 1, 1), "(gamma+2n+1)_1 = 0 for gamma = -1, n = 0"),
         # (gamma+1)_2 = 0 at n = 0, where the inner sum is 0: not checked
         ("weighted", {1: 1}, {2: 1}, (-2, 1, 1), None),
+        # each pole is reported at the first nonzero entry past the first
+        # vanishing factor, not at that factor: c + 1 = 0, and a_2 = 0
+        pytest.param("plain", {0: 1, 1: 1, 3: 1}, {3: 1}, -1, "(c)_3 = 0 for c = -1",
+                     id="plain-past-a-zero-entry"),
+        # theta + 1 = 0 and mu + 2 = 0, and a_2 = 0
+        pytest.param("weighted", {1: 1, 3: 1}, {3: 1}, (1, -2, -1),
+                     "(mu)_3 (theta)_3 = 0 for mu = -2, theta = -1",
+                     id="weighted-inner-past-a-zero-entry"),
+        # gamma + 2n + 1 + 2 = 0 at n = 0, and b_2 = 0
+        pytest.param("weighted", {0: 1, 1: 1}, {1: 1, 3: 1}, (-3, 1, 1),
+                     "(gamma+2n+1)_3 = 0 for gamma = -3, n = 0",
+                     id="weighted-middle-past-a-zero-entry"),
     ],
 )
 def test_rearrangement_poles_raise_or_skip_as_literal_bodies(form, a, b, params, message):

@@ -26,15 +26,17 @@ a -n numerator parameter; ``fields_wimp_luke_terminating`` is Luke's form,
 Fields-Wimp with alpha = (c) and beta = (), made finite by a nonpositive
 integer in [a].  Each returns both sides, so a counterexample shows.
 
-Every side is taken in integers and reduced once, into the returned Fraction.
-The bilinear sides lift a and b to one denominator each (_lifted).  The left
-side adds a_m b_m (zw)^m, over m! when weighted, across the common support.
-A right side runs n once over dense lists of the lifted a and b, carrying its
-outer prefactor as a running product, and sums the inner and middle series
-at each n by Horner's scheme backward over integer term ratios made in the
-loop.  Both Fields-Wimp sides take their series from hypseries.sum_pairs, and
-each right-side term, weight and both series, is one integer pair.  Terms are
-added over the lcm of their denominators (_add), never over their product.
+Each public call checks its inputs once, then works in integers and reduces
+once, into the Fraction it returns.  The bilinear sides lift a and b to one
+denominator each in the one checking pass of a sequence (_lifted, shared by
+coeff_seq).  The left side adds a_m b_m (zw)^m, over m! when weighted, across
+the common support.  A right side runs n once over dense lists of the lifted
+a and b, carrying its outer prefactor as a running product, and sums the
+inner and middle series at each n by Horner's scheme backward over integer
+term ratios made in the loop.  The Fields-Wimp sides take their parameters
+as (p, q) pairs once and their series from hypseries.sum_pairs; each
+right-side term is one integer pair.  Terms are added over the lcm of their
+denominators (_add), never over their product.
 """
 
 import math
@@ -51,7 +53,6 @@ from .rationals import (
     check_index,
     check_instance,
     factorial,
-    lift,
     pochhammer_list,
     rational_to_str,
     rising,
@@ -67,16 +68,9 @@ Params = tuple[Fraction, ...]
 
 def coeff_seq(data: Mapping[int, RationalLike]) -> dict[int, Fraction]:
     """Normalize a finite-support sequence: coerce values, drop zeros.  A
-    non-mapping raises InvalidInputError."""
-    if not isinstance(data, Mapping):
-        raise InvalidInputError(f"expected a mapping of index to rational, got {shown(data)}")
-    out = {}
-    for index, value in data.items():
-        check_index(index, "sequence index")
-        v = as_rational(value)
-        if v:
-            out[index] = v
-    return out
+    non-mapping raises InvalidInputError.  The check is _lifted's."""
+    ints, den = _lifted(data)
+    return {index: Fraction(v, den) for index, v in ints.items()}
 
 
 def delta_seq(index: int, value: RationalLike = 1) -> dict[int, Fraction]:
@@ -120,10 +114,20 @@ def bilinear_lhs(
 
 
 def _lifted(seq: Mapping[int, RationalLike]) -> tuple[dict[int, int], int]:
-    """coeff_seq(seq) as integers over one denominator (rationals.lift)."""
-    seq = coeff_seq(seq)
-    ints, den = lift(seq.values())
-    return dict(zip(seq, ints)), den
+    """(ints, den): seq's nonzero entries as integers over den, the lcm of
+    their denominators.  The one check of a sequence, in one pass, raising
+    InvalidInputError at the first bad entry or for a non-mapping."""
+    if not isinstance(seq, Mapping):
+        raise InvalidInputError(f"expected a mapping of index to rational, got {shown(seq)}")
+    ratios, den = [], 1
+    for index, value in seq.items():
+        check_index(index, "sequence index")
+        p, q = as_rational(value).as_integer_ratio()
+        if p:
+            ratios.append((index, p, q))
+            if den % q:
+                den = den // math.gcd(den, q) * q
+    return {index: p * (den // q) for index, p, q in ratios}, den
 
 
 def _add(num: int, den: int, t: int, d: int) -> tuple[int, int]:
@@ -185,7 +189,9 @@ def fields_ismail_13_rhs(
     Divides by (g+n)_n, (g+2n+1)_r, (mu)_s and (th)_s only for terms whose
     sequence entries are nonzero; a vanishing divisor that is actually
     touched raises PoleInParams.  (g+2n+1)_r is checked only where the inner
-    sum is nonzero, (g+n)_n only where the middle one is too.
+    sum is nonzero.  No input reaches the (g+n)_n = 0 raise, kept so that no
+    ZeroDivisionError escapes: g is then an integer in [1 - 2n, -n], and the
+    inner sum at n is the one at j = -(n+g) < n, where (g+2j+1)_r = 0 raises.
     """
     check_instance(ep, ExpansionParams)
     (A, da), (B, db) = _lifted(a), _lifted(b)
@@ -235,30 +241,30 @@ def _pairs(params: Iterable[Union[int, Fraction]]) -> list[tuple[int, int]]:
 
 
 def _fields_wimp(
-    top: int, P: Params, Q: Params, R: Params, S: Params,
+    top: int, P: Params, Q: Params, pairs: tuple[list[tuple[int, int]], ...],
     z: tuple[int, int], w: tuple[int, int], pole: Callable[[int], PolyConnectError],
 ) -> Fraction:
     """Right side of the Fields-Wimp expansion of F(A, C; B, D; zw) with
     P = A + al, Q = B + be, R = C + be and S = D + al, for any pole-free al
     and be: the sum over k <= top of [P]_k (-z)^k / ([Q]_k k!) times
-    F(k+P; k+Q; z) F(-k, R; S; w), with z and w given as integer pairs
-    (numerator, denominator > 0).  Raises pole(k) at the first k with
+    F(k+P; k+Q; z) F(-k, R; S; w), given the (p, q) pairs of P, Q, R and S
+    and z and w as integer pairs.  Raises pole(k) at the first k with
     [Q]_k = 0.  The weights [P]_k and [Q]_k come from pochhammer_list, where
-    the benchmark's traced runs count them.  The parameters are taken as
-    integer pairs once; at each k the weight's two products, (-z)^k, k! and
-    both series values make one integer pair, added with _add."""
+    the benchmark's traced runs count them, each read once as an integer
+    ratio; (-z)^k and zd^k k! are running products.  At each k they and both
+    series values make one integer pair, added with _add."""
     (zn, zd), (wn, wd) = z, w
-    Pp, Qp, Rp, Sp = map(_pairs, (P, Q, R, S))
-    num, den = 0, 1
+    Pp, Qp, Rp, Sp = pairs
+    num, den, zk, zk_den = 0, 1, 1, 1  # zk / zk_den = (-z)^k / k!
     for k in range(top + 1):
-        div = pochhammer_list(Q, k)
-        if div == 0:
+        dn, dd = pochhammer_list(Q, k).as_integer_ratio()
+        if not dn:
             raise pole(k)
-        rise = pochhammer_list(P, k)
+        rn, rd = pochhammer_list(P, k).as_integer_ratio()
         p1, q1 = sum_pairs([(p + k * q, q) for p, q in Pp], [(p + k * q, q) for p, q in Qp], zn, zd)
         p2, q2 = sum_pairs([(-k, 1)] + Rp, Sp, wn, wd)
-        num, den = _add(num, den, rise.numerator * div.denominator * (-zn) ** k * p1 * p2,
-                        rise.denominator * div.numerator * zd**k * math.factorial(k) * q1 * q2)
+        num, den = _add(num, den, rn * dd * zk * p1 * p2, rd * dn * zk_den * q1 * q2)
+        zk, zk_den = -zk * zn, zk_den * zd * (k + 1)
     return Fraction(num, den)
 
 
@@ -282,11 +288,12 @@ def fields_wimp_terminating(
     """
     check_index(n, "n")
     a, b, c, d, al, be = map(as_rationals, (a_list, b_list, c_list, d_list, alpha_list, beta_list))
-    z, w = (as_rational(v).as_integer_ratio() for v in (z, w))
+    z, w = as_rational(z).as_integer_ratio(), as_rational(w).as_integer_ratio()
     a = (Fraction(-n),) + a
-    lhs = Fraction(*sum_pairs(_pairs(a + c), _pairs(b + d), z[0] * w[0], z[1] * w[1]))
+    ap, bp, cp, dp, alp, bep = map(_pairs, (a, b, c, d, al, be))
+    lhs = Fraction(*sum_pairs(ap + cp, bp + dp, z[0] * w[0], z[1] * w[1]))
     # C(n,k) z^k = (-n)_k (-z)^k / k!
-    return lhs, _fields_wimp(n, a + al, b + be, c + be, d + al, z, w,
+    return lhs, _fields_wimp(n, a + al, b + be, (ap + alp, bp + bep, cp + bep, dp + alp), z, w,
                              lambda k: PoleInParamsError(f"[b]_{k} [beta]_{k} = 0"))
 
 
@@ -309,10 +316,11 @@ def fields_wimp_luke_terminating(
     """
     a, b, cr, d = map(as_rationals, (a_list, b_list, c_list, d_list))
     c = as_rational(c)
-    z, w = (as_rational(v).as_integer_ratio() for v in (z, w))
+    z, w = as_rational(z).as_integer_ratio(), as_rational(w).as_integer_ratio()
     top = truncation_index(a)
-    lhs = Fraction(*sum_pairs(_pairs(a + cr), _pairs(b + d), z[0] * w[0], z[1] * w[1]))
-    return lhs, _fields_wimp(top, (c,) + a, b, cr, (c,) + d, z, w,
+    ap, bp, crp, dp, cp = map(_pairs, (a, b, cr, d, (c,)))
+    lhs = Fraction(*sum_pairs(ap + crp, bp + dp, z[0] * w[0], z[1] * w[1]))
+    return lhs, _fields_wimp(top, (c,) + a, b, (cp + ap, bp, crp, cp + dp), z, w,
                              lambda n: DenominatorPoleError(f"[b]_{n} = 0"))
 
 

@@ -17,7 +17,8 @@ past the truncation.
 The kernels work on integers: a term ratio is a ratio of two integers once
 every parameter is written p/q, in lowest terms or not.  Both kernels read
 the cut and the poles off those (p, q) pairs in one helper, _cut, so they
-raise the same errors in the same order.
+raise the same errors in the same order, in one plain loop over each list
+that also takes the products of the q's scaling each term ratio.
 
 * series_coefficients returns the term coefficients, one Fraction each:
   laguerre keeps the list, the Jacobi constructors lift it to one row.
@@ -38,6 +39,7 @@ then one integer Horner pass and one Fraction), although sum_pairs would
 take the same value with less work: the benchmark's traced identity sweeps
 count series evaluations at series_coefficients, through this module's
 global, and the even/odd split sweep is the only one left for it to count.
+That sweep composes even + prefactor x odd from integer ratios.
 
 Parameter lists are coerced by rationals.as_rationals: a string or a
 non-iterable raises InvalidInputError.  The one exception is split_even_odd,
@@ -46,7 +48,6 @@ half-list once, from the parameters' (p, q) pairs, and both parts are born
 through HypSeries._from_fractions, which stores them as given.
 """
 
-import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -68,6 +69,9 @@ from .records import Frozen
 #: An ordered tuple of rational parameters.  Order is preserved as given;
 #: it matters for reporting, never for the value.
 ParamList = tuple[Fraction, ...]
+Pairs = Sequence[tuple[int, int]]
+
+_ONE, _HALF, _THREE_HALVES = Fraction(1), Fraction(1, 2), Fraction(3, 2)
 
 
 class HypSeries(Frozen):
@@ -102,30 +106,35 @@ def truncation_index(numerators: Iterable[RationalLike]) -> int:
     by the product loses nothing when cut at K.  Raises NonTerminating if no
     parameter is a nonpositive integer (the product never vanishes).
     """
-    return _cut([a.as_integer_ratio() for a in as_rationals(numerators)], ())
+    return _cut([a.as_integer_ratio() for a in as_rationals(numerators)], ())[0]
 
 
-def _cut(num_pq: Sequence[tuple[int, int]], den_pq: Sequence[tuple[int, int]]) -> int:
-    """The truncation index K of the numerator pairs, checked against the
-    denominator pairs: raises NonTerminating if no numerator is a nonpositive
-    integer, DenominatorPole if some denominator b has -b < K.  A pair (p, q)
-    has q > 0 but need not be in lowest terms: p/q is a nonpositive integer
+def _cut(num_pq: Pairs, den_pq: Pairs) -> tuple[int, int, int]:
+    """(K, prod of the denominators' q, prod of the numerators' q), with K the
+    truncation index of the numerator pairs, checked against the denominator
+    pairs: raises NonTerminating if no numerator is a nonpositive integer,
+    DenominatorPole if some denominator b has -b < K.  A pair (p, q) has
+    q > 0 but need not be in lowest terms: p/q is a nonpositive integer
     exactly when p <= 0 and q divides p, and its value is p // q, which the
-    messages print."""
-    cuts = [-(p // q) for p, q in num_pq if p <= 0 and p % q == 0]
-    if not cuts:
+    messages print.  One plain loop over each list."""
+    k_max, num_scale, den_scale = -1, 1, 1
+    for p, q in num_pq:
+        den_scale *= q
+        if p <= 0 and p % q == 0 and (k_max < 0 or -(p // q) < k_max):
+            k_max = -(p // q)
+    if k_max < 0:
         raise NonTerminatingError(
             "no numerator parameter is a nonpositive integer: "
             + ", ".join(ratio_str(p, q) for p, q in num_pq)
         )
-    k_max = min(cuts)
     for p, q in den_pq:
+        num_scale *= q
         if p <= 0 and p % q == 0 and -(p // q) < k_max:
             raise DenominatorPoleError(
                 f"denominator parameter {p // q} vanishes at index "
                 f"{1 - p // q} <= truncation index {k_max}"
             )
-    return k_max
+    return k_max, num_scale, den_scale
 
 
 def series_coefficients(
@@ -148,10 +157,8 @@ def series_coefficients(
     """
     num_pq = [a.as_integer_ratio() for a in as_rationals(numerators)]
     den_pq = [b.as_integer_ratio() for b in as_rationals(denominators)]
-    k_max = _cut(num_pq, den_pq)
-    num_scale = math.prod(q for _, q in den_pq)
-    den_scale = math.prod(q for _, q in num_pq)
-    coeffs = [Fraction(1)]
+    k_max, num_scale, den_scale = _cut(num_pq, den_pq)
+    coeffs = [_ONE]
     num = den = 1
     # Ratio recurrence, hard-capped at k_max so a 0/0 ratio is never formed.
     for k in range(k_max):
@@ -166,12 +173,7 @@ def series_coefficients(
     return tuple(coeffs)
 
 
-def sum_pairs(
-    num_pq: Sequence[tuple[int, int]],
-    den_pq: Sequence[tuple[int, int]],
-    x_num: int,
-    x_den: int,
-) -> tuple[int, int]:
+def sum_pairs(num_pq: Pairs, den_pq: Pairs, x_num: int, x_den: int) -> tuple[int, int]:
     """Value (a, b) of the terminating series with parameters p/q given as
     integer pairs (p, q), q > 0, and argument x_num/x_den, x_den > 0, so the
     value is a/b.
@@ -189,9 +191,8 @@ def sum_pairs(
     negative; it is never zero, since v_k vanishes only for a denominator
     pole at or before the cut, which _cut rejects.
     """
-    k_max = _cut(num_pq, den_pq)
-    num_scale = x_num * math.prod(q for _, q in den_pq)
-    den_scale = x_den * math.prod(q for _, q in num_pq)
+    k_max, num_scale, den_scale = _cut(num_pq, den_pq)
+    num_scale, den_scale = x_num * num_scale, x_den * den_scale
     a = b = 1
     for k in range(k_max - 1, -1, -1):
         u, v = num_scale, den_scale * (k + 1)
@@ -234,13 +235,19 @@ def split_even_odd(series: HypSeries) -> tuple[HypSeries, Fraction, HypSeries]:
     serving both parts: with a parameter written p/q, (p/q + j)/2 is the one
     Fraction (p + j q)/(2 q).  Both parts are born through
     HypSeries._from_fractions, without the public constructor's coercion;
-    the prefactor and the argument are one integer ratio each.
+    the prefactor, taken in the loop that checks the b_i, and the argument
+    are one integer ratio each.
     """
     check_instance(series, HypSeries)
     num_pq = [a.as_integer_ratio() for a in series.numerators]
     den_pq = [b.as_integer_ratio() for b in series.denominators]
-    if any(p == 0 for p, _ in den_pq):
-        raise ZeroDenominatorParameterError("cannot split: a denominator parameter is zero")
+    pre_num = pre_den = 1
+    for p, q in num_pq:
+        pre_num, pre_den = pre_num * p, pre_den * q
+    for p, q in den_pq:
+        if not p:
+            raise ZeroDenominatorParameterError("cannot split: a denominator parameter is zero")
+        pre_num, pre_den = pre_num * q, pre_den * p
     a0, a1, a2 = ([Fraction(p + j * q, 2 * q) for p, q in num_pq] for j in range(3))
     b0, b1, b2 = ([Fraction(p + j * q, 2 * q) for p, q in den_pq] for j in range(3))
     x_num, x_den = series.argument.as_integer_ratio()
@@ -249,10 +256,6 @@ def split_even_odd(series: HypSeries) -> tuple[HypSeries, Fraction, HypSeries]:
         arg = Fraction(x_num * x_num << shift, x_den * x_den)
     else:
         arg = Fraction(x_num * x_num, x_den * x_den << -shift)
-    even = HypSeries._from_fractions((*a0, *a1), (Fraction(1, 2), *b0, *b1), arg)
-    odd = HypSeries._from_fractions((*a1, *a2), (Fraction(3, 2), *b1, *b2), arg)
-    prefactor = Fraction(
-        math.prod(p for p, _ in num_pq) * math.prod(q for _, q in den_pq),
-        math.prod(q for _, q in num_pq) * math.prod(p for p, _ in den_pq),
-    )
-    return even, prefactor, odd
+    even = HypSeries._from_fractions((*a0, *a1), (_HALF, *b0, *b1), arg)
+    odd = HypSeries._from_fractions((*a1, *a2), (_THREE_HALVES, *b1, *b2), arg)
+    return even, Fraction(pre_num, pre_den), odd

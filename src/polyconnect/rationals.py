@@ -148,16 +148,16 @@ def pochhammer_list(params: Iterable[RationalLike], k: int) -> Fraction:
     """Product of pochhammer(a, k) over a parameter list; 1 for the empty list.
 
     Every parameter is coerced first; pochhammer is then called once per
-    parameter up to the first zero factor, and the factors' numerators and
-    denominators are multiplied as integers and reduced once."""
+    parameter up to the first zero factor.  Each factor is read once, as its
+    integer ratio, and the numerators and denominators are multiplied as
+    integers and reduced once, into the returned Fraction."""
     check_index(k, "k")
     num = den = 1
     for a in as_rationals(params):
-        factor = pochhammer(a, k)
-        if not factor:
-            return factor
-        num *= factor.numerator
-        den *= factor.denominator
+        p, q = pochhammer(a, k).as_integer_ratio()
+        if not p:
+            return Fraction(0)
+        num, den = num * p, den * q
     return Fraction(num, den)
 
 

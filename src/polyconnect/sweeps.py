@@ -96,7 +96,10 @@ def _draw_even_odd_split(rng: random.Random, index: int):
     even, prefactor, odd = split_even_odd(series)
     rhs = evaluate_terminating(even)
     if prefactor and series.argument:
-        rhs += prefactor * series.argument * evaluate_terminating(odd)
+        en, ed = rhs.as_integer_ratio()
+        on, od = evaluate_terminating(odd).as_integer_ratio()
+        (pn, pd), (xn, xd) = prefactor.as_integer_ratio(), series.argument.as_integer_ratio()
+        rhs = _F(en * pd * xd * od + pn * xn * on * ed, ed * pd * xd * od)
     return lhs, rhs, {"num": series.numerators, "den": series.denominators, "arg": series.argument}
 
 

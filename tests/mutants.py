@@ -116,8 +116,8 @@ CATALOGUE = [
     (
         "split_even_odd: odd denominators (3/2, *b0, *b2)",
         HYPSERIES,
-        "(Fraction(3, 2), *b1, *b2)",
-        "(Fraction(3, 2), *b0, *b2)",
+        "(_THREE_HALVES, *b1, *b2)",
+        "(_THREE_HALVES, *b0, *b2)",
         [SPLIT, SPLIT_SWEEP],
     ),
     (
@@ -216,7 +216,7 @@ CATALOGUE = [
         EXPANSIONS,
         "        if x and qg == 1 and n <= -pg - n - 1 < n_max:\n",
         "        if qg == 1 and n <= -pg - n - 1 < n_max:\n",
-        [f"{POLES}[weighted-a4-b4-params4-None]"],
+        [f"{POLES}[weighted-middle-at-a-zero-inner-sum]"],
     ),
     (
         "fields_ismail_13_rhs: the middle pole reported at the vanishing factor",
@@ -224,6 +224,28 @@ CATALOGUE = [
         "            r = next(m for m in range(-pg - n, n_max + 1) if B[m]) - n\n",
         "            r = -pg - 2 * n - 1\n",
         [f"{POLES}[weighted-middle-past-a-zero-entry]"],
+    ),
+    (
+        "_fields_wimp: (-z)^k carried without its running sign",
+        EXPANSIONS,
+        "zk, zk_den = -zk * zn,",
+        "zk, zk_den = zk * zn,",
+        ["tests/test_expansions.py::TestWimpTerminating::test_examples",
+         "tests/test_expansions.py::TestLukeTerminating::test_worked_instance"],
+    ),
+    (
+        "_lifted: zero entries kept",
+        EXPANSIONS,
+        "        if p:\n            ratios.append(",
+        "        if True:\n            ratios.append(",
+        ["tests/test_expansions.py::test_coeff_seq_drops_zeros_and_validates"],
+    ),
+    (
+        "_draw_even_odd_split: even + prefactor x odd over ed in place of od",
+        SWEEPS,
+        "ed * pd * xd * od)",
+        "ed * pd * xd * ed)",
+        [SPLIT_SWEEP],
     ),
 ]
 

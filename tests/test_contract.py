@@ -21,6 +21,7 @@ from polyconnect import (
     LAGUERRE,
     BasisId,
     ConnectionResult,
+    ExpansionParams,
     HypSeries,
     InvalidInputError,
     JacobiParams,
@@ -100,6 +101,39 @@ def test_rational_lists_reject_strings_and_non_iterables(call, bad):
 def test_bilinear_forms_reject_non_mappings_and_bad_params(call):
     with pytest.raises(InvalidInputError, match="expected"):
         call()
+
+
+#: The three bilinear sides, called on sequences a and b.
+BILINEAR_SIDES = {
+    "lhs": lambda a, b: bilinear_lhs(a, b, 1, 1, True),
+    "plain": lambda a, b: fields_ismail_32_rhs(a, b, 1, 1, 1),
+    "weighted": lambda a, b: fields_ismail_13_rhs(a, b, ExpansionParams(), 1, 1),
+}
+
+
+@pytest.mark.parametrize("side", sorted(BILINEAR_SIDES))
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        ([(0, 1)], {0: 1}, "expected a mapping of index to rational, got [(0, 1)]"),
+        ({0: 1}, "12", "expected a mapping of index to rational, got '12'"),
+        ({0: 1, True: 1}, {0: 1}, "sequence index must be a nonnegative integer, got True"),
+        ({0: 1}, {2: 1, -1: 1}, "sequence index must be a nonnegative integer, got -1"),
+        ({0: 1, 1: 0.5}, {0: 1}, "not an exact rational: 0.5"),
+        # the first bad entry in iteration order, its index before its value
+        ({0: 0, 3: 0.5, -1: 1}, {0: 1}, "not an exact rational: 0.5"),
+        ({-2: 0.5}, {0: 1}, "sequence index must be a nonnegative integer, got -2"),
+        ({-2: 0}, {0: 1}, "sequence index must be a nonnegative integer, got -2"),
+        # a is checked before b
+        ({0: 0.25}, {-1: 1}, "not an exact rational: 0.25"),
+    ],
+    ids=["a-list", "b-string", "index-bool", "index-negative", "value-float", "first-in-order",
+         "index-before-value", "zero-value-index", "a-before-b"],
+)
+def test_bilinear_sides_raise_at_the_first_bad_entry(side, a, b, message):
+    with pytest.raises(InvalidInputError) as caught:
+        BILINEAR_SIDES[side](a, b)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize(

@@ -120,6 +120,14 @@ class TestWimpTerminating:
             fields_wimp_terminating(2, [], [], [], [], [-1], [], F(1, 2), F(-1, 3))
 
 
+    def test_pole_is_raised_at_the_first_vanishing_weight(self):
+        # [beta]_k = (-1)_k vanishes first at k = 2; [alpha] = (-1) keeps
+        # every series before it pole-free
+        with pytest.raises(PoleInParamsError) as caught:
+            fields_wimp_terminating(2, [], [], [], [], [-1], [-1], F(1, 2), F(1, 3))
+        assert str(caught.value) == "[b]_2 [beta]_2 = 0"
+
+
 class TestLukeTerminating:
     def test_worked_instance(self):
         lhs, rhs = fields_wimp_luke_terminating([-1], [], [], [], 3, F(1, 2), F(1, 2))
@@ -132,6 +140,12 @@ class TestLukeTerminating:
     def test_product_argument_one(self):
         lhs, rhs = fields_wimp_luke_terminating([-1], [], [], [], 3, 1, 1)
         assert lhs == rhs == 0
+
+    def test_pole_is_raised_at_the_first_vanishing_weight(self):
+        # [b]_n = (-1)_n vanishes first at n = 2, the last index of a = (-2)
+        with pytest.raises(DenominatorPoleError) as caught:
+            fields_wimp_luke_terminating([-2], [-1], [-1], [], -1, F(1, 2), F(1, 3))
+        assert str(caught.value) == "[b]_2 = 0"
 
     def test_requires_nonpositive_integer(self):
         with pytest.raises(NonTerminatingError, match="^no numerator parameter is a nonpositive integer: 1/2$"):

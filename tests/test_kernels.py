@@ -831,13 +831,16 @@ def test_weighted_rearrangement_matches_literal_fraction_body(a, b, gamma, mu, t
 @pytest.mark.parametrize(
     "form, a, b, params, message",
     [
-        ("plain", {2: 1}, {2: 1}, -1, "(c)_2 = 0 for c = -1"),
+        pytest.param("plain", {2: 1}, {2: 1}, -1, "(c)_2 = 0 for c = -1", id="plain-inner"),
         # a_3 sits past the outer range, so (c)_3 = 0 is never divided by
-        ("plain", {0: 1, 3: 1}, {2: 1}, -1, None),
-        ("weighted", {2: 1}, {2: 1}, (1, -1, 1), "(mu)_2 (theta)_2 = 0 for mu = -1, theta = 1"),
-        ("weighted", {0: 1}, {1: 1}, (-1, 1, 1), "(gamma+2n+1)_1 = 0 for gamma = -1, n = 0"),
+        pytest.param("plain", {0: 1, 3: 1}, {2: 1}, -1, None, id="plain-past-the-outer-range"),
+        pytest.param("weighted", {2: 1}, {2: 1}, (1, -1, 1),
+                     "(mu)_2 (theta)_2 = 0 for mu = -1, theta = 1", id="weighted-inner"),
+        pytest.param("weighted", {0: 1}, {1: 1}, (-1, 1, 1),
+                     "(gamma+2n+1)_1 = 0 for gamma = -1, n = 0", id="weighted-middle"),
         # (gamma+1)_2 = 0 at n = 0, where the inner sum is 0: not checked
-        ("weighted", {1: 1}, {2: 1}, (-2, 1, 1), None),
+        pytest.param("weighted", {1: 1}, {2: 1}, (-2, 1, 1), None,
+                     id="weighted-middle-at-a-zero-inner-sum"),
         # each pole is reported at the first nonzero entry past the first
         # vanishing factor, not at that factor: c + 1 = 0, and a_2 = 0
         pytest.param("plain", {0: 1, 1: 1, 3: 1}, {3: 1}, -1, "(c)_3 = 0 for c = -1",
@@ -850,6 +853,11 @@ def test_weighted_rearrangement_matches_literal_fraction_body(a, b, gamma, mu, t
         pytest.param("weighted", {0: 1, 1: 1}, {1: 1, 3: 1}, (-3, 1, 1),
                      "(gamma+2n+1)_3 = 0 for gamma = -3, n = 0",
                      id="weighted-middle-past-a-zero-entry"),
+        # (gamma+2)_2 = 0 at n = 2, but the inner sum at n is the one at
+        # j = -(n+gamma) = 1, whose middle sum meets (gamma+2j+1)_1 = 0 first
+        pytest.param("weighted", {0: 1}, {2: 1}, (-3, 1, 1),
+                     "(gamma+2n+1)_1 = 0 for gamma = -3, n = 1",
+                     id="weighted-outer-preempted-by-middle"),
     ],
 )
 def test_rearrangement_poles_raise_or_skip_as_literal_bodies(form, a, b, params, message):

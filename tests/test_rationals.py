@@ -85,6 +85,29 @@ def test_pochhammer_list_zero_iff_nonpositive_integer_in_window(params, k):
     assert (pochhammer_list(params, k) == 0) == (hit and k > 0)
 
 
+@pytest.mark.parametrize(
+    "params, k, message",
+    [
+        ([1], True, "k must be a nonnegative integer, got True"),
+        ([1], -1, "k must be a nonnegative integer, got -1"),
+        ([1], 2.0, "k must be a nonnegative integer, got 2.0"),
+        ([1], "2", "k must be a nonnegative integer, got '2'"),
+        # k is checked before any parameter
+        ([0.5], -1, "k must be a nonnegative integer, got -1"),
+        ([1, 0.5], 2, "not an exact rational: 0.5"),
+        (["1/2", "1/x"], 2, "malformed rational '1/x': expected 'p/q' or 'n'"),
+        # every parameter is coerced before the first zero factor ends the product
+        ([0, "1/x"], 2, "malformed rational '1/x': expected 'p/q' or 'n'"),
+    ],
+    ids=["k-bool", "k-negative", "k-float", "k-string", "k-first", "float", "malformed",
+         "malformed-past-a-zero"],
+)
+def test_pochhammer_list_rejects_bad_input_with_its_message(params, k, message):
+    with pytest.raises(InvalidInputError) as caught:
+        pochhammer_list(params, k)
+    assert str(caught.value) == message
+
+
 def test_rational_to_str_compact():
     assert rational_to_str(Fraction(3)) == "3"
     assert rational_to_str(Fraction(-5, 2)) == "-5/2"

@@ -43,14 +43,28 @@ _CONNECTION_HEADER = ("n", "k", "coefficient", "provenance")
 _VERDICT_EXIT = {"pass": 0, "fail": 1, "error": 2}
 
 
+#: (--alpha, --beta) texts -> their JacobiParams: _jacobi_params' per-process
+#: memo, so a repeated pair is parsed once and every family-cache key of its
+#: requests holds one object.  It keeps at most _PARAMS_CAP pairs, dropping
+#: the oldest first; a pair that fails to parse is never kept.
+_PARAMS = {}
+_PARAMS_CAP = 256
+
+
 def _jacobi_params(ns, families, subject: str) -> Optional[JacobiParams]:
-    """The --alpha/--beta pair; it applies exactly when one of the named
-    families takes Jacobi parameters."""
-    if ns.alpha is None and ns.beta is None:
-        return None
-    if ns.alpha is None or ns.beta is None:
-        raise InvalidInputError("--alpha and --beta must be given together")
-    jp = JacobiParams(ns.alpha, ns.beta)
+    """The --alpha/--beta pair, from _PARAMS or parsed and kept there; it
+    applies exactly when one of the named families takes Jacobi parameters."""
+    key = ns.alpha, ns.beta
+    jp = _PARAMS.get(key)
+    if jp is None:
+        if ns.alpha is None and ns.beta is None:
+            return None
+        if ns.alpha is None or ns.beta is None:
+            raise InvalidInputError("--alpha and --beta must be given together")
+        jp = JacobiParams(*key)
+        if len(_PARAMS) >= _PARAMS_CAP:
+            del _PARAMS[next(iter(_PARAMS))]
+        _PARAMS[key] = jp
     if not any(family in JACOBI_FAMILIES for family in families):
         raise InvalidInputError(f"--alpha/--beta do not apply to {subject}")
     return jp

@@ -52,9 +52,10 @@ wherever the recurrence built the row (a degenerate row already is the
 oracle's).  The CLI's ``table --method oracle|both`` reads the table too;
 ``connect`` and ``connection_oracle`` convert one degree.  The oracle and
 reconstruction work on integer rows (Poly.integer_form, the one form every
-Poly holds); the oracle's result is a row too.  Every call converts
-afresh: a process serving repeated CLI requests keeps their responses
-instead (cli.run).
+Poly holds), and read the target's member rows from one per-process table
+per basis (_member_rows); the oracle's result is a row too.  Every call
+converts afresh: a process serving repeated CLI requests keeps their
+responses instead (cli.run).
 
 The Thm3.3 coefficient formula is a repaired reading of a typographically
 defective display (its expansion sum is restored over m = 0..n).  It is
@@ -234,6 +235,28 @@ def _graded(member: Poly, family: str, k: int) -> Poly:
     return member
 
 
+#: (family, params) of a target basis -> {k: the integer row of its degree-k
+#: member}: the per-process, unbounded member tables that connection_oracle
+#: and ConnectionResult.reconstruct read, one per basis.  A row is the member's
+#: own integer_form, the object the family's memo holds, kept only once the
+#: member passed its degree check; an error is never kept.
+#: _MEMBER_ROWS.clear() empties every table.
+_MEMBER_ROWS: dict = {}
+
+
+def _member_rows(target: BasisId) -> dict:
+    """The member table of the target basis, made empty on first use."""
+    return _MEMBER_ROWS.setdefault((target.family, target.params), {})
+
+
+def _new_member_row(rows: dict, target: BasisId, k: int) -> Row:
+    """The row of the target's degree-k member, missing from its table rows:
+    built through FAMILIES[family].member, checked by _graded, then kept."""
+    family = target.family
+    rows[k] = _graded(FAMILIES[family].member(k, target.params), family, k).integer_form
+    return rows[k]
+
+
 class ConnectionResult(Frozen):
     """Coefficient list expanding a degree-n source member in a target family.
 
@@ -281,13 +304,15 @@ class ConnectionResult(Frozen):
         form M_k / e_k and E the lcm of the e_k, the term c_k M_k / e_k is the
         integer vector M_k times C_k (E / e_k), over d E.  So the sum is one
         integer vector over d E, reduced by one gcd into the row of the Poly
-        returned.  The target's member function is looked up once.
+        returned.  The member rows come from the target's member table
+        (_member_rows); a member is read, and built on a miss, only where its
+        coefficient is nonzero, in increasing degree.
         """
         nums, den = self._row
-        family, params = self.target.family, self.target.params
-        member = FAMILIES[family].member
+        target = self.target
+        rows = _member_rows(target)
         members = [
-            _graded(member(k, params), family, k).integer_form if c else ((), 1)
+            (rows.get(k) or _new_member_row(rows, target, k)) if c else ((), 1)
             for k, c in enumerate(nums)
         ]
         common = math.lcm(*(e for _, e in members))
@@ -347,18 +372,19 @@ def connection_oracle(p: Poly, target: BasisId) -> ConnectionResult:
     construction, and checked to be.  The result is a Row: with d_k the d
     after step k, c_k = (R[k]/g) e / d_k, and the final d_0 is d_k times the
     m[j]/g of the later steps j < k, so c_k is (R[k]/g) e (d_0/d_k) over |d_0|.
-    Every target member of degree <= degree(p) is built and checked, in that
-    order, through one lookup of the target's member function.
+    Every target member of degree <= degree(p) is read from the target's
+    member table (_member_rows), in that order; one missing there is built
+    and checked then, so the error raised is that of the highest degree whose
+    member cannot be built.
     """
     check_instance(p, Poly)
-    family, params = check_instance(target, BasisId).family, target.params
-    member = FAMILIES[family].member
+    rows = _member_rows(check_instance(target, BasisId))
     degree = 0 if p.is_zero else p.degree
     residual, den = p.integer_form
     residual = residual or (0,)
     coefficients, leads = [0] * (degree + 1), [1] * (degree + 1)
     for k in range(degree, -1, -1):
-        m, e = _graded(member(k, params), family, k).integer_form
+        m, e = rows.get(k) or _new_member_row(rows, target, k)
         top = residual[k]
         if not top:
             continue

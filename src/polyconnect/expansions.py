@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Union
 
 from .errors import DenominatorPoleError, InvalidInputError, PoleInParamsError, PolyConnectError
-from .hypseries import sum_pairs, truncation_index
+from .hypseries import _cut, sum_pairs
 from .rationals import (
     RationalLike,
     as_rational,
@@ -317,8 +317,8 @@ def fields_wimp_luke_terminating(
     a, b, cr, d = map(as_rationals, (a_list, b_list, c_list, d_list))
     c = as_rational(c)
     z, w = as_rational(z).as_integer_ratio(), as_rational(w).as_integer_ratio()
-    top = truncation_index(a)
     ap, bp, crp, dp, cp = map(_pairs, (a, b, cr, d, (c,)))
+    top = _cut(ap, ())[0]
     lhs = Fraction(*sum_pairs(ap + crp, bp + dp, z[0] * w[0], z[1] * w[1]))
     return lhs, _fields_wimp(top, (c,) + a, b, (cp + ap, bp, crp, cp + dp), z, w,
                              lambda n: DenominatorPoleError(f"[b]_{n} = 0"))

@@ -209,7 +209,9 @@ class JacobiParams(Frozen):
 
 def _cached(body):
     """lru_cache(body), at one more call per cached hit: the per-process,
-    unbounded memo of the family members, which conversions share.  Where
+    unbounded memo of the family members.  basis_poly and the closed forms'
+    source checks read it; connection's member tables hold the rows of the
+    members it keeps and come back here only on a miss.  Where
     the cache raises TypeError, body runs uncached: its checks raise
     InvalidInputError for an argument the cache cannot hash (no valid one is
     unhashable), and a TypeError of body's own is raised again.  Keys are

@@ -1,5 +1,5 @@
 """Make the package the tests import importable in the CLI subprocesses too,
-start each test with an empty CLI response memo, offer no_fractions, and
+start each test with empty per-process memos, offer no_fractions, and
 load the Hypothesis profile the mutant runner asks for.
 
 pyproject.toml puts ``src`` on the test process's path; the CLI tests run
@@ -29,10 +29,13 @@ if "POLYCONNECT_HYPOTHESIS_PROFILE" in os.environ:
 
 
 @pytest.fixture(autouse=True)
-def _empty_response_memo():
-    """A test that patches or counts what a CLI request runs must see it run,
-    not a response left kept by an earlier test."""
+def _empty_memos():
+    """A test that patches or counts what a CLI request or a conversion runs
+    must see it run, not a response, a member row or a parameter pair left
+    kept by an earlier test."""
     cli._RESPONSES.clear()
+    cli._PARAMS.clear()
+    connection._MEMBER_ROWS.clear()
 
 
 @contextlib.contextmanager

@@ -41,6 +41,8 @@ GOLDEN_POLY = "tests/test_golden_cli.py::test_stdout_matches_recorded_digests[po
 HIT = "tests/test_connection.py::TestResponseMemo::test_a_hit_writes_what_the_miss_wrote"
 CERTIFY = "tests/test_kernels.py::test_certify_stdout_matches_recorded_digest"
 EXPANSIONS = "src/polyconnect/expansions.py"
+TABLES = "tests/test_connection.py::TestMemberTables"
+PARAMS = "tests/test_cli.py::TestParameterMemo"
 POLES = "tests/test_kernels.py::test_rearrangement_poles_raise_or_skip_as_literal_bodies"
 
 #: (name, file, exact snippet, replacement, test ids that must fail)
@@ -246,6 +248,37 @@ CATALOGUE = [
         "ed * pd * xd * od)",
         "ed * pd * xd * ed)",
         [SPLIT_SWEEP],
+    ),
+    (
+        "_new_member_row: a row kept before its degree check",
+        CONNECTION,
+        "    rows[k] = _graded(FAMILIES[family].member(k, target.params), family, k)"
+        ".integer_form\n",
+        "    rows[k] = FAMILIES[family].member(k, target.params).integer_form\n"
+        "    _graded(Poly._from_row(*rows[k]), family, k)\n",
+        [f"{TABLES}::test_a_member_failing_its_degree_check_is_never_kept"],
+    ),
+    (
+        "reconstruct: every member read, whatever its coefficient",
+        CONNECTION,
+        "(rows.get(k) or _new_member_row(rows, target, k)) if c else ((), 1)",
+        "(rows.get(k) or _new_member_row(rows, target, k))",
+        [f"{TABLES}::test_reconstruct_builds_only_members_with_a_nonzero_coefficient",
+         f"{TABLES}::test_reconstruct_skips_a_member_that_cannot_be_built"],
+    ),
+    (
+        "_jacobi_params: the memo looked up by --alpha alone",
+        CLI,
+        "    jp = _PARAMS.get(key)\n",
+        "    jp = next((v for (a, _), v in _PARAMS.items() if a == ns.alpha), None)\n",
+        [f"{PARAMS}::test_one_text_pair_gives_one_params"],
+    ),
+    (
+        "_jacobi_params: the memo never capped",
+        CLI,
+        "        if len(_PARAMS) >= _PARAMS_CAP:\n",
+        "        if False:\n",
+        [f"{PARAMS}::test_the_memo_stays_within_its_cap"],
     ),
 ]
 

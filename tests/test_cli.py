@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyconnect import cli
+from polyconnect import JacobiParams, cli, connection
 
 
 def run_cli(*args):
@@ -396,6 +397,85 @@ def test_one_process_serving_many_requests_matches_fresh_processes(capsys):
     assert [rc for rc, _, _ in shared] == [2, 2, 2, 0, 2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 2]
     fresh = [run_cli(*argv) for argv in requests]
     assert shared == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+
+
+@pytest.mark.parametrize("argv", [
+    ["connect", "--source", "hermite", "--target", "jacobi-1mx", "--n", "8",
+     "--alpha", "1/2", "--beta", "-1/3", "--method", "both"],
+    ["connect", "--source", "laguerre", "--target", "shifted-jacobi", "--n", "6",
+     "--alpha=-3/2", "--beta", "2/3", "--method", "oracle", "--format", "csv"],
+], ids=["both-json", "oracle-csv"])
+def test_warm_memos_write_the_bytes_of_cold_ones(argv, capsys):
+    """A request run again, with its response dropped but its member tables
+    and parameter pair kept, writes what a fresh process writes."""
+    outcomes = []
+    for _ in range(2):
+        cli._RESPONSES.clear()
+        assert cli.run(argv) == 0
+        outcomes.append(capsys.readouterr())
+        assert connection._MEMBER_ROWS and len(cli._PARAMS) == 1
+    fresh = run_cli(*argv)
+    assert outcomes[0] == outcomes[1] == (fresh.stdout, fresh.stderr)
+
+
+class TestParameterMemo:
+    """_jacobi_params keeps one JacobiParams per (--alpha, --beta) text pair,
+    at most cli._PARAMS_CAP of them; a pair that fails to parse is not kept."""
+
+    FAMILIES = ("shifted-jacobi",)
+
+    def _params(self, alpha, beta):
+        ns = types.SimpleNamespace(alpha=alpha, beta=beta)
+        return cli._jacobi_params(ns, self.FAMILIES, "family shifted-jacobi")
+
+    def test_one_text_pair_gives_one_params(self):
+        first = self._params("1/2", "-1/3")
+        assert self._params("1/2", "-1/3") is first
+        assert first == JacobiParams(Fraction(1, 2), Fraction(-1, 3))
+        other = self._params("1/2", "1/3")  # the same --alpha
+        assert other.abq == (3, 2, 6) and first.abq == (3, -2, 6)
+        spelled = self._params("2/4", "-2/6")
+        assert spelled == first and spelled is not first
+        assert list(cli._PARAMS) == [("1/2", "-1/3"), ("1/2", "1/3"), ("2/4", "-2/6")]
+        assert self._params(None, None) is None and len(cli._PARAMS) == 3
+
+    def test_requests_of_one_pair_share_one_params(self, capsys):
+        pair = ["--alpha", "1/2", "--beta", "1/3"]
+        for argv in (["poly", "--family", "shifted-jacobi", "--n", "3", *pair],
+                     ["connect", "--source", "hermite", "--target", "jacobi-1mx", "--n", "3",
+                      *pair],
+                     ["verify", "--theorem", "3.4", "--n-max", "2", *pair]):
+            assert cli.run(argv) == 0
+        capsys.readouterr()
+        assert list(cli._PARAMS) == [("1/2", "1/3")]
+
+    @pytest.mark.parametrize("alpha, beta, message", [
+        ("x", "1", "malformed rational 'x': expected 'p/q' or 'n'"),
+        ("1", "1/0", "zero denominator in '1/0'"),
+        ("1/2", None, "--alpha and --beta must be given together"),
+    ])
+    def test_an_invalid_pair_raises_each_time_and_is_not_kept(self, alpha, beta, message):
+        errors = []
+        for _ in range(2):
+            with pytest.raises(cli.InvalidInputError) as caught:
+                self._params(alpha, beta)
+            errors.append(str(caught.value))
+        assert errors == [message, message]
+        assert not cli._PARAMS
+
+    def test_a_pair_that_does_not_apply_raises_each_time(self, capsys):
+        argv = ["poly", "--family", "hermite", "--n", "2", "--alpha", "1", "--beta", "2"]
+        assert cli.run(argv) == cli.run(argv) == 2
+        assert capsys.readouterr().err == "error: --alpha/--beta do not apply to family hermite\n" * 2
+
+    def test_the_memo_stays_within_its_cap(self):
+        cap = cli._PARAMS_CAP
+        made = [self._params(str(i), "0") for i in range(cap + 5)]
+        assert len(cli._PARAMS) == cap
+        assert list(cli._PARAMS) == [(str(i), "0") for i in range(5, cap + 5)]  # oldest dropped
+        again = self._params("0", "0")  # parsed afresh, the then oldest pair dropped
+        assert again == made[0] and again is not made[0]
+        assert len(cli._PARAMS) == cap and ("5", "0") not in cli._PARAMS
 
 
 @pytest.mark.parametrize(

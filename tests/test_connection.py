@@ -607,3 +607,96 @@ def test_regular_decides_on_integers_as_the_fraction_comparison_did():
             if sum(negative) == 1:
                 alone.add(negative.index(True))
     assert alone == {0, 1, 2}
+
+
+class TestMemberTables:
+    """connection_oracle and ConnectionResult.reconstruct read each target
+    member's integer row from one per-process table per basis, built on a
+    miss through FAMILIES[family].member and kept only past its degree
+    check."""
+
+    #: alpha = -6, beta = 0: lam = -5, so the shifted Jacobi members of
+    #: degrees 3, 4 and 5 lose their leading coefficient.
+    SHORT = BasisId("shifted-jacobi", JacobiParams(-6, 0))
+
+    @staticmethod
+    def _count_builds(monkeypatch, name):
+        """The degrees the family `name` builds from now on, through the
+        connection global the FAMILIES lambdas look up."""
+        built, family = [], getattr(connection, name)
+        monkeypatch.setattr(connection, name, lambda k, *jp: built.append(k) or family(k, *jp))
+        return built
+
+    @pytest.mark.parametrize("target", TARGETS, ids=lambda b: b.family)
+    def test_a_warm_table_converts_as_a_cold_one(self, target):
+        p = Poly([F(1, 3), -2, 0, F(5, 7), 1, F(-1, 2)])
+        cold = connection_oracle(p, target)
+        rows = connection._MEMBER_ROWS[target.family, target.params]
+        assert sorted(rows) == list(range(6))
+        for k, row in rows.items():  # a cached member's own row object, not a copy
+            member = basis_poly(target, k).integer_form
+            assert row is member if target != MONOMIAL else row == member
+        warm = connection_oracle(p, target)
+        assert warm._row == cold._row and warm == cold
+        assert warm.reconstruct() == cold.reconstruct() == p
+
+    def test_a_warm_table_builds_no_member(self, monkeypatch):
+        p = Poly([1, 2, 3, 4])
+        cold = connection_oracle(p, HERMITE)
+        built = self._count_builds(monkeypatch, "hermite")
+        assert connection_oracle(p, HERMITE)._row == cold._row
+        assert cold.reconstruct() == p
+        assert built == []
+
+    def test_a_member_failing_its_degree_check_is_never_kept(self, monkeypatch):
+        built = self._count_builds(monkeypatch, "shifted_jacobi")
+        rows = connection._MEMBER_ROWS
+        for _ in range(3):
+            with pytest.raises(InvalidInputError) as caught:
+                connection_oracle(Poly.monomial(3), self.SHORT)
+            assert str(caught.value) == "shifted-jacobi family is not graded at degree 3"
+            assert 3 not in rows.get((self.SHORT.family, self.SHORT.params), {})
+        assert built == [3, 3, 3]  # the top degree fails first, each time
+        lower = connection_oracle(Poly([1, 1, 1]), self.SHORT)
+        assert lower.reconstruct() == Poly([1, 1, 1])
+        assert sorted(rows[self.SHORT.family, self.SHORT.params]) == [0, 1, 2]
+        with pytest.raises(InvalidInputError, match="not graded at degree 3"):
+            connection_oracle(Poly.monomial(3), self.SHORT)
+        assert built == [3, 3, 3, 2, 1, 0, 3]
+
+    def test_an_error_of_the_member_itself_is_never_kept(self):
+        # alpha = -1: the series of every jacobi-1mx member of degree >= 1
+        # meets a denominator pole; the degree-2 member's is raised first
+        target = BasisId("jacobi-1mx", JacobiParams(-1, F(1, 2)))
+        expected = "^denominator parameter 0 vanishes at index 1 <= truncation index 2$"
+        for _ in range(2):
+            with pytest.raises(PolyConnectError, match=expected):
+                connection_oracle(Poly.monomial(2), target)
+            assert not connection._MEMBER_ROWS[target.family, target.params]
+
+    def test_reconstruct_builds_only_members_with_a_nonzero_coefficient(self, monkeypatch):
+        result = connection_oracle(Poly([0, 1, 0, 0, 0, 1]), HERMITE)
+        assert [c == 0 for c in result.coefficients] == [True, False, True, False, True, False]
+        connection._MEMBER_ROWS.clear()
+        built = self._count_builds(monkeypatch, "hermite")
+        assert result.reconstruct() == Poly([0, 1, 0, 0, 0, 1])
+        assert built == [1, 3, 5]
+        assert sorted(connection._MEMBER_ROWS[HERMITE.family, None]) == [1, 3, 5]
+
+    def test_reconstruct_skips_a_member_that_cannot_be_built(self):
+        """The degenerate case: a zero coefficient at a degree whose member
+        fails its degree check builds nothing there; a nonzero one raises."""
+        fine = ConnectionResult(MONOMIAL, self.SHORT, 3, (1, 2, 3, 0), "Oracle")
+        expected = sum((c * basis_poly(self.SHORT, k) for k, c in enumerate((1, 2, 3))), Poly())
+        assert fine.reconstruct() == expected
+        broken = ConnectionResult(MONOMIAL, self.SHORT, 3, (1, 0, 0, 1), "Oracle")
+        with pytest.raises(InvalidInputError, match="^shifted-jacobi family is not graded at degree 3$"):
+            broken.reconstruct()
+        assert sorted(connection._MEMBER_ROWS[self.SHORT.family, self.SHORT.params]) == [0, 1, 2]
+
+    def test_equal_parameters_share_one_table(self):
+        first = BasisId("jacobi-1mx", JacobiParams("1/2", "-1/3"))
+        second = BasisId("jacobi-1mx", JacobiParams("2/4", "-2/6"))
+        assert connection_oracle(Poly.monomial(4), first) == connection_oracle(
+            Poly.monomial(4), second)
+        assert list(connection._MEMBER_ROWS) == [("jacobi-1mx", first.params)]

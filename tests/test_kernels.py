@@ -917,6 +917,19 @@ def test_wimp_luke_matches_literal_fraction_body(cut, a, b, cr, d, c, z, w):
     )
 
 
+@pytest.mark.parametrize("a, b, shown", [
+    ([], [], ""),
+    ([F(1, 2)], [-1], "1/2"),  # the cut is read before any denominator pole
+    ([3, "-6/4", F(2, 3)], [], "3, -3/2, 2/3"),
+    (["6/2", 1], [F(1, 3)], "3, 1"),
+])
+def test_wimp_luke_without_a_cut_raises_as_literal_body(a, b, shown):
+    args = (a, b, [F(1, 2)], [], 1, F(1, 3), 2)
+    expected = (NonTerminatingError, f"no numerator parameter is a nonpositive integer: {shown}")
+    assert _result(fields_wimp_luke_terminating, *args) == expected
+    assert _result(literal_wimp_luke_terminating, *args) == expected
+
+
 def _vanishes(a, k):
     """Whether (a)_k = 0: a is an integer in [1 - k, 0]."""
     return a.denominator == 1 and -k < a <= 0

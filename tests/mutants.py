@@ -252,10 +252,10 @@ CATALOGUE = [
     (
         "_new_member_row: a row kept before its degree check",
         CONNECTION,
-        "    rows[k] = _graded(FAMILIES[family].member(k, target.params), family, k)"
+        "        rows[k] = _graded(FAMILIES[family].member(k, target.params), family, k)"
         ".integer_form\n",
-        "    rows[k] = FAMILIES[family].member(k, target.params).integer_form\n"
-        "    _graded(Poly._from_row(*rows[k]), family, k)\n",
+        "        rows[k] = FAMILIES[family].member(k, target.params).integer_form\n"
+        "        _graded(Poly._from_row(*rows[k]), family, k)\n",
         [f"{TABLES}::test_a_member_failing_its_degree_check_is_never_kept"],
     ),
     (
@@ -265,6 +265,23 @@ CATALOGUE = [
         "(rows.get(k) or _new_member_row(rows, target, k))",
         [f"{TABLES}::test_reconstruct_builds_only_members_with_a_nonzero_coefficient",
          f"{TABLES}::test_reconstruct_skips_a_member_that_cannot_be_built"],
+    ),
+    (
+        "_new_member_row: the recurrence run for a degenerate Jacobi basis",
+        CONNECTION,
+        "    if not _by_recurrence(target):\n",
+        "    if target.params is None:\n",
+        [f"{TABLES}::test_degenerate_bases_build_member_by_member[short]",
+         f"{TABLES}::test_degenerate_bases_build_member_by_member[pole]",
+         f"{TABLES}::test_an_error_of_the_member_itself_is_never_kept"],
+    ),
+    (
+        "basis_poly: a kept row read for a degree that is not an int",
+        CONNECTION,
+        "    if type(k) is int and _by_recurrence(basis):\n",
+        "    if _by_recurrence(basis):\n",
+        [f"{TABLES}::test_a_warm_table_keeps_the_cold_errors_of_basis_poly[shifted-jacobi]",
+         f"{TABLES}::test_a_warm_table_keeps_the_cold_errors_of_basis_poly[jacobi-1mx]"],
     ),
     (
         "_jacobi_params: the memo looked up by --alpha alone",

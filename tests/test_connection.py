@@ -36,6 +36,7 @@ from polyconnect import (
 )
 from polyconnect import cli, connection
 from polyconnect.connection import _always_graded
+from test_row_recurrences import _regular as regular_params
 
 JP00 = JacobiParams(0, 0)
 TARGETS = [
@@ -613,7 +614,8 @@ class TestMemberTables:
     """connection_oracle and ConnectionResult.reconstruct read each target
     member's integer row from one per-process table per basis, built on a
     miss through FAMILIES[family].member and kept only past its degree
-    check."""
+    check; a Jacobi basis with _regular parameters builds its table by its
+    recurrence instead (TestRecurrenceTables), and basis_poly reads it."""
 
     #: alpha = -6, beta = 0: lam = -5, so the shifted Jacobi members of
     #: degrees 3, 4 and 5 lose their leading coefficient.
@@ -633,7 +635,12 @@ class TestMemberTables:
         cold = connection_oracle(p, target)
         rows = connection._MEMBER_ROWS[target.family, target.params]
         assert sorted(rows) == list(range(6))
-        for k, row in rows.items():  # a cached member's own row object, not a copy
+        for k, row in rows.items():
+            if target.params is not None:  # a recurrence row, equal to the member's
+                member = connection.FAMILIES[target.family].member(k, target.params)
+                assert row == member.integer_form and basis_poly(target, k) == member
+                continue
+            # a cached member's own row object, not a copy
             member = basis_poly(target, k).integer_form
             assert row is member if target != MONOMIAL else row == member
         warm = connection_oracle(p, target)
@@ -700,3 +707,102 @@ class TestMemberTables:
         assert connection_oracle(Poly.monomial(4), first) == connection_oracle(
             Poly.monomial(4), second)
         assert list(connection._MEMBER_ROWS) == [("jacobi-1mx", first.params)]
+
+    #: jacobi-1mx at alpha = -1: the series of every member of degree >= 1
+    #: meets a denominator pole.
+    POLE = BasisId("jacobi-1mx", JacobiParams(-1, F(1, 2)))
+
+    @pytest.mark.parametrize("target, family, good", [
+        (SHORT, "shifted_jacobi", 2), (POLE, "jacobi_at_one_minus_x", 0),
+    ], ids=["short", "pole"])
+    def test_degenerate_bases_build_member_by_member(self, monkeypatch, target, family, good):
+        """No recurrence for degenerate parameters: each degree is its own
+        member build, a failing one is never kept, and basis_poly builds the
+        member even where the table holds its row."""
+        built = self._count_builds(monkeypatch, family)
+        rows = connection._member_rows(target)
+        connection_oracle(Poly.monomial(good), target)
+        assert built == list(range(good, -1, -1))
+        for _ in range(2):
+            with pytest.raises(PolyConnectError):
+                connection_oracle(Poly.monomial(good + 1), target)
+            assert sorted(rows) == list(range(good + 1))
+        assert built[good + 1:] == [good + 1, good + 1]
+        assert basis_poly(target, good).integer_form is rows[good]
+        assert built[-1] == good
+
+    @pytest.mark.parametrize("family", connection.JACOBI_FAMILIES)
+    def test_a_warm_table_keeps_the_cold_errors_of_basis_poly(self, family):
+        """basis_poly reads a kept row for an int degree only: 2.0, True and
+        Fraction(2) hash as 2 and 1, but raise as they do on a cold table."""
+        target = BasisId(family, JacobiParams(F(1, 2), F(-1, 3)))
+
+        def messages():
+            out = []
+            for k in (2.0, True, F(2), -1):
+                with pytest.raises(InvalidInputError) as caught:
+                    basis_poly(target, k)
+                out.append(str(caught.value))
+            return out
+
+        cold = messages()
+        assert cold[0] == "degree must be a nonnegative integer, got 2.0"
+        connection_oracle(Poly.monomial(4), target)
+        assert sorted(connection._MEMBER_ROWS[family, target.params]) == list(range(5))
+        assert messages() == cold
+
+    @pytest.mark.parametrize("target, family", [
+        (BasisId("shifted-jacobi", JacobiParams(F(7, 3), F(-5, 7))), "shifted_jacobi"),
+        (BasisId("jacobi-1mx", JacobiParams(F(7, 3), F(-5, 7))), "jacobi_at_one_minus_x"),
+    ], ids=["shifted-jacobi", "jacobi-1mx"])
+    def test_basis_poly_reads_a_warm_recurrence_table(self, monkeypatch, target, family):
+        connection_oracle(Poly.monomial(6), target)
+        built = self._count_builds(monkeypatch, family)
+        read = [basis_poly(target, k) for k in range(7)]
+        assert built == []
+        assert read == [connection.FAMILIES[target.family].member(k, target.params)
+                        for k in range(7)]
+        basis_poly(target, 7)  # past the table: the member, as on a cold table
+        assert built == [*range(7), 7]
+
+
+class TestRecurrenceTables:
+    """The member table of a Jacobi basis with _regular parameters is built
+    by its family's recurrence, from row 0 up: every row is its member's
+    integer_form, the same reduced integers over the same d > 0, however the
+    table grew."""
+
+    @staticmethod
+    def _rows_are_the_members(target, top):
+        rows = connection._MEMBER_ROWS[target.family, target.params]
+        assert sorted(rows) == list(range(top + 1))
+        member = connection.FAMILIES[target.family].member
+        for k, (nums, d) in rows.items():
+            assert (nums, d) == member(k, target.params).integer_form
+            assert type(nums) is tuple and d > 0 and math.gcd(d, *nums) == 1
+        return dict(rows)
+
+    @settings(max_examples=30, deadline=None)
+    @given(regular_params, st.sampled_from(connection.JACOBI_FAMILIES),
+           st.lists(st.integers(0, 40), max_size=5))
+    def test_rows_equal_the_members_at_once_or_in_steps(self, params, family, stops):
+        jp = JacobiParams(*params)
+        assert connection._regular(jp)
+        target = BasisId(family, jp)
+        connection._MEMBER_ROWS.clear()
+        connection_oracle(Poly.monomial(40), target)
+        at_once = self._rows_are_the_members(target, 40)
+        connection._MEMBER_ROWS.clear()
+        top = -1
+        for stop in (*stops, 40):
+            connection_oracle(Poly.monomial(stop), target)
+            top = max(top, stop)
+            assert sorted(connection._MEMBER_ROWS[family, jp]) == list(range(top + 1))
+        assert self._rows_are_the_members(target, 40) == at_once
+
+    @pytest.mark.parametrize("family", connection.JACOBI_FAMILIES)
+    def test_degree_160(self, family):
+        target = BasisId(family, JacobiParams(F(7, 3), F(-5, 7)))
+        p = Poly.monomial(160)
+        assert connection_oracle(p, target).reconstruct() == p
+        self._rows_are_the_members(target, 160)
